@@ -21,6 +21,7 @@ from .dynamics import (
     IntegratorConfig,
     JacobiState,
     TrajectoryState,
+    _write_rows,
     comoving_moments_along,
     integrate_averaged_geodesic,
     integrate_jacobi_full,
@@ -152,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _initial_state(defn) -> TrajectoryState:
-    return TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
-
-
 def _averaged_reference(lattice, defn, args):
     ens = realize_beam(defn)
     moments = compute_moments(ens)
@@ -166,22 +163,25 @@ def _averaged_reference(lattice, defn, args):
     return series, moments, cfg
 
 
+def _write_json(path, payload):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def _run(args) -> int:
+    lattice = load_lattice(args.lattice) if args.command != "moments" else None
     if args.command == "track":
-        lattice = load_lattice(args.lattice)
         defn = _load_beam(args.beam)
         cfg = IntegratorConfig(step=args.step)
-        series = integrate_lorentz(lattice, _initial_state(defn), args.span, cfg,
-                                   form=args.form)
+        state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
+        series = integrate_lorentz(lattice, state, args.span, cfg, form=args.form)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
-        lattice = load_lattice(args.lattice)
         series, _, _ = _averaged_reference(lattice, _load_beam(args.beam), args)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "jacobi":
-        lattice = load_lattice(args.lattice)
         reference, moments, cfg = _averaged_reference(lattice, _load_beam(args.beam), args)
         frame = INERTIAL if args.frame == "inertial" else ArcAdapted(rho=args.rho)
         xi_run = integrate_jacobi_full(
@@ -192,7 +192,6 @@ def _run(args) -> int:
         write_jacobi_csv(xi_run, args.out)
 
     elif args.command == "transverse":
-        lattice = load_lattice(args.lattice)
         series = integrate_transverse_linear(
             lattice.elements[0], args.rho,
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
@@ -201,7 +200,6 @@ def _run(args) -> int:
         write_jacobi_csv(series, args.out)
 
     elif args.command == "longitudinal":
-        lattice = load_lattice(args.lattice)
         series = integrate_longitudinal(
             lattice.elements[0], args.gamma,
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
@@ -221,38 +219,25 @@ def _run(args) -> int:
             "energy": float(stats.energy),
             "alpha": float(stats.alpha),
         }
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(args.out, payload)
 
     elif args.command == "offset":
-        lattice = load_lattice(args.lattice)
         reference, moments, _ = _averaged_reference(lattice, _load_beam(args.beam), args)
         along = comoving_moments_along(reference, moments)
         off = averaged_offset(lattice, reference, along)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("t,off1,off3,avg1,avg3\n")
-            for k in range(len(off.t)):
-                fh.write(",".join(repr(float(c)) for c in
-                                  (off.t[k], off.off1[k], off.off3[k],
-                                   off.avg1[k], off.avg3[k])) + "\n")
+        _write_rows(args.out, "t,off1,off3,avg1,avg3",
+                    [off.t, off.off1, off.off3, off.avg1, off.avg3])
 
     elif args.command == "dispersion":
-        lattice = load_lattice(args.lattice)
         l, K = transverse_k_profile(lattice, "horizontal", args.step)
         _, inv_rho = inverse_rho_profile(lattice, args.step)
         with np.errstate(divide="ignore"):
             rho = np.where(inv_rho == 0.0, np.inf, 1.0 / inv_rho)
         ps = principal_solutions(l, K)
         result = dispersion(ps, rho, args.delta)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("t,C,S,D,off\n")
-            for k in range(len(l)):
-                fh.write(",".join(repr(float(c)) for c in
-                                  (l[k], ps.C[k], ps.S[k], result.D[k],
-                                   result.offset[k])) + "\n")
+        _write_rows(args.out, "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset])
 
     elif args.command == "scan-alpha":
-        lattice = load_lattice(args.lattice)
         gamma = args.gamma
         mean_spatial = np.array([0.0, np.sqrt(gamma * gamma - 1.0), 0.0])
         family = gaussian_beam_family(mean_spatial, n=args.n, seed=args.seed)
@@ -263,7 +248,6 @@ def _run(args) -> int:
             fh.write(report.to_json() + "\n")
 
     elif args.command == "validate":
-        lattice = load_lattice(args.lattice)
         probes = []
         start = 0.0
         for el in lattice.elements:
@@ -273,8 +257,7 @@ def _run(args) -> int:
             start += el.length
         err = validate_field_gradients(lattice, probes, step=args.fd_step)
         payload = {"max_relative_error": float(err), "probes": len(probes)}
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(args.out, payload)
 
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {args.command}")

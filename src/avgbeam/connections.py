@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import MomentSet
-from .errors import OffShell
 from .minkowski import (
     METRIC_SIGNATURE,
     Connection3,
     FieldSample,
     check_on_shell,
+    lower,
     velocity_monomials3,
 )
 
@@ -99,13 +99,9 @@ def inertial_acceleration(mode: FrameMode, xi, dxi, xdot):
     return out
 
 
-def _lowered(vec):
-    return vec * METRIC_SIGNATURE
-
-
 def _field_connection(F, first, third):
     """Velocity-slot connection coefficients as a raw (4,4,4) array."""
-    yl = _lowered(first)
+    yl = lower(first)
     # symmetric force-velocity part: 1/2 (F^i_j yl_k + F^i_k yl_j)
     T1 = 0.5 * (F[:, :, None] * yl[None, None, :] + F[:, None, :] * yl[None, :, None])
     # trace part: 1/2 F^i_m (first^m eta_jk - third^{msl} eta_sj eta_lk)
@@ -120,13 +116,13 @@ def _field_connection(F, first, third):
 def lorentz_connection(field: FieldSample, y) -> Connection3:
     """Connection whose geodesics are the exact single-particle orbits.
 
-    Requires y on the unit hyperboloid within 1e-9.  Built through the
-    same coefficient routine as the averaged connection with the moment
-    slots set to y and its monomials, so the two coincide exactly for a
-    point distribution.
+    Requires y on the unit hyperboloid (see check_on_shell).  Built
+    through the same coefficient routine as the averaged connection with
+    the moment slots set to y and its monomials, so the two coincide
+    exactly for a point distribution.
     """
     y = np.asarray(y, dtype=float)
-    check_on_shell(y, tol=1e-9, exc=OffShell)
+    check_on_shell(y)
     return Connection3(_field_connection(field.f_mixed, y, velocity_monomials3(y)))
 
 

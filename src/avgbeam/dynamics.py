@@ -3,9 +3,11 @@
 Parameterization and units
 --------------------------
 Trajectories x(t) are parameterized by proper time t in meters (c = 1);
-velocities v = dx/dt live on the unit hyperboloid.  The integrator is
-the classical fixed-step RK4 scheme throughout: deterministic, no
-adaptive control, so identical inputs give identical output bytes.
+velocities v = dx/dt live on the unit hyperboloid.  Every integrator
+here, and the ensemble oracle, advances x' = v, v' = accel(k, theta, x, v)
+through one classical fixed-step RK4 kernel; theta in {0, 1/2, 1/2, 1} is
+the stage position inside step k, and an observer sees every grid point.
+No adaptive control, so identical inputs give identical output bytes.
 
 Moment transport
 ----------------
@@ -17,13 +19,21 @@ launch velocity,
 
 are frozen, and at every right-hand-side evaluation the moment slots are
 rebuilt around the current velocity as first = v + D1 and
-third = v x v x v + D3.  A point (delta) ensemble has D identically
-zero, so an averaged run collapses onto the single-particle geodesic
-bit for bit (the zero-deviation case takes the same monomial code path
-as integrate_lorentz).
+third = v x v x v + D3.  The rank-3 slot only ever enters contracted
+with two vectors, so inside the integrators it is evaluated in closed
+form, without building the monomial tensor,
+
+    third(a, b) = v eta(v, a) eta(v, b) + D3(a, b).
+
+Every moment-slot force (orbit, deviation transport, transport defect,
+offset integrands) is evaluated by one function for Gamma(a, b) and its
+moment part.  A point (delta) ensemble has D identically zero, so an
+averaged run collapses onto the single-particle geodesic bit for bit
+(the zero-deviation case takes the same monomial code path as
+integrate_lorentz).
 
 All array reductions in the right-hand sides are written as elementwise
-operations plus fixed-order length-4 sums, so per-sample results do not
+operations plus sums in a fixed index order, so per-sample results do not
 depend on how many trajectories are batched together.
 """
 
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import FrameMode, INERTIAL, frame_gradient, inertial_acceleration
+from .connections import FrameMode, INERTIAL, inertial_acceleration
 from .ensemble import MomentSet
 from .errors import (
     MismatchedSampling,
@@ -82,21 +92,16 @@ class JacobiState:
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    step is the RK4 step in the run parameter (meters).  boundary_align
-    controls whether piecewise profiles snap their grids onto element
-    boundaries; trajectory runs always evaluate the hard-edged field at
-    the current position.
+    step is the classical RK4 step in the run parameter (meters); it
+    must be positive.  Trajectory runs evaluate the hard-edged field at
+    the current position of every stage.
     """
 
     step: float
-    scheme: str = "rk4"
-    boundary_align: bool = True
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError(f"integrator step must be positive, got {self.step}")
-        if self.scheme != "rk4":
-            raise ValueError("only the classical fixed-step 'rk4' scheme is provided")
 
 
 @dataclass
@@ -119,25 +124,21 @@ class TrajectorySeries:
 
     def norm_drift(self) -> float:
         """max_k |eta(v_k, v_k) - 1| over the run."""
-        vv = (self.v[:, 0] * self.v[:, 0] - self.v[:, 1] * self.v[:, 1]
-              - self.v[:, 2] * self.v[:, 2] - self.v[:, 3] * self.v[:, 3])
-        return float(np.max(np.abs(vv - 1.0)))
+        return float(np.max(np.abs(_mdot(self.v, self.v) - 1.0)))
 
 
 @dataclass
 class JacobiSeries:
     """Deviation samples on a uniform parameter grid.
 
-    epsilon stores the first-moment offset from the reference velocity
-    when the run was driven by ensemble moments.  decoupling_ok is False
-    when |eta(Xdot, dxi)| exceeded 1e-2 |dxi| somewhere, the regime in
-    which the transverse/longitudinal split loses meaning.
+    decoupling_ok is False when |eta(Xdot, dxi)| exceeded 1e-2 |dxi|
+    somewhere, the regime in which the transverse/longitudinal split
+    loses meaning.
     """
 
     t: np.ndarray
     xi: np.ndarray
     dxi: np.ndarray
-    epsilon: np.ndarray | None = None
     decoupling_ok: bool = True
 
     def __len__(self):
@@ -196,7 +197,58 @@ def read_jacobi_csv(path) -> JacobiSeries:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (batch-stable elementwise algebra)
+# the RK4 kernel
+
+def _rk4(accel, x, v, h, n, observe):
+    """Classical RK4 for x' = v, v' = accel(k, theta, x, v) over n steps of h.
+
+    theta in {0, 1/2, 1/2, 1} is the stage position inside step k.
+    observe(k, x, v) sees the state at every grid point k = 0..n.  x and
+    v may have any (equal) shape; all updates are elementwise.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    observe(0, x, v)
+    for k in range(n):
+        a1 = accel(k, 0.0, x, v)
+        v2 = v + half * a1
+        a2 = accel(k, 0.5, x + half * v, v2)
+        v3 = v + half * a2
+        a3 = accel(k, 0.5, x + half * v2, v3)
+        v4 = v + h * a3
+        a4 = accel(k, 1.0, x + h * v3, v4)
+        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        observe(k + 1, x, v)
+
+
+def _rk4_rows(accel, x0, v0, h, n):
+    """Run the kernel and keep every grid point: arrays of shape (n+1,) + x0.shape."""
+    xs = np.empty((n + 1,) + np.shape(x0))
+    vs = np.empty_like(xs)
+
+    def observe(k, x, v):
+        xs[k] = x
+        vs[k] = v
+
+    _rk4(accel, x0, v0, h, n, observe)
+    return xs, vs
+
+
+def _at_stage(values, k, theta):
+    """Tabulated coefficient at stage theta of step k, linear between grid points."""
+    if theta <= 0.0:
+        return values[k]
+    if theta >= 1.0:
+        return values[k + 1]
+    return values[k] * (1.0 - theta) + values[k + 1] * theta
+
+
+# ---------------------------------------------------------------------------
+# the averaged-connection force (batch-stable elementwise algebra)
+
+_SIGN2 = METRIC_SIGNATURE[:, None] * METRIC_SIGNATURE[None, :]
+
 
 def _matvec(F, v):
     """F^i_j v^j as four fixed-order elementwise products."""
@@ -211,14 +263,51 @@ def _mdot(a, b):
             - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
-def _third_contract(third, al, bl):
-    """third^{m s l} a_s b_l with lowered inputs, fixed 16-term order."""
+def _along(G, xi):
+    """xi^l G[l], the directional derivative of the field along xi."""
+    return (G[..., 0, :, :] * xi[..., 0, None, None]
+            + G[..., 1, :, :] * xi[..., 1, None, None]
+            + G[..., 2, :, :] * xi[..., 2, None, None]
+            + G[..., 3, :, :] * xi[..., 3, None, None])
+
+
+def _slot3(T, a, b):
+    """T^{msl} a_s b_l for a rank-3 tensor T (optionally batched), fixed order.
+
+    The metric signs go onto T's last two axes (exact), then the sixteen
+    (s, l) terms are summed s-major.
+    """
+    Tl = T * _SIGN2
     out = None
     for s in range(4):
         for l in range(4):
-            term = third[..., :, s, l] * (al[..., s] * bl[..., l])[..., None]
+            term = Tl[..., :, s, l] * (a[..., s] * b[..., l])[..., None]
             out = term if out is None else out + term
     return out
+
+
+def _comoving_third(v, D3, a, b):
+    """third(a, b) for third = v x v x v + D3, without building the tensor."""
+    out = v * (_mdot(v, a) * _mdot(v, b))[..., None]
+    return out if D3 is None else out + _slot3(D3, a, b)
+
+
+def _moment_slot(F, first, third_ab, a, b):
+    """F^i_m (first^m eta(a, b) - third^m(a, b)), the moment part of 2 Gamma(a, b)."""
+    return _matvec(F, first * _mdot(a, b)[..., None] - third_ab)
+
+
+def _gamma(F, first, third_ab, a, b):
+    """Gamma(a, b) of the field connection with moment slots first, third.
+
+    Gamma(a, b) = 1/2 [F a eta(first, b) + F b eta(first, a)
+                       + F (first eta(a, b) - third(a, b))],
+    third_ab being the rank-3 slot already contracted with a and b.  On
+    the hyperboloid with point moments Gamma(v, v) = F v.
+    """
+    return 0.5 * (_matvec(F, a) * _mdot(first, b)[..., None]
+                  + _matvec(F, b) * _mdot(first, a)[..., None]
+                  + _moment_slot(F, first, third_ab, a, b))
 
 
 def _field_xi(x):
@@ -229,52 +318,53 @@ def _field_xi(x):
     return xi
 
 
+def _geodesic_accel(F, v, D1, D3):
+    """v' = -Gamma(v, v) with comoving slots; D1 None means a point ensemble.
+
+    The point case keeps the monomial connection form -F v s(3 - s)/2,
+    s = eta(v, v), which equals the force form on the hyperboloid.
+    """
+    if D1 is None:
+        s = _mdot(v, v)
+        return -_matvec(F, v) * (s * (3.0 - s) * 0.5)[..., None]
+    return -_gamma(F, v + D1, _comoving_third(v, D3, v, v), v, v)
+
+
 def _rhs_force(lattice: Lattice):
     """Direct force form: a = -F v sqrt(eta(v, v))."""
 
-    def rhs(x, v):
+    def rhs(k, theta, x, v):
         F = field_mixed(lattice, x[..., 2], _field_xi(x))
-        s = _mdot(v, v)
-        return -_matvec(F, v) * np.sqrt(s)[..., None]
+        return -_matvec(F, v) * np.sqrt(_mdot(v, v))[..., None]
 
     return rhs
 
 
-def _rhs_monomial(lattice: Lattice):
-    """Connection form with monomial slots; equals the force form on shell."""
+def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
+    """Connection form with comoving moment slots (monomial slots by default)."""
 
-    def rhs(x, v):
-        F = field_mixed(lattice, x[..., 2], _field_xi(x))
-        s = _mdot(v, v)
-        return -_matvec(F, v) * (s * (3.0 - s) * 0.5)[..., None]
+    def rhs(k, theta, x, v):
+        return _geodesic_accel(field_mixed(lattice, x[..., 2], _field_xi(x)), v, D1, D3)
 
     return rhs
 
 
-def _rhs_moments(lattice: Lattice, D1, D3):
-    """Connection form with comoving moment slots v + D1, v^3 + D3."""
-
-    def rhs(x, v):
-        F = field_mixed(lattice, x[..., 2], _field_xi(x))
-        first = v + D1
-        third = velocity_monomials3(v) + D3
-        vv = _mdot(v, v)
-        yv = _mdot(first, v)
-        Fv = _matvec(F, v)
-        Fy = _matvec(F, first)
-        vl = v * METRIC_SIGNATURE
-        Fth = _matvec(F, _third_contract(third, vl, vl))
-        return -(Fv * yv[..., None] + 0.5 * (Fy * vv[..., None] - Fth))
-
-    return rhs
+def _frozen_slots(moments: MomentSet, reference_velocity):
+    """(D1, D3) for the comoving slots, (None, None) for an exact point ensemble."""
+    D1, D3 = moment_deviations(moments, reference_velocity)
+    if not D1.any() and not D3.any():
+        return None, None
+    return D1, D3
 
 
-def _step_count(t0: float, t_end: float, step: float):
+def _grid(t0: float, t_end: float, step: float):
+    """Step count, signed step and the uniform output grid from t0 towards t_end."""
     span = t_end - t0
     if span == 0.0:
         raise ValueError("integration span is zero")
-    n = int(math.ceil(abs(span) / step - 1e-9))
-    return max(n, 1), math.copysign(step, span)
+    n = max(int(math.ceil(abs(span) / step - 1e-9)), 1)
+    h = math.copysign(step, span)
+    return n, h, t0 + np.arange(n + 1) * h
 
 
 def _check_step(lattice_or_element, step: float):
@@ -287,28 +377,18 @@ def _check_step(lattice_or_element, step: float):
         )
 
 
-def _rk4_trajectory(rhs, x0, v0, t0, h, nsteps):
-    x = x0.copy()
-    v = v0.copy()
-    xs = np.empty((nsteps + 1,) + x.shape)
-    vs = np.empty_like(xs)
-    xs[0] = x
-    vs[0] = v
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(nsteps):
-        a1 = rhs(x, v)
-        x2v = v + half * a1
-        a2 = rhs(x + half * v, x2v)
-        x3v = v + half * a2
-        a3 = rhs(x + half * x2v, x3v)
-        x4v = v + h * a3
-        a4 = rhs(x + h * x3v, x4v)
-        x = x + sixth * (v + 2.0 * x2v + 2.0 * x3v + x4v)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        xs[k + 1] = x
-        vs[k + 1] = v
-    return xs, vs
+def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> TrajectorySeries:
+    n, h, t = _grid(initial.t, t_end, step)
+    xs, vs = _rk4_rows(rhs, np.asarray(initial.x, dtype=float).reshape(1, 4),
+                       np.asarray(initial.v, dtype=float).reshape(1, 4), h, n)
+    return TrajectorySeries(t=t, x=xs[:, 0, :], v=vs[:, 0, :])
+
+
+def _deviation(accel, initial: JacobiState, t_end: float, step: float) -> JacobiSeries:
+    n, h, t = _grid(initial.t, t_end, step)
+    xis, dxis = _rk4_rows(accel, np.asarray(initial.xi, dtype=float),
+                          np.asarray(initial.dxi, dtype=float), h, n)
+    return JacobiSeries(t=t, xi=xis, dxi=dxis)
 
 
 def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
@@ -325,15 +405,10 @@ def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
     """
     if form not in ("connection", "force"):
         raise ValueError(f"unknown form '{form}'")
-    check_on_shell(initial.v, tol=1e-9, exc=OffShellInitial, label="initial velocity")
+    check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
     _check_step(lattice, config.step)
-    n, h = _step_count(initial.t, t_end, config.step)
-    rhs = _rhs_monomial(lattice) if form == "connection" else _rhs_force(lattice)
-    x0 = np.asarray(initial.x, dtype=float).reshape(1, 4)
-    v0 = np.asarray(initial.v, dtype=float).reshape(1, 4)
-    xs, vs = _rk4_trajectory(rhs, x0, v0, initial.t, h, n)
-    t = initial.t + np.arange(n + 1) * h
-    return TrajectorySeries(t=t, x=xs[:, 0, :], v=vs[:, 0, :])
+    rhs = _rhs_geodesic(lattice) if form == "connection" else _rhs_force(lattice)
+    return _orbit(rhs, initial, t_end, config.step)
 
 
 def moment_deviations(moments: MomentSet, reference_velocity):
@@ -354,21 +429,11 @@ def integrate_averaged_geodesic(lattice: Lattice, moments: MomentSet,
     centered deviations are computed (default: the launch velocity), so
     perturbed companions of a reference run evolve in the same field.
     """
-    check_on_shell(initial.v, tol=1e-9, exc=OffShellInitial, label="initial velocity")
+    check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
     _check_step(lattice, config.step)
     vref = initial.v if deviations_from is None else deviations_from
-    D1, D3 = moment_deviations(moments, vref)
-    if not D1.any() and not D3.any():
-        # exact point ensemble: identical code path as integrate_lorentz
-        rhs = _rhs_monomial(lattice)
-    else:
-        rhs = _rhs_moments(lattice, D1, D3)
-    n, h = _step_count(initial.t, t_end, config.step)
-    x0 = np.asarray(initial.x, dtype=float).reshape(1, 4)
-    v0 = np.asarray(initial.v, dtype=float).reshape(1, 4)
-    xs, vs = _rk4_trajectory(rhs, x0, v0, initial.t, h, n)
-    t = initial.t + np.arange(n + 1) * h
-    return TrajectorySeries(t=t, x=xs[:, 0, :], v=vs[:, 0, :])
+    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, vref))
+    return _orbit(rhs, initial, t_end, config.step)
 
 
 def comoving_moments_along(series: TrajectorySeries, moments: MomentSet,
@@ -419,15 +484,8 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
         raise MismatchedSampling("moment series and curve are sampled on different grids")
     h = float(curve.t[1] - curve.t[0])
     V = moments_along.first
-    dV = _series_derivative(V, h)
     F = field_mixed(lattice, curve.x[:, 2], _field_xi(curve.x))
-    vv = _mdot(V, V)
-    Fv = _matvec(F, V)
-    Vl = V * METRIC_SIGNATURE
-    Fth = _matvec(F, _third_contract(moments_along.third, Vl, Vl))
-    first_dot = _mdot(moments_along.first, V)
-    gamma_vv = Fv * first_dot[..., None] + 0.5 * (_matvec(F, moments_along.first) * vv[..., None] - Fth)
-    defect = dV + gamma_vv
+    defect = _series_derivative(V, h) + _gamma(F, V, _slot3(moments_along.third, V, V), V, V)
     return curve.t.copy(), np.sqrt(np.sum(defect * defect, axis=-1))
 
 
@@ -446,114 +504,67 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     ddxi + 2 Gamma(X)(dxi, Xdot) + xi^l d_l Gamma(X)(Xdot, Xdot) + A = 0
     with Gamma the moment-averaged connection, d_l Gamma taken through
     the analytic field gradients, and A the frame force of ``frame``.
-    The reference is re-integrated alongside on the same grid (same
-    arithmetic as integrate_averaged_geodesic), so the supplied series
-    only fixes the launch state and admissible span.
+    The reference and the deviation advance as one stacked (2, 4) state
+    through the RK4 kernel, the reference with the same arithmetic as
+    integrate_averaged_geodesic and both sharing one field lookup per
+    stage; the supplied series only fixes the launch state and the
+    admissible span.
 
     mode "full" keeps the moment slots comoving (first = Xdot + D1);
     mode "linearized" substitutes the reference velocity for the first
-    moment, the standard small-spread reduction.  The first-moment
-    offset series epsilon and a transverse-longitudinal decoupling flag
-    are recorded on the output.
+    moment, the standard small-spread reduction.  The kernel's observer
+    records the deviation rows and the worst coupling
+    |eta(Xdot, dxi)| / |dxi| behind the decoupling flag.
     """
     if mode not in ("full", "linearized"):
         raise ValueError(f"unknown jacobi mode '{mode}'")
     _check_step(lattice, config.step)
     ref0 = reference.state(0)
-    check_on_shell(ref0.v, tol=1e-9, exc=OffShellInitial, label="reference velocity")
+    check_on_shell(ref0.v, exc=OffShellInitial, label="reference velocity")
     ref_span = abs(float(reference.t[-1] - reference.t[0]))
     span = ref_span if t_end is None else t_end - initial.t
     if abs(span) > ref_span + 1e-9:
         raise ReferenceSpanExceeded(
             f"requested span {span} exceeds reference span {ref_span}"
         )
-    n, h = _step_count(initial.t, initial.t + span, config.step)
+    n, h, t = _grid(initial.t, initial.t + span, config.step)
     ref_h = reference.t[1] - reference.t[0] if len(reference) > 1 else h
     if abs(abs(ref_h) - config.step) > 1e-12:
         raise MismatchedSampling(
             f"reference grid step {ref_h} does not match integrator step {config.step}"
         )
 
-    D1, D3 = moment_deviations(moments, ref0.v)
-    ref_rhs = (_rhs_monomial(lattice) if (not D1.any() and not D3.any())
-               else _rhs_moments(lattice, D1, D3))
-    fgrad = frame_gradient(frame)
+    D1, D3 = _frozen_slots(moments, ref0.v)
+    slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
-    def accel(x, v, xi, dxi):
-        x2 = x[..., 2]
-        fxi = _field_xi(x)
-        F = field_mixed(lattice, x2, fxi)
-        G = field_gradient(lattice, x2, fxi)
-        if mode == "linearized":
-            first = v
-            third = velocity_monomials3(v)
-        else:
-            first = v + D1
-            third = velocity_monomials3(v) + D3
-        vl = v * METRIC_SIGNATURE
-        dxl = dxi * METRIC_SIGNATURE
-        # 2 Gamma(dxi, v)
-        two_g = (_matvec(F, dxi) * _mdot(first, v)[..., None]
-                 + _matvec(F, v) * _mdot(first, dxi)[..., None]
-                 + _matvec(F, first) * _mdot(dxi, v)[..., None]
-                 - _matvec(F, _third_contract(third, dxl, vl)))
-        # xi^l d_l Gamma (v, v) through the field gradient
-        dF = (G[..., 0, :, :] * xi[..., 0, None, None]
-              + G[..., 1, :, :] * xi[..., 1, None, None]
-              + G[..., 2, :, :] * xi[..., 2, None, None]
-              + G[..., 3, :, :] * xi[..., 3, None, None])
-        vv = _mdot(v, v)
-        grad_term = (_matvec(dF, v) * _mdot(first, v)[..., None]
-                     + 0.5 * (_matvec(dF, first) * vv[..., None]
-                              - _matvec(dF, _third_contract(third, vl, vl))))
-        acc = -(two_g + grad_term)
-        if fgrad.any():
-            # frame force: xi^l dGamma_f (v v + 2 v dxi), arc mode entry only
-            coeff = fgrad[1, 1, 2, 2]
-            acc[..., 1] -= xi[..., 1] * coeff * (v[..., 2] * v[..., 2]
-                                                 + 2.0 * v[..., 2] * dxi[..., 2])
-        return acc
+    def accel(k, theta, x, v):
+        X, V, xi, dxi = x[:1], v[:1], x[1:], v[1:]
+        fxi = _field_xi(X)
+        F = field_mixed(lattice, X[..., 2], fxi)
+        dF = _along(field_gradient(lattice, X[..., 2], fxi), xi)
+        first = V if slot_D1 is None else V + slot_D1
+        # 2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot) + A
+        dev = (-(2.0 * _gamma(F, first, _comoving_third(V, slot_D3, dxi, V), dxi, V)
+                 + _gamma(dF, first, _comoving_third(V, slot_D3, V, V), V, V))
+               - inertial_acceleration(frame, xi[0], dxi[0], V[0]))
+        return np.concatenate([_geodesic_accel(F, V, D1, D3), dev])
 
-    x = np.asarray(ref0.x, dtype=float).reshape(1, 4)
-    v = np.asarray(ref0.v, dtype=float).reshape(1, 4)
-    xi = np.asarray(initial.xi, dtype=float).reshape(1, 4)
-    dxi = np.asarray(initial.dxi, dtype=float).reshape(1, 4)
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))
-    xis[0] = xi[0]
-    dxis[0] = dxi[0]
     worst_coupling = 0.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(n):
-        a1 = ref_rhs(x, v)
-        j1 = accel(x, v, xi, dxi)
-        v2, dxi2 = v + half * a1, dxi + half * j1
-        x2_, xi2_ = x + half * v, xi + half * dxi
-        a2 = ref_rhs(x2_, v2)
-        j2 = accel(x2_, v2, xi2_, dxi2)
-        v3, dxi3 = v + half * a2, dxi + half * j2
-        x3_, xi3_ = x + half * v2, xi + half * dxi2
-        a3 = ref_rhs(x3_, v3)
-        j3 = accel(x3_, v3, xi3_, dxi3)
-        v4, dxi4 = v + h * a3, dxi + h * j3
-        x4_, xi4_ = x + h * v3, xi + h * dxi3
-        a4 = ref_rhs(x4_, v4)
-        j4 = accel(x4_, v4, xi4_, dxi4)
-        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        xi = xi + sixth * (dxi + 2.0 * dxi2 + 2.0 * dxi3 + dxi4)
-        dxi = dxi + sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        xis[k + 1] = xi[0]
-        dxis[k + 1] = dxi[0]
-        coupling = abs(float(_mdot(v, dxi)[0]))
-        scale = float(np.sqrt(np.sum(dxi * dxi)))
-        if scale > 0.0:
-            worst_coupling = max(worst_coupling, coupling / scale)
-    t = initial.t + np.arange(n + 1) * h
-    eps = np.tile(D1, (n + 1, 1))
-    return JacobiSeries(t=t, xi=xis, dxi=dxis, epsilon=eps,
-                        decoupling_ok=worst_coupling < 1e-2)
+
+    def observe(k, x, v):
+        nonlocal worst_coupling
+        xis[k] = x[1]
+        dxis[k] = v[1]
+        scale = float(np.sqrt(np.sum(v[1] * v[1])))
+        if k and scale > 0.0:
+            worst_coupling = max(worst_coupling, abs(float(_mdot(v[0], v[1]))) / scale)
+
+    x0 = np.stack([np.asarray(ref0.x, dtype=float), np.asarray(initial.xi, dtype=float)])
+    v0 = np.stack([np.asarray(ref0.v, dtype=float), np.asarray(initial.dxi, dtype=float)])
+    _rk4(accel, x0, v0, h, n, observe)
+    return JacobiSeries(t=t, xi=xis, dxi=dxis, decoupling_ok=worst_coupling < 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -598,32 +609,7 @@ def integrate_transverse_linear(element: Element, rho: float | None,
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
     freq = np.array([0.0, kh, 0.0, kv])
-
-    def rhs(xi, dxi):
-        return -freq * xi
-
-    xi = np.asarray(initial.xi, dtype=float).copy()
-    dxi = np.asarray(initial.dxi, dtype=float).copy()
-    n, h = _step_count(initial.t, l_end, config.step)
-    xis = np.empty((n + 1, 4))
-    dxis = np.empty((n + 1, 4))
-    xis[0] = xi
-    dxis[0] = dxi
-    half, sixth = 0.5 * h, h / 6.0
-    for k in range(n):
-        j1 = rhs(xi, dxi)
-        d2 = dxi + half * j1
-        j2 = rhs(xi + half * dxi, d2)
-        d3 = dxi + half * j2
-        j3 = rhs(xi + half * d2, d3)
-        d4 = dxi + h * j3
-        j4 = rhs(xi + h * d3, d4)
-        xi = xi + sixth * (dxi + 2.0 * d2 + 2.0 * d3 + d4)
-        dxi = dxi + sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        xis[k + 1] = xi
-        dxis[k + 1] = dxi
-    t = initial.t + np.arange(n + 1) * h
-    return JacobiSeries(t=t, xi=xis, dxi=dxis)
+    return _deviation(lambda k, theta, xi, dxi: -freq * xi, initial, l_end, config.step)
 
 
 def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
@@ -642,7 +628,7 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
     _check_step(element, config.step)
-    n, h = _step_count(initial.t, t_end, config.step)
+    n, _, _ = _grid(initial.t, t_end, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
     if gamma_of_t.ndim == 0:
         gammas = np.full(n + 1, float(gamma_of_t))
@@ -653,49 +639,15 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
             )
         gammas = gamma_of_t
 
-    def gamma_at(k, theta):
-        if theta <= 0.0:
-            return gammas[k]
-        if theta >= 1.0:
-            return gammas[min(k + 1, n)]
-        return gammas[k] * (1.0 - theta) + gammas[min(k + 1, n)] * theta
+    def accel(k, theta, xi, dxi):
+        acc = np.zeros(4)
+        if isinstance(element, ConstantE):
+            acc[0] = -element.e2 * dxi[2]
+            acc[2] = -element.e2 * dxi[2]
+        else:
+            g = _at_stage(gammas, k, theta)
+            acc[0] = -2.0 * g * element.e2_0 * xi[2]
+            acc[2] = 2.0 * g * element.e2_0 * xi[2]
+        return acc
 
-    if isinstance(element, ConstantE):
-        e2 = element.e2
-
-        def rhs(k, theta, xi, dxi):
-            acc = np.zeros(4)
-            acc[0] = -e2 * dxi[2]
-            acc[2] = -e2 * dxi[2]
-            return acc
-    else:
-        e20 = element.e2_0
-
-        def rhs(k, theta, xi, dxi):
-            g = gamma_at(k, theta)
-            acc = np.zeros(4)
-            acc[0] = -2.0 * g * e20 * xi[2]
-            acc[2] = 2.0 * g * e20 * xi[2]
-            return acc
-
-    xi = np.asarray(initial.xi, dtype=float).copy()
-    dxi = np.asarray(initial.dxi, dtype=float).copy()
-    xis = np.empty((n + 1, 4))
-    dxis = np.empty((n + 1, 4))
-    xis[0] = xi
-    dxis[0] = dxi
-    half, sixth = 0.5 * h, h / 6.0
-    for k in range(n):
-        j1 = rhs(k, 0.0, xi, dxi)
-        d2 = dxi + half * j1
-        j2 = rhs(k, 0.5, xi + half * dxi, d2)
-        d3 = dxi + half * j2
-        j3 = rhs(k, 0.5, xi + half * d2, d3)
-        d4 = dxi + h * j3
-        j4 = rhs(k, 1.0, xi + h * d3, d4)
-        xi = xi + sixth * (dxi + 2.0 * d2 + 2.0 * d3 + d4)
-        dxi = dxi + sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        xis[k + 1] = xi
-        dxis[k + 1] = dxi
-    t = initial.t + np.arange(n + 1) * h
-    return JacobiSeries(t=t, xi=xis, dxi=dxis)
+    return _deviation(accel, initial, t_end, config.step)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -40,16 +41,7 @@ from .errors import (
     ParseError,
     ZeroWeight,
 )
-from .minkowski import norm_residual, velocity_monomials3
-
-_SORTED_TRIPLES = [
-    (m, s, l) for m in range(4) for s in range(m, 4) for l in range(s, 4)
-]
-
-# On-shell construction tolerance.  Scaled by (y0)^2 because computing
-# eta(y,y) at Lorentz factor gamma cancels terms of size gamma^2, so even
-# a correctly rounded square root leaves a residual ~ gamma^2 * eps.
-_SHELL_TOL = 1e-12
+from .minkowski import _SORTED_TRIPLES, check_on_shell, velocity_monomials3
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -59,29 +51,37 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def project_to_hyperboloid(spatial) -> np.ndarray:
-    """Lift a spatial 3-velocity onto the unit hyperboloid.
+def _shifted_mean(q: np.ndarray, ws: np.ndarray, vol: float):
+    """Weighted mean over the leading axis, accumulated relative to sample 0."""
+    return q[0] + _sequential_sum(ws * (q - q[0])) / vol
 
-    Returns (sqrt(1 + |v|^2), v1, v2, v3), which satisfies eta(y, y) = 1
-    exactly up to rounding and y0 >= 1.
+
+def project_to_hyperboloid(spatial) -> np.ndarray:
+    """Lift spatial 3-velocities onto the unit hyperboloid.
+
+    Returns (sqrt(1 + ((v1^2 + v2^2) + v3^2)), v1, v2, v3) for one
+    velocity of shape (3,) or a batch of shape (n, 3), which satisfies
+    eta(y, y) = 1 up to rounding and y0 >= 1.  Every row is lifted with
+    the same arithmetic, so batching does not change the bits.
     """
     v = np.asarray(spatial, dtype=float)
-    if v.shape != (3,):
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
         raise ValueError(f"expected 3 spatial components, got shape {v.shape}")
-    s = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return np.array([math.sqrt(1.0 + s), v[0], v[1], v[2]])
+    s = (v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]) + v[..., 2] * v[..., 2]
+    return np.concatenate([np.sqrt(1.0 + s)[..., None], v], axis=-1)
 
 
-def _check_sample(y: np.ndarray, w: float):
-    res = norm_residual(y)
-    if abs(res) > _SHELL_TOL * max(1.0, y[0] * y[0]):
-        raise OffShell(
-            f"sample off the unit hyperboloid: eta(y,y)-1 = {res:.3e}"
-        )
-    if y[0] < 1.0 - 1e-12:
-        raise OffShell(f"sample has y0 = {y[0]} < 1, wrong hyperboloid sheet")
-    if w < 0.0:
-        raise ValueError(f"sample weight must be nonnegative, got {w}")
+def _check_samples(ys: np.ndarray, ws: np.ndarray):
+    """Shell, sheet and weight checks on (n, 4) samples; errors name the first bad one."""
+    check_on_shell(ys, label="sample")
+    bad = np.flatnonzero(ys[:, 0] < 1.0 - 1e-12)
+    if len(bad):
+        a = int(bad[0])
+        raise OffShell(f"sample {a} has y0 = {ys[a, 0]} < 1, wrong hyperboloid sheet")
+    bad = np.flatnonzero(ws < 0.0)
+    if len(bad):
+        a = int(bad[0])
+        raise ValueError(f"sample {a} weight must be nonnegative, got {ws[a]}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class VelocitySample:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (4,):
             raise ValueError(f"4-velocity must have shape (4,), got {y.shape}")
-        _check_sample(y, float(self.w))
+        _check_samples(y[None, :], np.array([float(self.w)]))
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", float(self.w))
@@ -123,20 +123,12 @@ class BeamEnsemble:
         ws = np.ones(len(ys)) if ws is None else np.array(ws, dtype=float)
         if ws.shape != (len(ys),):
             raise ValueError("weights must match the number of samples")
-        for a in range(len(ys)):
-            _check_sample(ys[a], ws[a])
+        _check_samples(ys, ws)
         ys.setflags(write=False)
         ws.setflags(write=False)
         self.ys = ys
         self.ws = ws
         self.label = label
-
-    @classmethod
-    def from_samples(cls, samples, label: str = "") -> "BeamEnsemble":
-        samples = list(samples)
-        if not samples:
-            raise EmptyEnsemble("ensemble must contain at least one sample")
-        return cls([s.y for s in samples], [s.w for s in samples], label=label)
 
     def __len__(self) -> int:
         return len(self.ys)
@@ -210,31 +202,19 @@ def moments_from_arrays(ys: np.ndarray, ws: np.ndarray) -> MomentSet:
     if vol <= 0.0:
         raise ZeroWeight("total ensemble weight is zero")
 
-    first = np.empty(4)
-    for i in range(4):
-        col = ys[:, i]
-        first[i] = col[0] + _sequential_sum(ws * (col - col[0])) / vol
-
+    first = np.array([_shifted_mean(ys[:, i], ws, vol) for i in range(4)])
     third = np.zeros((4, 4, 4))
     for m, s, l in _SORTED_TRIPLES:
-        prod = (ys[:, m] * ys[:, s]) * ys[:, l]
-        val = prod[0] + _sequential_sum(ws * (prod - prod[0])) / vol
-        third[m, s, l] = val
-        third[m, l, s] = val
-        third[s, m, l] = val
-        third[s, l, m] = val
-        third[l, m, s] = val
-        third[l, s, m] = val
+        val = _shifted_mean((ys[:, m] * ys[:, s]) * ys[:, l], ws, vol)
+        for perm in set(permutations((m, s, l))):
+            third[perm] = val
     return MomentSet(vol=vol, first=first, third=third)
 
 
 def energy_stats(ensemble: BeamEnsemble, chunk: int = 256) -> EnergyStats:
     """Exact support statistics; the diameter scan is chunked, O(n^2)."""
     ys = ensemble.ys
-    energy = ys[0, 0]
-    for a in range(1, len(ys)):
-        if ys[a, 0] < energy:
-            energy = ys[a, 0]
+    energy = np.min(ys[:, 0])
 
     best = 0.0
     for start in range(0, len(ys), chunk):
@@ -268,10 +248,7 @@ def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int,
         raise ValueError("sigma components must be nonnegative")
     rng = np.random.default_rng(seed)
     draws = mean_spatial + sigma * rng.standard_normal((int(n), 3))
-    ys = np.empty((int(n), 4))
-    for a in range(int(n)):
-        ys[a] = project_to_hyperboloid(draws[a])
-    return BeamEnsemble(ys, label=label)
+    return BeamEnsemble(project_to_hyperboloid(draws), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +331,25 @@ def parse_beam_definition(text: str) -> BeamDefinition:
         fields[key] = (ln, value)
 
     def take(key, required=True):
+        """(line, value) of a key; a missing key reports line 0."""
         if key not in fields:
             if required:
                 raise ParseError(0, f"missing required key '{key}'")
-            return None
-        return fields.pop(key)[1]
+            return 0, None
+        return fields.pop(key)
 
-    dist = take("distribution")
+    ln, dist = take("distribution")
     if dist not in ("gaussian", "delta"):
-        raise ParseError(0, f"unknown distribution '{dist}'")
-    mean = _parse_triplet(take("mean"), "mean")
+        raise ParseError(ln, f"unknown distribution '{dist}'")
+    mean = _parse_triplet(*take("mean"), "mean")
     if dist == "delta":
-        n = take("n", required=False)
+        ln, n = take("n", required=False)
         defn = BeamDefinition(distribution="delta", mean=mean,
-                              n=_parse_int(n, "n") if n is not None else 1)
+                              n=_parse_int(ln, n, "n") if n is not None else 1)
     else:
-        sigma = _parse_triplet(take("sigma"), "sigma")
-        n = _parse_int(take("n"), "n")
-        seed = _parse_int(take("seed"), "seed")
+        sigma = _parse_triplet(*take("sigma"), "sigma")
+        n = _parse_int(*take("n"), "n")
+        seed = _parse_int(*take("seed"), "seed")
         defn = BeamDefinition(distribution="gaussian", mean=mean,
                               sigma=sigma, n=n, seed=seed)
     if fields:
@@ -380,21 +358,21 @@ def parse_beam_definition(text: str) -> BeamDefinition:
     return defn
 
 
-def _parse_triplet(value: str, name: str) -> np.ndarray:
+def _parse_triplet(ln: int, value: str, name: str) -> np.ndarray:
     parts = [p for p in value.split(",") if p.strip() != ""]
     if len(parts) != 3:
-        raise ParseError(0, f"{name} needs 3 comma-separated floats, got '{value}'")
+        raise ParseError(ln, f"{name} needs 3 comma-separated floats, got '{value}'")
     try:
         return np.array([float(p) for p in parts])
     except ValueError:
-        raise ParseError(0, f"non-numeric component in {name}: '{value}'") from None
+        raise ParseError(ln, f"non-numeric component in {name}: '{value}'") from None
 
 
-def _parse_int(value: str, name: str) -> int:
+def _parse_int(ln: int, value: str, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(0, f"{name} must be an integer, got '{value}'") from None
+        raise ParseError(ln, f"{name} must be an integer, got '{value}'") from None
 
 
 def realize_beam(defn: BeamDefinition) -> BeamEnsemble:

@@ -266,50 +266,43 @@ def _check_inside(lattice: Lattice, x2):
         )
 
 
+def _lookup(lattice: Lattice, x2, xi, shape, method):
+    """Evaluate ``method`` (write_field or write_grad) of the element at each x2.
+
+    Returns an array of shape x2.shape + shape, zero where the element
+    contributes nothing.
+    """
+    x2 = np.asarray(x2, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    _check_inside(lattice, x2)
+    out = np.zeros(x2.shape + shape)
+    if len(lattice.elements) == 1:
+        getattr(lattice.elements[0], method)(out, x2, xi)
+    elif x2.ndim == 0:
+        getattr(lattice.elements[int(lattice.element_index(x2))], method)(out, x2, xi)
+    else:
+        idx = lattice.element_index(x2)
+        for e, element in enumerate(lattice.elements):
+            mask = idx == e
+            if np.any(mask):
+                sub = np.zeros((int(np.count_nonzero(mask)),) + shape)
+                getattr(element, method)(sub, x2[mask], xi[mask])
+                out[mask] = sub
+    return out
+
+
 def field_mixed(lattice: Lattice, x2, xi):
     """Mixed tensor F^i_j at longitudinal positions x2 with deviations xi.
 
     Batched: x2 may be a scalar or shape (m,), xi shape (...,4).  Raises
     OutOfLattice when any position leaves [0, total_length].
     """
-    x2 = np.asarray(x2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    _check_inside(lattice, x2)
-    F = np.zeros(x2.shape + (4, 4))
-    if len(lattice.elements) == 1:
-        lattice.elements[0].write_field(F, x2, xi)
-    elif x2.ndim == 0:
-        lattice.elements[int(lattice.element_index(x2))].write_field(F, x2, xi)
-    else:
-        idx = lattice.element_index(x2)
-        for e, element in enumerate(lattice.elements):
-            mask = idx == e
-            if np.any(mask):
-                sub = np.zeros((int(np.count_nonzero(mask)), 4, 4))
-                element.write_field(sub, x2[mask], xi[mask])
-                F[mask] = sub
-    return F
+    return _lookup(lattice, x2, xi, (4, 4), "write_field")
 
 
 def field_gradient(lattice: Lattice, x2, xi):
     """Analytic derivatives d_l F^i_j, axes [..., l, i, j]."""
-    x2 = np.asarray(x2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    _check_inside(lattice, x2)
-    G = np.zeros(x2.shape + (4, 4, 4))
-    if len(lattice.elements) == 1:
-        lattice.elements[0].write_grad(G, x2, xi)
-    elif x2.ndim == 0:
-        lattice.elements[int(lattice.element_index(x2))].write_grad(G, x2, xi)
-    else:
-        idx = lattice.element_index(x2)
-        for e, element in enumerate(lattice.elements):
-            mask = idx == e
-            if np.any(mask):
-                sub = np.zeros((int(np.count_nonzero(mask)), 4, 4, 4))
-                element.write_grad(sub, x2[mask], xi[mask])
-                G[mask] = sub
-    return G
+    return _lookup(lattice, x2, xi, (4, 4, 4), "write_grad")
 
 
 def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
@@ -372,10 +365,7 @@ def parse_lattice(text: str) -> Lattice:
         extra = [k for k in kv if k not in param_names]
         if extra:
             raise ParseError(ln, f"key '{extra[0]}' not valid for kind '{kind}'")
-        try:
-            elements.append(cls(length, *[kv[p] for p in param_names]))
-        except NegativeLength:
-            raise
+        elements.append(cls(length, *[kv[p] for p in param_names]))
     if not elements:
         raise ParseError(0, "lattice file defines no elements")
     return Lattice.from_elements(elements)
@@ -418,9 +408,7 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
         raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
     grid = _aligned_grid(lattice, step)
     k = np.zeros(len(grid))
-    pos = np.minimum(grid, lattice.total_length)
-    idx = np.searchsorted(lattice.boundaries, pos, side="right")
-    idx = np.minimum(idx, len(lattice.elements) - 1)
+    idx = lattice.element_index(np.minimum(grid, lattice.total_length))
     for e, element in enumerate(lattice.elements):
         mask = idx == e
         if not np.any(mask):
@@ -441,9 +429,7 @@ def inverse_rho_profile(lattice: Lattice, step: float):
     """Piecewise 1/rho(l) = b0 of bending elements, 0 elsewhere."""
     grid = _aligned_grid(lattice, step)
     inv = np.zeros(len(grid))
-    pos = np.minimum(grid, lattice.total_length)
-    idx = np.searchsorted(lattice.boundaries, pos, side="right")
-    idx = np.minimum(idx, len(lattice.elements) - 1)
+    idx = lattice.element_index(np.minimum(grid, lattice.total_length))
     for e, element in enumerate(lattice.elements):
         mask = idx == e
         if np.any(mask) and isinstance(element, _BENDING_KINDS):

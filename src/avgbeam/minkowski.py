@@ -20,6 +20,7 @@ they broadcast over leading batch dimensions where that is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -41,9 +42,6 @@ def lower(vec):
     return vec * METRIC_SIGNATURE
 
 
-raise_index = lower
-
-
 def minkowski_dot(a, b):
     """eta(a, b) evaluated in fixed component order a0 b0 - a1 b1 - a2 b2 - a3 b3."""
     return (
@@ -59,12 +57,28 @@ def norm_residual(y):
     return minkowski_dot(y, y) - 1.0
 
 
-def check_on_shell(y, tol: float = 1e-9, exc=OffShell, label: str = "4-velocity"):
-    """Raise ``exc`` when y is farther than ``tol`` from the unit hyperboloid."""
-    res = float(np.max(np.abs(norm_residual(np.asarray(y, dtype=float)))))
-    if res > tol:
-        raise exc(f"{label} off the unit hyperboloid: |eta(y,y)-1| = {res:.3e} > {tol:.1e}")
-    return res
+# Shell rule: |eta(y,y) - 1| <= _SHELL_TOL * max(1, y0^2).  Scaled by y0^2
+# because computing eta(y,y) at Lorentz factor gamma cancels terms of size
+# gamma^2, so even a correctly rounded lift leaves a residual ~ gamma^2 eps.
+_SHELL_TOL = 1e-12
+
+
+def check_on_shell(y, exc=OffShell, label: str = "4-velocity"):
+    """Raise ``exc`` unless |eta(y,y)-1| <= 1e-12 max(1, y0^2).
+
+    y is one 4-velocity or an (n, 4) batch; for a batch the message names
+    the first offending row.  A NaN residual fails.  Returns the largest
+    residual.
+    """
+    y = np.asarray(y, dtype=float)
+    res = np.abs(norm_residual(y))
+    bad = np.flatnonzero(~(res <= _SHELL_TOL * np.maximum(1.0, y[..., 0] * y[..., 0])))
+    if len(bad):
+        a = int(bad[0])
+        where = f"{label} {a}" if y.ndim > 1 else label
+        raise exc(f"{where} off the unit hyperboloid: |eta(y,y)-1| = "
+                  f"{np.ravel(res)[a]:.3e} > 1e-12 max(1, y0^2)")
+    return float(np.max(res))
 
 
 def velocity_monomials3(y):
@@ -78,12 +92,8 @@ def velocity_monomials3(y):
     out = np.zeros(y.shape[:-1] + (4, 4, 4))
     for m, s, l in _SORTED_TRIPLES:
         val = (y[..., m] * y[..., s]) * y[..., l]
-        out[..., m, s, l] = val
-        out[..., m, l, s] = val
-        out[..., s, m, l] = val
-        out[..., s, l, m] = val
-        out[..., l, m, s] = val
-        out[..., l, s, m] = val
+        for perm in set(permutations((m, s, l))):
+            out[(Ellipsis,) + perm] = val
     return out
 
 

@@ -14,7 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .dynamics import JacobiSeries, MomentsSeries, TrajectorySeries, _matvec, _mdot, _third_contract, _field_xi
+from .dynamics import (
+    JacobiSeries,
+    MomentsSeries,
+    TrajectorySeries,
+    _along,
+    _at_stage,
+    _field_xi,
+    _matvec,
+    _mdot,
+    _moment_slot,
+    _rk4_rows,
+    _slot3,
+)
 from .errors import (
     MismatchedGrid,
     OutOfSpan,
@@ -22,7 +34,6 @@ from .errors import (
     WronskianDrift,
 )
 from .lattice import Lattice, field_gradient, field_mixed
-from .minkowski import METRIC_SIGNATURE
 
 
 @dataclass
@@ -110,31 +121,10 @@ def principal_solutions(t: np.ndarray, K: np.ndarray,
     h = _uniform_step(t)
     if config is not None and abs(config.step - abs(h)) > 1e-12:
         raise MismatchedGrid("config step does not match the grid spacing")
-    n = len(t) - 1
     # u = (C, S), du = (C', S'): both columns advance through the same
     # stage matrix, which is what keeps the Wronskian pinned.
-    u = np.array([1.0, 0.0])
-    du = np.array([0.0, 1.0])
-    us = np.empty((n + 1, 2))
-    dus = np.empty((n + 1, 2))
-    us[0] = u
-    dus[0] = du
-    half, sixth = 0.5 * h, h / 6.0
-    for k in range(n):
-        k0 = K[k]
-        km = 0.5 * (K[k] + K[k + 1])
-        k1 = K[k + 1]
-        a1 = -k0 * u
-        d2 = du + half * a1
-        a2 = -km * (u + half * du)
-        d3 = du + half * a2
-        a3 = -km * (u + half * d2)
-        d4 = du + h * a3
-        a4 = -k1 * (u + h * d3)
-        u = u + sixth * (du + 2.0 * d2 + 2.0 * d3 + d4)
-        du = du + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        us[k + 1] = u
-        dus[k + 1] = du
+    us, dus = _rk4_rows(lambda k, theta, u, du: -_at_stage(K, k, theta) * u,
+                        np.array([1.0, 0.0]), np.array([0.0, 1.0]), h, len(t) - 1)
     return PrincipalSolutions(t=t.copy(), C=us[:, 0], Cp=dus[:, 0],
                               S=us[:, 1], Sp=dus[:, 1], K=K.copy())
 
@@ -212,9 +202,9 @@ def momentum_spread(xi_run: JacobiSeries, p0: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # collective offset integrals
 
-def _check_common_grid(reference: TrajectorySeries, moments_along: MomentsSeries):
-    if len(moments_along) != len(reference) or not np.array_equal(moments_along.t, reference.t):
-        raise MismatchedGrid("moment series and reference are on different grids")
+def _check_common_grid(reference: TrajectorySeries, series, what="moment series"):
+    if len(series) != len(reference) or not np.array_equal(series.t, reference.t):
+        raise MismatchedGrid(f"{what} and reference are on different grids")
 
 
 def _avg_integrand(lattice: Lattice, reference: TrajectorySeries,
@@ -222,10 +212,7 @@ def _avg_integrand(lattice: Lattice, reference: TrajectorySeries,
     """F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV)) along the run, all rows."""
     V = reference.v
     F = field_mixed(lattice, reference.x[:, 2], _field_xi(reference.x))
-    vv = _mdot(V, V)
-    Vl = V * METRIC_SIGNATURE
-    th = _third_contract(moments_along.third, Vl, Vl)
-    return _matvec(F, moments_along.first * vv[:, None] - th)
+    return _moment_slot(F, moments_along.first, _slot3(moments_along.third, V, V), V, V)
 
 
 def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
@@ -259,28 +246,21 @@ def born_offset(lattice: Lattice, reference: TrajectorySeries,
     averaged_offset.
     """
     _check_common_grid(reference, moments_along)
-    if len(xi_run) != len(reference) or not np.array_equal(xi_run.t, reference.t):
-        raise MismatchedGrid("deviation run and reference are on different grids")
+    _check_common_grid(reference, xi_run, "deviation run")
     h = _uniform_step(reference.t)
     V = reference.v
     xi = xi_run.xi
     dxi = xi_run.dxi
-    F = field_mixed(lattice, reference.x[:, 2], _field_xi(reference.x))
-    G = field_gradient(lattice, reference.x[:, 2], _field_xi(reference.x))
+    fxi = _field_xi(reference.x)
+    F = field_mixed(lattice, reference.x[:, 2], fxi)
+    dF = _along(field_gradient(lattice, reference.x[:, 2], fxi), xi)
     eps = moments_along.first - V
-    vv = _mdot(V, V)
-    Vl = V * METRIC_SIGNATURE
-    th = _third_contract(moments_along.third, Vl, Vl)
-    moment_slot = moments_along.first * vv[:, None] - th
-    base = _matvec(F, moment_slot)
+    th = _slot3(moments_along.third, V, V)
+    base = _moment_slot(F, moments_along.first, th, V, V)
     # 2 dxi^j X'^k * (1/2)(F_j eps_k + F_k eps_j)
     cross = (_matvec(F, dxi) * _mdot(eps, V)[:, None]
              + _matvec(F, V) * _mdot(eps, dxi)[:, None])
-    dF = (G[:, 0, :, :] * xi[:, 0, None, None]
-          + G[:, 1, :, :] * xi[:, 1, None, None]
-          + G[:, 2, :, :] * xi[:, 2, None, None]
-          + G[:, 3, :, :] * xi[:, 3, None, None])
-    grad = _matvec(dF, moment_slot)
+    grad = _moment_slot(dF, moments_along.first, th, V, V)
     integ = base + cross + grad
     off1 = cumulative_trapezoid(integ[:, 1], dx=h, initial=0.0)
     off3 = cumulative_trapezoid(integ[:, 3], dx=h, initial=0.0)

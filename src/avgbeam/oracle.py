@@ -25,24 +25,25 @@ from .dynamics import (
     TrajectorySeries,
     TrajectoryState,
     _check_step,
-    _rhs_moments,
-    _rhs_monomial,
-    _rk4_trajectory,
-    _step_count,
+    _frozen_slots,
+    _grid,
+    _rhs_geodesic,
+    _rk4,
+    _rk4_rows,
     integrate_averaged_geodesic,
     integrate_jacobi_full,
-    moment_deviations,
 )
 from .ensemble import (
     BeamEnsemble,
     _sequential_sum,
+    _shifted_mean,
     compute_moments,
     moments_from_arrays,
     project_to_hyperboloid,
 )
-from .errors import DegenerateFit, OffShell, OutOfSpan
+from .errors import DegenerateFit, OutOfSpan
 from .lattice import Lattice, field_gradient, field_mixed
-from .minkowski import norm_residual
+from .minkowski import check_on_shell
 
 
 @dataclass
@@ -103,24 +104,6 @@ class LinearizationReport:
     fitted_order: float
 
 
-def _tagged_shell_check(ys: np.ndarray):
-    res = np.abs(np.array([norm_residual(y) for y in ys]))
-    tol = 1e-9 * np.maximum(1.0, ys[:, 0] * ys[:, 0])
-    bad = np.nonzero(res > tol)[0]
-    if len(bad):
-        a = int(bad[0])
-        raise OffShell(
-            f"sample {a} off the unit hyperboloid: eta(y,y)-1 = {res[a]:.3e}"
-        )
-
-
-def _shifted_mean_cols(q: np.ndarray, ws: np.ndarray, vol: float, out: np.ndarray):
-    """Per-column weighted mean, shifted by row 0 (fixed reduction order)."""
-    for c in range(q.shape[1]):
-        col = q[:, c]
-        out[c] = col[0] + _sequential_sum(ws * (col - col[0])) / vol
-
-
 def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
                    t_end: float, config: IntegratorConfig,
                    record_moments: bool = False) -> EnsembleTrackResult:
@@ -134,42 +117,27 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
     histories are not stored; memory stays O(n samples + n steps).
     """
     ys, ws = ensemble.ys, ensemble.ws
-    _tagged_shell_check(ys)
+    check_on_shell(ys, label="sample")
     _check_step(lattice, config.step)
-    n, h = _step_count(0.0, t_end, config.step)
+    n, h, t = _grid(0.0, t_end, config.step)
     vol = _sequential_sum(ws)
 
-    rhs = _rhs_monomial(lattice)
-    x = np.tile(np.asarray(x0, dtype=float), (len(ys), 1))
-    v = ys.copy()
-    t = np.arange(n + 1) * h
     mean_x = np.empty((n + 1, 4))
     mean_v = np.empty((n + 1, 4))
     firsts = np.empty((n + 1, 4)) if record_moments else None
     thirds = np.empty((n + 1, 4, 4, 4)) if record_moments else None
 
-    def record(k):
-        _shifted_mean_cols(x, ws, vol, mean_x[k])
-        _shifted_mean_cols(v, ws, vol, mean_v[k])
+    def observe(k, x, v):
+        for c in range(4):
+            mean_x[k, c] = _shifted_mean(x[:, c], ws, vol)
+            mean_v[k, c] = _shifted_mean(v[:, c], ws, vol)
         if record_moments:
             mom = moments_from_arrays(v, ws)
             firsts[k] = mom.first
             thirds[k] = mom.third
 
-    record(0)
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(n):
-        a1 = rhs(x, v)
-        x2v = v + half * a1
-        a2 = rhs(x + half * v, x2v)
-        x3v = v + half * a2
-        a3 = rhs(x + half * x2v, x3v)
-        x4v = v + h * a3
-        a4 = rhs(x + h * x3v, x4v)
-        x = x + sixth * (v + 2.0 * x2v + 2.0 * x3v + x4v)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        record(k + 1)
+    x = np.tile(np.asarray(x0, dtype=float), (len(ys), 1))
+    _rk4(_rhs_geodesic(lattice), x, ys, h, n, observe)
 
     mean = TrajectorySeries(t=t, x=mean_x, v=mean_v)
     moments = (MomentsSeries(t=t.copy(), first=firsts, third=thirds)
@@ -269,10 +237,7 @@ def gaussian_beam_family(mean_spatial, n: int, seed: int):
         rng = np.random.default_rng([seed, int(round(alpha * 1e12))])
         draws = mean_spatial + (alpha / 8.0) * rng.standard_normal((n, 3))
         draws = draws - draws.mean(axis=0) + mean_spatial
-        ys = np.empty((n, 4))
-        for a in range(n):
-            ys[a] = project_to_hyperboloid(draws[a])
-        return BeamEnsemble(ys, label=f"gaussian-alpha-{alpha}")
+        return BeamEnsemble(project_to_hyperboloid(draws), label=f"gaussian-alpha-{alpha}")
 
     return family
 
@@ -348,15 +313,11 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, reference: TrajectorySeri
 
     x0 = np.asarray(reference.x[0], dtype=float)
     v0 = np.asarray(reference.v[0], dtype=float)
-    D1, D3 = moment_deviations(moments, v0)
-    rhs = (_rhs_monomial(lattice) if (not D1.any() and not D3.any())
-           else _rhs_moments(lattice, D1, D3))
-    span = float(reference.t[-1] - reference.t[0])
-    n, h = _step_count(reference.t[0], reference.t[-1], config.step)
+    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
+    n, h, _ = _grid(reference.t[0], reference.t[-1], config.step)
 
     def raw_run(xs, vs):
-        X, V = _rk4_trajectory(rhs, xs.reshape(1, 4), vs.reshape(1, 4),
-                               float(reference.t[0]), h, n)
+        X, V = _rk4_rows(rhs, xs.reshape(1, 4), vs.reshape(1, 4), h, n)
         return X[:, 0, :], V[:, 0, :]
 
     base_x, _ = raw_run(x0, v0)

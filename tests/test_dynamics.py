@@ -57,13 +57,38 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(step=1e-3, scheme="euler")
+        IntegratorConfig(step=-1e-3)
+    with pytest.raises(ValueError):
+        IntegratorConfig(step=float("nan"))
 
 
 def test_initial_velocity_must_be_on_shell(circle_lattice, cfg_fine):
     bad = TrajectoryState(0.0, np.zeros(4), np.array([1.0, 0.5, 0.0, 0.0]))
     with pytest.raises(OffShellInitial):
         integrate_lorentz(circle_lattice, bad, 1.0, cfg_fine)
+
+
+def test_high_gamma_launch_built_by_the_library_is_accepted():
+    # project_to_hyperboloid at gamma = 1e5 leaves |eta(y,y)-1| ~ 2e-6,
+    # machine precision relative to y0^2; span 1e-4 covers 10 m of the dipole
+    lat = Lattice.from_elements([Dipole(length=25.0, b0=0.05)])
+    v0 = project_to_hyperboloid([0.0, 1e5, 0.0])
+    assert abs(minkowski_dot(v0, v0) - 1.0) > 1e-9
+    st = TrajectoryState(0.0, np.array([0.0, 0.0, 1.0, 0.0]), v0)
+    cfg = IntegratorConfig(step=1e-5)
+    ref = integrate_lorentz(lat, st, 1e-4, cfg)
+    avg = integrate_averaged_geodesic(lat, delta_moments(v0), st, 1e-4, cfg)
+    assert np.array_equal(avg.x, ref.x)
+    jac = integrate_jacobi_full(lat, delta_moments(v0), avg,
+                                JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4)),
+                                cfg)
+    assert len(jac) == len(ref) == 11
+    assert np.all(np.isfinite(jac.xi))
+    bad = TrajectoryState(0.0, np.zeros(4), np.array([1.0, 0.5, 0.0, 0.0]))
+    for run in (lambda: integrate_lorentz(lat, bad, 1e-4, cfg),
+                lambda: integrate_averaged_geodesic(lat, delta_moments(v0), bad, 1e-4, cfg)):
+        with pytest.raises(OffShellInitial):
+            run()
 
 
 def test_step_must_resolve_elements(circle_state):
@@ -260,7 +285,11 @@ def test_jacobi_span_and_grid_guards(circle_lattice, circle_state, cfg_fine):
         integrate_jacobi_full(circle_lattice, mom, ref, init, IntegratorConfig(step=2e-3))
 
 
-def test_jacobi_records_epsilon_series(circle_lattice, circle_state, cfg_fine):
+def test_first_moment_offset_is_frozen_along_jacobi_reference(
+    circle_lattice, circle_state, cfg_fine
+):
+    # epsilon = <y> - dX/dt, the first-moment offset a finite bunch carries
+    # along the reference of a deviation run, stays the launch value D1
     ens = sample_gaussian_beam([0.0, 1.0, 0.0], [0.03] * 3, n=200, seed=14)
     mom = compute_moments(ens)
     v0 = project_to_hyperboloid(mom.first[1:4])
@@ -269,9 +298,12 @@ def test_jacobi_records_epsilon_series(circle_lattice, circle_state, cfg_fine):
     jac = integrate_jacobi_full(
         circle_lattice, mom, ref, JacobiState(0.0, np.zeros(4), np.zeros(4)), cfg_fine
     )
+    assert np.array_equal(jac.t, ref.t)
+    assert not np.any(jac.xi) and not np.any(jac.dxi)  # zero deviation stays zero
+    eps = comoving_moments_along(ref, mom).first - ref.v
     d1 = mom.first - v0
-    assert jac.epsilon.shape == (len(ref), 4)
-    assert np.array_equal(jac.epsilon, np.tile(d1, (len(ref), 1)))
+    assert np.any(d1)
+    assert np.abs(eps - d1).max() <= 4e-16 * np.abs(ref.v).max()
 
 
 def test_jacobi_linearized_mode_matches_full_for_delta(circle_lattice, circle_state, cfg_fine):

@@ -166,3 +166,37 @@ def test_parse_beam_errors():
         parse_beam_definition("distribution=delta\nmean=0,1,0\nmean=0,2,0\n")
     with pytest.raises(ParseError):
         parse_beam_definition("distribution=delta\nmean=0,abc,0\n")
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("distribution", "uniform"),
+    ("mean", "0,1,x"),
+    ("sigma", "0.01,0.01"),
+    ("n", "ten"),
+    ("seed", "1.5"),
+])
+def test_parse_beam_error_names_the_line_of_the_bad_value(key, bad):
+    good = {"distribution": "gaussian", "mean": "0,1,0", "sigma": "0.01,0.01,0.01",
+            "n": "10", "seed": "1"}
+    good[key] = bad
+    lines = ["# beam"] + [f"{k}={v}" for k, v in good.items()]
+    with pytest.raises(ParseError) as err:
+        parse_beam_definition("\n".join(lines) + "\n")
+    assert err.value.line == 2 + list(good).index(key)
+
+
+def test_parse_beam_missing_key_reports_line_zero():
+    with pytest.raises(ParseError) as err:
+        parse_beam_definition("distribution=gaussian\nmean=0,1,0\nn=10\nseed=1\n")
+    assert err.value.line == 0
+
+
+def test_ensemble_rejection_names_first_bad_sample():
+    ys = np.tile(TWO_SAMPLES[0], (6, 1))
+    ys[3, 0] = 1.5
+    with pytest.raises(OffShell, match="sample 3 "):
+        BeamEnsemble(ys)
+    ws = np.ones(6)
+    ws[4] = -1.0
+    with pytest.raises(ValueError, match="sample 4 "):
+        BeamEnsemble(np.tile(TWO_SAMPLES[0], (6, 1)), ws=ws)

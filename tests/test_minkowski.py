@@ -1,5 +1,7 @@
 """Metric algebra, hyperboloid projection, and tensor container contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from avgbeam import (
     project_to_hyperboloid,
     velocity_monomials3,
 )
-from avgbeam.minkowski import raise_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -47,7 +48,7 @@ def test_dot_broadcasts_over_batches():
 def test_lower_is_involution():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(lower(v), [1.0, -2.0, -3.0, -4.0])
-    assert np.array_equal(raise_index(lower(v)), v)
+    assert np.array_equal(lower(lower(v)), v)
 
 
 def test_projection_frozen_value():
@@ -71,6 +72,36 @@ def test_check_on_shell_raises_and_reports():
     check_on_shell(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(OffShell):
         check_on_shell(np.array([1.1, 0.0, 0.0, 0.0]))
+
+
+def test_check_on_shell_one_rule_scaled_by_energy():
+    # |eta(y,y)-1| <= 1e-12 max(1, y0^2): 1e-9 passes at gamma 1e3 and fails at rest
+    y = project_to_hyperboloid([0.0, 1e3, 0.0])
+    y[0] += 1e-9 / (2.0 * y[0])
+    check_on_shell(y)
+    with pytest.raises(OffShell):
+        check_on_shell(np.array([1.0 + 1e-9, 0.0, 0.0, 0.0]))
+    with pytest.raises(OffShell):
+        check_on_shell(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+def test_check_on_shell_names_first_bad_row():
+    ys = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+    ys[2, 0] = 1.5
+    ys[4, 0] = 2.0
+    with pytest.raises(OffShell, match="sample 2 "):
+        check_on_shell(ys, label="sample")
+
+
+def test_batched_projection_is_bitwise_per_row():
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 1e3, 1e5):
+        u = rng.normal(scale=scale, size=(500, 3))
+        batch = project_to_hyperboloid(u)
+        rows = np.array([project_to_hyperboloid(r) for r in u])
+        assert np.array_equal(batch, rows)
+        s = (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]) + u[:, 2] * u[:, 2]
+        assert np.array_equal(batch[:, 0], [math.sqrt(1.0 + x) for x in s])
 
 
 def test_monomials_frozen_entries():
