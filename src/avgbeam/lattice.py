@@ -200,11 +200,8 @@ class RFCavity(Element):
     def params(self):
         return {"e2_0": self.e2_0, "w_rf": self.w_rf}
 
-    def _amplitude(self, x2, xi):
-        return self.e2_0 * np.sin(self.w_rf * (x2 + xi[..., 2]))
-
     def write_field(self, F, x2, xi):
-        amp = self._amplitude(x2, xi)
+        amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[..., 2]))
         F[..., 0, 2] += amp
         F[..., 2, 0] += amp
 
@@ -257,37 +254,44 @@ class Lattice:
         return min(e.length for e in self.elements)
 
 
-def _check_inside(lattice: Lattice, x2):
-    lo = np.min(x2)
-    hi = np.max(x2)
-    if lo < 0.0 or hi > lattice.total_length:
-        raise OutOfLattice(
-            f"longitudinal position {lo if lo < 0 else hi} outside [0, {lattice.total_length}]"
-        )
+def _by_element(lattice: Lattice, x2):
+    """Yield (element, where) once per distinct element the positions x2 occupy.
+
+    ``where`` is Ellipsis when that element holds them all, else a mask.
+    """
+    if len(lattice.elements) == 1:
+        yield lattice.elements[0], ...
+        return
+    idx = lattice.element_index(x2)
+    first = idx.min()
+    if first == idx.max():
+        yield lattice.elements[first], ...
+        return
+    for e in np.unique(idx):
+        yield lattice.elements[e], idx == e
 
 
 def _lookup(lattice: Lattice, x2, xi, shape, method):
     """Evaluate ``method`` (write_field or write_grad) of the element at each x2.
 
     Returns an array of shape x2.shape + shape, zero where the element
-    contributes nothing.
+    contributes nothing.  One element call per distinct element the batch
+    occupies, written in place when that is a single element.
     """
     x2 = np.asarray(x2, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    _check_inside(lattice, x2)
+    lo, hi = x2.min(), x2.max()
+    if not (lo >= 0.0 and hi <= lattice.total_length):  # NaN fails both
+        raise OutOfLattice(f"longitudinal position {hi if lo >= 0.0 else lo} "
+                           f"outside [0, {lattice.total_length}]")
     out = np.zeros(x2.shape + shape)
-    if len(lattice.elements) == 1:
-        getattr(lattice.elements[0], method)(out, x2, xi)
-    elif x2.ndim == 0:
-        getattr(lattice.elements[int(lattice.element_index(x2))], method)(out, x2, xi)
-    else:
-        idx = lattice.element_index(x2)
-        for e, element in enumerate(lattice.elements):
-            mask = idx == e
-            if np.any(mask):
-                sub = np.zeros((int(np.count_nonzero(mask)),) + shape)
-                getattr(element, method)(sub, x2[mask], xi[mask])
-                out[mask] = sub
+    for element, where in _by_element(lattice, x2):
+        if where is Ellipsis:
+            getattr(element, method)(out, x2, xi)
+        else:
+            sub = np.zeros((int(np.count_nonzero(where)),) + shape)
+            getattr(element, method)(sub, x2[where], xi[where])
+            out[where] = sub
     return out
 
 
@@ -295,7 +299,9 @@ def field_mixed(lattice: Lattice, x2, xi):
     """Mixed tensor F^i_j at longitudinal positions x2 with deviations xi.
 
     Batched: x2 may be a scalar or shape (m,), xi shape (...,4).  Raises
-    OutOfLattice when any position leaves [0, total_length].
+    OutOfLattice when any position is NaN or leaves [0, total_length].
+    Costs one element evaluation per distinct element the batch occupies;
+    each point's value is bit for bit that of a scalar call.
     """
     return _lookup(lattice, x2, xi, (4, 4), "write_field")
 
@@ -309,9 +315,8 @@ def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
     """FieldSample (tensor plus gradient) at event x with deviation xi."""
     x = np.asarray(x, dtype=float)
     xi = np.zeros(4) if xi is None else np.asarray(xi, dtype=float)
-    F = field_mixed(lattice, x[2], xi)
-    G = field_gradient(lattice, x[2], xi)
-    return FieldSample(f_mixed=F, grad=G)
+    return FieldSample(f_mixed=field_mixed(lattice, x[2], xi),
+                       grad=field_gradient(lattice, x[2], xi))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +413,13 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
         raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
     grid = _aligned_grid(lattice, step)
     k = np.zeros(len(grid))
-    idx = lattice.element_index(np.minimum(grid, lattice.total_length))
-    for e, element in enumerate(lattice.elements):
-        mask = idx == e
-        if not np.any(mask):
-            continue
+    for element, where in _by_element(lattice, grid):
         if isinstance(element, Dipole):
-            val = element.b0 ** 2 if plane == "horizontal" else 0.0
+            k[where] = element.b0 ** 2 if plane == "horizontal" else 0.0
         elif isinstance(element, NormalQuadDipole):
-            val = element.b0 ** 2 - element.b1 if plane == "horizontal" else element.b1
+            k[where] = element.b0 ** 2 - element.b1 if plane == "horizontal" else element.b1
         elif isinstance(element, SkewQuadDipole):
-            val = element.b0 ** 2 + element.b1 if plane == "horizontal" else -element.b1
-        else:
-            val = 0.0
-        k[mask] = val
+            k[where] = element.b0 ** 2 + element.b1 if plane == "horizontal" else -element.b1
     return grid, k
 
 
@@ -429,9 +427,7 @@ def inverse_rho_profile(lattice: Lattice, step: float):
     """Piecewise 1/rho(l) = b0 of bending elements, 0 elsewhere."""
     grid = _aligned_grid(lattice, step)
     inv = np.zeros(len(grid))
-    idx = lattice.element_index(np.minimum(grid, lattice.total_length))
-    for e, element in enumerate(lattice.elements):
-        mask = idx == e
-        if np.any(mask) and isinstance(element, _BENDING_KINDS):
-            inv[mask] = element.b0
+    for element, where in _by_element(lattice, grid):
+        if isinstance(element, _BENDING_KINDS):
+            inv[where] = element.b0
     return grid, inv

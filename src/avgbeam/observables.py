@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import (
     JacobiSeries,
@@ -104,6 +103,11 @@ def _uniform_step(t: np.ndarray) -> float:
     return h
 
 
+def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of samples y at spacing h, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
+
+
 def principal_solutions(t: np.ndarray, K: np.ndarray,
                         config=None) -> PrincipalSolutions:
     """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid.
@@ -155,8 +159,8 @@ def particular_solution(ps: PrincipalSolutions, p: np.ndarray) -> np.ndarray:
     if len(p) != len(ps.t):
         raise MismatchedGrid(f"driver has {len(p)} samples, grid has {len(ps.t)}")
     h = _uniform_step(ps.t)
-    ic = cumulative_trapezoid(p * ps.C, dx=h, initial=0.0)
-    isn = cumulative_trapezoid(p * ps.S, dx=h, initial=0.0)
+    ic = _cumtrapz(p * ps.C, h)
+    isn = _cumtrapz(p * ps.S, h)
     P = ps.S * ic - ps.C * isn
     if len(P) >= 3:
         dd = (P[2:] - 2.0 * P[1:-1] + P[:-2]) / (h * h)
@@ -229,8 +233,8 @@ def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
     _check_common_grid(reference, moments_along)
     h = _uniform_step(reference.t)
     integ = _avg_integrand(lattice, reference, moments_along)
-    avg1 = cumulative_trapezoid(integ[:, 1], dx=h, initial=0.0)
-    avg3 = cumulative_trapezoid(integ[:, 3], dx=h, initial=0.0)
+    avg1 = _cumtrapz(integ[:, 1], h)
+    avg3 = _cumtrapz(integ[:, 3], h)
     return OffsetSeries(t=reference.t.copy(), off1=avg1.copy(), off3=avg3.copy(),
                         avg1=avg1, avg3=avg3)
 
@@ -262,9 +266,9 @@ def born_offset(lattice: Lattice, reference: TrajectorySeries,
              + _matvec(F, V) * _mdot(eps, dxi)[:, None])
     grad = _moment_slot(dF, moments_along.first, th, V, V)
     integ = base + cross + grad
-    off1 = cumulative_trapezoid(integ[:, 1], dx=h, initial=0.0)
-    off3 = cumulative_trapezoid(integ[:, 3], dx=h, initial=0.0)
-    avg1 = cumulative_trapezoid(base[:, 1], dx=h, initial=0.0)
-    avg3 = cumulative_trapezoid(base[:, 3], dx=h, initial=0.0)
+    off1 = _cumtrapz(integ[:, 1], h)
+    off3 = _cumtrapz(integ[:, 3], h)
+    avg1 = _cumtrapz(base[:, 1], h)
+    avg3 = _cumtrapz(base[:, 3], h)
     return OffsetSeries(t=reference.t.copy(), off1=off1, off3=off3,
                         avg1=avg1, avg3=avg3)

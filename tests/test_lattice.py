@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgbeam import (
     ConstantE,
@@ -133,6 +135,122 @@ def test_lattice_boundaries_and_lookup():
         field_mixed(lat, -0.5, np.zeros(4))
     with pytest.raises(OutOfLattice):
         field_mixed(lat, 4.1, np.zeros(4))
+
+
+@pytest.mark.parametrize("elements", [
+    [Drift(length=1.5), Dipole(length=2.5, b0=1.0)],
+    [Dipole(length=2.0, b0=0.7)],
+], ids=["two-element", "one-element"])
+def test_nan_position_is_out_of_lattice(elements):
+    lat = Lattice.from_elements(elements)
+    for lookup in (field_mixed, field_gradient):
+        with pytest.raises(OutOfLattice):
+            lookup(lat, np.nan, np.zeros(4))
+        with pytest.raises(OutOfLattice):
+            lookup(lat, np.array([0.5, np.nan, 1.0]), np.zeros((3, 4)))
+
+
+_STRENGTH = st.floats(-2.0, 2.0, allow_nan=False)
+_ELEMENT = st.one_of(
+    st.builds(Drift, st.floats(0.05, 3.0)),
+    st.builds(Dipole, st.floats(0.05, 3.0), _STRENGTH),
+    st.builds(NormalQuadDipole, st.floats(0.05, 3.0), _STRENGTH, _STRENGTH),
+    st.builds(SkewQuadDipole, st.floats(0.05, 3.0), _STRENGTH, _STRENGTH),
+    st.builds(ConstantE, st.floats(0.05, 3.0), _STRENGTH),
+    st.builds(RFCavity, st.floats(0.05, 3.0), _STRENGTH, st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    elements=st.lists(_ELEMENT, min_size=1, max_size=8),
+    picks=st.lists(st.tuples(st.sampled_from(["edge", "near-edge", "inside"]),
+                             st.integers(0, 8), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_lookup_matches_scalar_calls(elements, picks, seed):
+    lat = Lattice.from_elements(elements)
+    edges = np.concatenate(([0.0], lat.boundaries))  # 0, every boundary, total_length
+    x2 = []
+    for where, e, u in picks:
+        edge = edges[e % len(edges)]
+        if where == "edge":
+            x2.append(edge)
+        elif where == "near-edge":
+            x2.append(min(max(edge + (u - 0.5) * 1e-3, 0.0), lat.total_length))
+        else:
+            x2.append(u * lat.total_length)
+    x2 = np.array(x2)
+    xi = np.random.default_rng(seed).normal(scale=0.1, size=(len(x2), 4))
+    for lookup in (field_mixed, field_gradient):
+        batch = lookup(lat, x2, xi)
+        for k in range(len(x2)):
+            assert np.array_equal(batch[k], lookup(lat, x2[k], xi[k]))
+
+
+def _count_element_calls(lattice, method):
+    """Wrap ``method`` of every element; return the list each call appends its element to."""
+    calls = []
+    for element in lattice.elements:
+        def counted(F, x2, xi, _write=getattr(element, method), _element=element):
+            calls.append(_element)
+            _write(F, x2, xi)
+        setattr(element, method, counted)
+    return calls
+
+
+class _VisitedElements(tuple):
+    """Element tuple that counts the elements read out of it, by index or by iteration."""
+
+    visits = 0
+
+    def __getitem__(self, i):
+        self.visits += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for element in super().__iter__():
+            self.visits += 1
+            yield element
+
+
+@pytest.mark.parametrize("lookup, method", [(field_mixed, "write_field"),
+                                            (field_gradient, "write_grad")])
+def test_lookup_calls_each_occupied_element_once(lookup, method):
+    # distinct instances, so each element counts only its own calls
+    plain = tuple(
+        element
+        for _ in range(256)
+        for element in (NormalQuadDipole(length=0.25, b0=0.2, b1=1.5), Drift(length=0.25),
+                        SkewQuadDipole(length=0.25, b0=0.2, b1=-1.5), Dipole(length=0.25, b0=0.3))
+    )
+    lat = Lattice.from_elements(plain)
+    lat = Lattice(elements=_VisitedElements(plain), boundaries=lat.boundaries,
+                  total_length=lat.total_length)
+    calls = _count_element_calls(lat, method)
+    rng = np.random.default_rng(5)
+
+    def touched(x2, xi):
+        calls.clear()
+        lat.elements.visits = 0
+        lookup(lat, x2, xi)
+        # no element beyond the called ones is even read
+        assert lat.elements.visits == len(calls)
+        return calls
+
+    orbit = np.array([[0.0, 0.01, 100.3, -0.02]])  # one point, shape (1, 4)
+    assert touched(orbit[..., 2], orbit) == [plain[401]]
+
+    cloud = rng.normal(scale=0.01, size=(500, 4))
+    cloud[:, 2] = rng.uniform(100.26, 100.49, size=500)  # all inside element 401
+    assert touched(cloud[:, 2], cloud) == [plain[401]]
+
+    for occupied in ([10, 11, 12, 13, 14], [3, 500, 1023]):
+        x2 = np.repeat(lat.boundaries[occupied] - 0.1, 3)
+        rng.shuffle(x2)
+        assert touched(x2, rng.normal(scale=0.01, size=(len(x2), 4))) == [
+            plain[e] for e in occupied]
 
 
 def test_parse_lattice_happy_path():

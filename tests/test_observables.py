@@ -1,7 +1,13 @@
 """Hill-equation machinery, dispersion, and ensemble offset observables."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import avgbeam
 
 from avgbeam import (
     Dipole,
@@ -32,6 +38,7 @@ from avgbeam import (
     project_to_hyperboloid,
     transverse_k_profile,
 )
+from avgbeam.observables import _cumtrapz
 
 GAMMA = 100.0
 SPEED = np.sqrt(GAMMA * GAMMA - 1.0)
@@ -205,3 +212,24 @@ def test_born_offset_antisymmetric_pair_averages_out():
     avg = averaged_offset(lat, ref, along)
     both = 0.5 * (born_offset(lat, ref, along, up).off1 + born_offset(lat, ref, along, dn).off1)
     assert np.abs(both - avg.avg1).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101])
+def test_cumtrapz_matches_running_trapezoid_sum(n):
+    y = np.random.default_rng(n).normal(size=(n, 4))[:, 1]  # a strided column
+    expect = [0.0]
+    for k in range(1, n):
+        expect.append(expect[-1] + 0.01 * (y[k] + y[k - 1]) / 2.0)
+    assert np.array_equal(_cumtrapz(y, 0.01), expect)
+
+
+def test_import_does_not_load_scipy():
+    # scipy would be most of the package's import time
+    src = os.path.dirname(os.path.dirname(avgbeam.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, avgbeam; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
