@@ -231,10 +231,8 @@ def _run(args) -> int:
     elif args.command == "dispersion":
         l, K = transverse_k_profile(lattice, "horizontal", args.step)
         _, inv_rho = inverse_rho_profile(lattice, args.step)
-        with np.errstate(divide="ignore"):
-            rho = np.where(inv_rho == 0.0, np.inf, 1.0 / inv_rho)
         ps = principal_solutions(l, K)
-        result = dispersion(ps, rho, args.delta)
+        result = dispersion(ps, inv_rho, args.delta)
         _write_rows(args.out, "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset])
 
     elif args.command == "scan-alpha":
@@ -249,12 +247,11 @@ def _run(args) -> int:
 
     elif args.command == "validate":
         probes = []
-        start = 0.0
-        for el in lattice.elements:
+        starts = np.concatenate(([0.0], lattice.boundaries[:-1]))
+        for start, el in zip(starts, lattice.elements):
             mid = start + 0.5 * el.length
             probes.append(np.array([0.0, 0.0, mid, 0.0]))
             probes.append(np.array([0.0, 0.01, mid, 0.02]))
-            start += el.length
         err = validate_field_gradients(lattice, probes, step=args.fd_step)
         payload = {"max_relative_error": float(err), "probes": len(probes)}
         _write_json(args.out, payload)

@@ -57,12 +57,9 @@ from .errors import (
 )
 from .lattice import (
     ConstantE,
-    Dipole,
     Element,
     Lattice,
-    NormalQuadDipole,
     RFCavity,
-    SkewQuadDipole,
     curvature_radius,
     field_gradient,
     field_mixed,
@@ -367,10 +364,7 @@ def _grid(t0: float, t_end: float, step: float):
     return n, h, t0 + np.arange(n + 1) * h
 
 
-def _check_step(lattice_or_element, step: float):
-    min_len = (lattice_or_element.min_length()
-               if isinstance(lattice_or_element, Lattice)
-               else lattice_or_element.length)
+def _check_step(min_len: float, step: float):
     if step > min_len / 4.0 + 1e-15:
         raise StepTooLarge(
             f"step {step} exceeds a quarter of the shortest element length {min_len}"
@@ -406,7 +400,7 @@ def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
     if form not in ("connection", "force"):
         raise ValueError(f"unknown form '{form}'")
     check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
-    _check_step(lattice, config.step)
+    _check_step(lattice.min_length(), config.step)
     rhs = _rhs_geodesic(lattice) if form == "connection" else _rhs_force(lattice)
     return _orbit(rhs, initial, t_end, config.step)
 
@@ -430,7 +424,7 @@ def integrate_averaged_geodesic(lattice: Lattice, moments: MomentSet,
     perturbed companions of a reference run evolve in the same field.
     """
     check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
-    _check_step(lattice, config.step)
+    _check_step(lattice.min_length(), config.step)
     vref = initial.v if deviations_from is None else deviations_from
     rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, vref))
     return _orbit(rhs, initial, t_end, config.step)
@@ -518,7 +512,7 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     """
     if mode not in ("full", "linearized"):
         raise ValueError(f"unknown jacobi mode '{mode}'")
-    _check_step(lattice, config.step)
+    _check_step(lattice.min_length(), config.step)
     ref0 = reference.state(0)
     check_on_shell(ref0.v, exc=OffShellInitial, label="reference velocity")
     ref_span = abs(float(reference.t[-1] - reference.t[0]))
@@ -570,39 +564,26 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
-def _transverse_strengths(element: Element, rho: float | None):
-    if not isinstance(element, (Dipole, NormalQuadDipole, SkewQuadDipole)):
-        raise UnsupportedElement(
-            f"transverse channel defined only for bending elements, got '{element.kind}'"
-        )
-    r = curvature_radius(element) if rho is None else rho
-    inv2 = 1.0 / (r * r)
-    if isinstance(element, Dipole):
-        return inv2, 0.0
-    if isinstance(element, NormalQuadDipole):
-        return inv2 - element.b1, element.b1
-    return inv2 + element.b1, -element.b1
-
-
 def integrate_transverse_linear(element: Element, rho: float | None,
                                 initial: JacobiState, l_end: float,
                                 config: IntegratorConfig) -> JacobiSeries:
     """Linear transverse deviation channels in path length l.
 
-    Horizontal and vertical obey u'' + K u = 0 with K = (1/rho^2, 0)
-    for a dipole, (1/rho^2 - b1, b1) for a normal gradient and
-    (1/rho^2 + b1, -b1) for a skew gradient; temporal and longitudinal
-    components drift freely.  rho = None takes the design radius 1/b0.
+    Horizontal and vertical obey u'' + K u = 0 with (K_h, K_v) =
+    element.focusing(rho): (1/rho^2, 0) for a dipole, (1/rho^2 - b1, b1)
+    for a normal gradient and (1/rho^2 + b1, -b1) for a skew gradient;
+    temporal and longitudinal components drift freely.  rho = None takes
+    the design curvature, 1/rho^2 = b0^2.
     """
-    kh, kv = _transverse_strengths(element, rho)
+    kh, kv = element.focusing(rho)
+    r_design = curvature_radius(element) if rho is None else rho
     if l_end < initial.t:
         raise ValueError("path length must advance forward through the element")
     if initial.t < -1e-9 or l_end > element.length + 1e-9:
         raise OutOfLattice(
             f"span [{initial.t}, {l_end}] leaves element of length {element.length}"
         )
-    _check_step(element, config.step)
-    r_design = curvature_radius(element) if rho is None else rho
+    _check_step(element.length, config.step)
     amp = float(np.sqrt(initial.xi[1] ** 2 + initial.xi[3] ** 2))
     if amp > 0.1 * abs(r_design):
         warnings.warn(
@@ -623,11 +604,24 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     scalar or a series on the output grid (linearly interpolated at the
     RK4 stage midpoints).
     """
-    if not isinstance(element, (ConstantE, RFCavity)):
+    if isinstance(element, ConstantE):
+        def accel(k, theta, xi, dxi):
+            acc = np.zeros(4)
+            acc[0] = -element.e2 * dxi[2]
+            acc[2] = -element.e2 * dxi[2]
+            return acc
+    elif isinstance(element, RFCavity):
+        def accel(k, theta, xi, dxi):  # gammas is bound below, before the first call
+            g = _at_stage(gammas, k, theta)
+            acc = np.zeros(4)
+            acc[0] = -2.0 * g * element.e2_0 * xi[2]
+            acc[2] = 2.0 * g * element.e2_0 * xi[2]
+            return acc
+    else:
         raise UnsupportedElement(
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
-    _check_step(element, config.step)
+    _check_step(element.length, config.step)
     n, _, _ = _grid(initial.t, t_end, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
     if gamma_of_t.ndim == 0:
@@ -638,16 +632,4 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
                 f"gamma series has {len(gamma_of_t)} points, run grid has {n + 1}"
             )
         gammas = gamma_of_t
-
-    def accel(k, theta, xi, dxi):
-        acc = np.zeros(4)
-        if isinstance(element, ConstantE):
-            acc[0] = -element.e2 * dxi[2]
-            acc[2] = -element.e2 * dxi[2]
-        else:
-            g = _at_stage(gammas, k, theta)
-            acc[0] = -2.0 * g * element.e2_0 * xi[2]
-            acc[2] = 2.0 * g * element.e2_0 * xi[2]
-        return acc
-
     return _deviation(accel, initial, t_end, config.step)

@@ -345,11 +345,11 @@ def parse_beam_definition(text: str) -> BeamDefinition:
     if dist == "delta":
         ln, n = take("n", required=False)
         defn = BeamDefinition(distribution="delta", mean=mean,
-                              n=_parse_int(ln, n, "n") if n is not None else 1)
+                              n=_parse_int(ln, n, "n", 1) if n is not None else 1)
     else:
-        sigma = _parse_triplet(*take("sigma"), "sigma")
-        n = _parse_int(*take("n"), "n")
-        seed = _parse_int(*take("seed"), "seed")
+        sigma = _parse_triplet(*take("sigma"), "sigma", nonnegative=True)
+        n = _parse_int(*take("n"), "n", 1)
+        seed = _parse_int(*take("seed"), "seed", 0)
         defn = BeamDefinition(distribution="gaussian", mean=mean,
                               sigma=sigma, n=n, seed=seed)
     if fields:
@@ -358,27 +358,33 @@ def parse_beam_definition(text: str) -> BeamDefinition:
     return defn
 
 
-def _parse_triplet(ln: int, value: str, name: str) -> np.ndarray:
+def _parse_triplet(ln: int, value: str, name: str, nonnegative: bool = False) -> np.ndarray:
     parts = [p for p in value.split(",") if p.strip() != ""]
     if len(parts) != 3:
         raise ParseError(ln, f"{name} needs 3 comma-separated floats, got '{value}'")
     try:
-        return np.array([float(p) for p in parts])
+        vals = np.array([float(p) for p in parts])
     except ValueError:
         raise ParseError(ln, f"non-numeric component in {name}: '{value}'") from None
+    if not np.all(np.isfinite(vals)) or (nonnegative and np.any(vals < 0.0)):
+        bound = "finite and nonnegative" if nonnegative else "finite"
+        raise ParseError(ln, f"{name} must be {bound}, got '{value}'")
+    return vals
 
 
-def _parse_int(ln: int, value: str, name: str) -> int:
+def _parse_int(ln: int, value: str, name: str, minimum: int) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
         raise ParseError(ln, f"{name} must be an integer, got '{value}'") from None
+    if n < minimum:
+        raise ParseError(ln, f"{name} must be at least {minimum}, got {n}")
+    return n
 
 
 def realize_beam(defn: BeamDefinition) -> BeamEnsemble:
     """Instantiate the ensemble described by a beam definition."""
     if defn.distribution == "delta":
-        n = max(1, int(defn.n))
         y = project_to_hyperboloid(defn.mean)
-        return BeamEnsemble(np.tile(y, (n, 1)), label="delta")
+        return BeamEnsemble(np.tile(y, (defn.n, 1)), label="delta")
     return sample_gaussian_beam(defn.mean, defn.sigma, defn.n, defn.seed)

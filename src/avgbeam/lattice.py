@@ -26,7 +26,8 @@ with kinds drift, dipole, quad_dipole, skew_quad_dipole, const_e, rf.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,19 +43,22 @@ from .errors import (
 from .minkowski import FieldSample
 
 
+@dataclass(eq=False)
 class Element(ABC):
-    """One beamline element of fixed length."""
+    """One beamline element of fixed length.
 
-    kind: str = ""
+    The fields, in order, are the element's lattice-file keys and its
+    constructor arguments; ``kind`` names it in the file.
+    """
 
-    def __init__(self, length: float):
-        if not length > 0.0:
-            raise NegativeLength(f"element length must be positive, got {length}")
-        self._length = float(length)
+    kind: ClassVar[str] = ""
+    length: float
 
-    @property
-    def length(self) -> float:
-        return self._length
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, float(getattr(self, f.name)))
+        if not self.length > 0.0:
+            raise NegativeLength(f"element length must be positive, got {self.length}")
 
     @abstractmethod
     def write_field(self, F, x2, xi):
@@ -68,14 +72,22 @@ class Element(ABC):
         """Add analytic derivatives d_l F^i_j into G (shape (...,4,4,4))."""
         # constant-field elements contribute nothing
 
-    def params(self) -> dict:
-        return {}
+    def focusing(self, rho: float | None = None):
+        """(K_h, K_v) of the linear transverse channels u'' + K u = 0.
 
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{type(self).__name__}(length={self.length}{', ' if inner else ''}{inner})"
+        1/rho^2 enters as b0 * b0, or as 1/(rho * rho) when a bending
+        radius rho is given.
+        """
+        raise UnsupportedElement(
+            f"transverse channel defined only for bending elements, got '{self.kind}'"
+        )
 
 
+def _inv_rho2(b0: float, rho: float | None) -> float:
+    return b0 * b0 if rho is None else 1.0 / (rho * rho)
+
+
+@dataclass(eq=False)
 class Drift(Element):
     kind = "drift"
 
@@ -83,23 +95,22 @@ class Drift(Element):
         pass
 
 
+@dataclass(eq=False)
 class Dipole(Element):
     """Constant vertical-bend field: F^1_2 = b0, F^2_1 = -b0."""
 
     kind = "dipole"
-
-    def __init__(self, length: float, b0: float):
-        super().__init__(length)
-        self.b0 = float(b0)
-
-    def params(self):
-        return {"b0": self.b0}
+    b0: float
 
     def write_field(self, F, x2, xi):
         F[..., 1, 2] += self.b0
         F[..., 2, 1] += -self.b0
 
+    def focusing(self, rho=None):
+        return _inv_rho2(self.b0, rho), 0.0
 
+
+@dataclass(eq=False)
 class NormalQuadDipole(Element):
     """Combined-function dipole with a normal quadrupole gradient.
 
@@ -108,14 +119,8 @@ class NormalQuadDipole(Element):
     """
 
     kind = "quad_dipole"
-
-    def __init__(self, length: float, b0: float, b1: float):
-        super().__init__(length)
-        self.b0 = float(b0)
-        self.b1 = float(b1)
-
-    def params(self):
-        return {"b0": self.b0, "b1": self.b1}
+    b0: float
+    b1: float
 
     def write_field(self, F, x2, xi):
         horiz = self.b0 - self.b1 * xi[..., 1]
@@ -131,7 +136,11 @@ class NormalQuadDipole(Element):
         G[..., 3, 2, 3] += self.b1
         G[..., 3, 3, 2] += -self.b1
 
+    def focusing(self, rho=None):
+        return _inv_rho2(self.b0, rho) - self.b1, self.b1
 
+
+@dataclass(eq=False)
 class SkewQuadDipole(Element):
     """Combined-function dipole with a skew quadrupole gradient.
 
@@ -142,14 +151,8 @@ class SkewQuadDipole(Element):
     """
 
     kind = "skew_quad_dipole"
-
-    def __init__(self, length: float, b0: float, b1: float):
-        super().__init__(length)
-        self.b0 = float(b0)
-        self.b1 = float(b1)
-
-    def params(self):
-        return {"b0": self.b0, "b1": self.b1}
+    b0: float
+    b1: float
 
     def write_field(self, F, x2, xi):
         horiz = self.b0 + self.b1 * xi[..., 3]
@@ -165,24 +168,23 @@ class SkewQuadDipole(Element):
         G[..., 1, 2, 3] += self.b1
         G[..., 1, 3, 2] += -self.b1
 
+    def focusing(self, rho=None):
+        return _inv_rho2(self.b0, rho) + self.b1, -self.b1
 
+
+@dataclass(eq=False)
 class ConstantE(Element):
     """Uniform longitudinal electric field, symmetric pair F^0_2 = F^2_0 = e2."""
 
     kind = "const_e"
-
-    def __init__(self, length: float, e2: float):
-        super().__init__(length)
-        self.e2 = float(e2)
-
-    def params(self):
-        return {"e2": self.e2}
+    e2: float
 
     def write_field(self, F, x2, xi):
         F[..., 0, 2] += self.e2
         F[..., 2, 0] += self.e2
 
 
+@dataclass(eq=False)
 class RFCavity(Element):
     """Sinusoidal longitudinal field E2 = e2_0 sin(w_rf (x2 + xi2)).
 
@@ -191,14 +193,8 @@ class RFCavity(Element):
     """
 
     kind = "rf"
-
-    def __init__(self, length: float, e2_0: float, w_rf: float):
-        super().__init__(length)
-        self.e2_0 = float(e2_0)
-        self.w_rf = float(w_rf)
-
-    def params(self):
-        return {"e2_0": self.e2_0, "w_rf": self.w_rf}
+    e2_0: float
+    w_rf: float
 
     def write_field(self, F, x2, xi):
         amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[..., 2]))
@@ -322,14 +318,8 @@ def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
 # ---------------------------------------------------------------------------
 # parsing
 
-_KINDS = {
-    "drift": (Drift, ()),
-    "dipole": (Dipole, ("b0",)),
-    "quad_dipole": (NormalQuadDipole, ("b0", "b1")),
-    "skew_quad_dipole": (SkewQuadDipole, ("b0", "b1")),
-    "const_e": (ConstantE, ("e2",)),
-    "rf": (RFCavity, ("e2_0", "w_rf")),
-}
+_KINDS = {cls.kind: cls for cls in (Drift, Dipole, NormalQuadDipole,
+                                   SkewQuadDipole, ConstantE, RFCavity)}
 
 
 def parse_lattice(text: str) -> Lattice:
@@ -347,7 +337,8 @@ def parse_lattice(text: str) -> Lattice:
         kind = tokens[1]
         if kind not in _KINDS:
             raise ParseError(ln, f"unknown element kind '{kind}'")
-        cls, param_names = _KINDS[kind]
+        cls = _KINDS[kind]
+        param_names = [f.name for f in fields(cls)[1:]]
         kv = {}
         for tok in tokens[2:]:
             if "=" not in tok:
@@ -404,22 +395,20 @@ def _aligned_grid(lattice: Lattice, step: float) -> np.ndarray:
 def transverse_k_profile(lattice: Lattice, plane: str, step: float):
     """Piecewise-constant focusing function K(l) sampled on a step grid.
 
-    Horizontal plane: b0^2 for a dipole, b0^2 - b1 for a normal and
-    b0^2 + b1 for a skew gradient element.  Vertical plane: +b1 normal,
-    -b1 skew, 0 otherwise.  Boundary samples take the downstream value
-    (right continuity); the grid must align with element boundaries.
+    Each bending element contributes its focusing() strength for the
+    plane (b0^2 for a dipole, b0^2 - b1 and +b1 for a normal, b0^2 + b1
+    and -b1 for a skew gradient element), every other element 0.
+    Boundary samples take the downstream value (right continuity); the
+    grid must align with element boundaries.
     """
     if plane not in ("horizontal", "vertical"):
         raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
     grid = _aligned_grid(lattice, step)
+    axis = 0 if plane == "horizontal" else 1
     k = np.zeros(len(grid))
     for element, where in _by_element(lattice, grid):
-        if isinstance(element, Dipole):
-            k[where] = element.b0 ** 2 if plane == "horizontal" else 0.0
-        elif isinstance(element, NormalQuadDipole):
-            k[where] = element.b0 ** 2 - element.b1 if plane == "horizontal" else element.b1
-        elif isinstance(element, SkewQuadDipole):
-            k[where] = element.b0 ** 2 + element.b1 if plane == "horizontal" else -element.b1
+        if isinstance(element, _BENDING_KINDS):
+            k[where] = element.focusing()[axis]
     return grid, k
 
 

@@ -174,23 +174,20 @@ def particular_solution(ps: PrincipalSolutions, p: np.ndarray) -> np.ndarray:
     return P
 
 
-def dispersion(ps: PrincipalSolutions, rho_series: np.ndarray,
+def dispersion(ps: PrincipalSolutions, inv_rho: np.ndarray,
                delta: float) -> DispersionResult:
     """Dispersion function for a momentum error delta = dp/p0.
 
-    rho_series is the bending radius along the grid; straight sections
-    carry rho = inf and contribute nothing to the driver 1/rho.
+    inv_rho is the curvature 1/rho along the grid, the driver of
+    D'' + K D = 1/rho (inverse_rho_profile); straight sections carry 0.
     """
     if delta < 0.0:
         raise ValueError(f"momentum spread must be nonnegative, got {delta}")
-    rho = np.asarray(rho_series, dtype=float)
-    if len(rho) != len(ps.t):
-        raise MismatchedGrid(f"rho series has {len(rho)} samples, grid has {len(ps.t)}")
-    if np.any(rho == 0.0):
-        raise ValueError("zero bending radius in rho series")
-    with np.errstate(divide="ignore"):
-        p = 1.0 / rho
-    p[~np.isfinite(rho)] = 0.0
+    p = np.asarray(inv_rho, dtype=float)
+    if len(p) != len(ps.t):
+        raise MismatchedGrid(f"curvature series has {len(p)} samples, grid has {len(ps.t)}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("non-finite curvature in 1/rho series")
     D = particular_solution(ps, p)
     return DispersionResult(D=D, delta=delta, offset=delta * D)
 

@@ -118,7 +118,7 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
     """
     ys, ws = ensemble.ys, ensemble.ws
     check_on_shell(ys, label="sample")
-    _check_step(lattice, config.step)
+    _check_step(lattice.min_length(), config.step)
     n, h, t = _grid(0.0, t_end, config.step)
     vol = _sequential_sum(ws)
 

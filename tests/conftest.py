@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from avgbeam import (
     Dipole,
@@ -13,6 +14,11 @@ from avgbeam import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+# Property tests draw the same examples on every run and keep no example
+# database, so every run of the suite tests the same inputs.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from avgbeam import (
     StepTooLarge,
     TrajectoryState,
     UnsupportedElement,
+    ZeroStrength,
     comoving_moments_along,
     compute_moments,
     delta_moments,
@@ -412,6 +413,10 @@ def test_transverse_bounds_and_kinds():
         integrate_transverse_linear(Dipole(length=2.0, b0=1.0), None, init, 3.0, IntegratorConfig(step=1e-3))
     with pytest.raises(UnsupportedElement):
         integrate_transverse_linear(ConstantE(length=2.0, e2=0.1), None, init, 1.0, IntegratorConfig(step=1e-3))
+    # b0 = 0 has no design radius; an explicit one still runs
+    with pytest.raises(ZeroStrength):
+        integrate_transverse_linear(Dipole(length=2.0, b0=0.0), None, init, 1.0, IntegratorConfig(step=1e-3))
+    integrate_transverse_linear(Dipole(length=2.0, b0=0.0), 1.0, init, 1.0, IntegratorConfig(step=1e-3))
 
 
 def test_longitudinal_constant_field_closed_form():

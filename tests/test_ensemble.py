@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgbeam import (
+    AvgBeamError,
     BeamEnsemble,
     DuplicateKey,
     EmptyEnsemble,
@@ -174,6 +177,14 @@ def test_parse_beam_errors():
     ("sigma", "0.01,0.01"),
     ("n", "ten"),
     ("seed", "1.5"),
+    ("n", "0"),
+    ("n", "-3"),
+    ("sigma", "-1,0,0"),
+    ("sigma", "0.01,nan,0.01"),
+    ("sigma", "0.01,0.01,inf"),
+    ("seed", "-1"),
+    ("mean", "0,nan,0"),
+    ("mean", "-inf,1,0"),
 ])
 def test_parse_beam_error_names_the_line_of_the_bad_value(key, bad):
     good = {"distribution": "gaussian", "mean": "0,1,0", "sigma": "0.01,0.01,0.01",
@@ -183,6 +194,49 @@ def test_parse_beam_error_names_the_line_of_the_bad_value(key, bad):
     with pytest.raises(ParseError) as err:
         parse_beam_definition("\n".join(lines) + "\n")
     assert err.value.line == 2 + list(good).index(key)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_parse_delta_beam_rejects_nonpositive_count(n):
+    with pytest.raises(ParseError) as err:
+        parse_beam_definition(f"distribution=delta\nmean=0,2,0\nn={n}\n")
+    assert err.value.line == 3
+
+
+def _good_or_bad(good, bad):
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+_BEAM_NUMBER = _good_or_bad(["0", "1", "2", "0.01", "1.5"],
+                            ["-1", "nan", "inf", "-inf", "1e400", "x", ""])
+_TRIPLET = st.one_of(st.lists(_BEAM_NUMBER, min_size=3, max_size=3),
+                     st.lists(_BEAM_NUMBER, min_size=2, max_size=4)).map(",".join)
+_BEAM_VALUE = {
+    "mean": _TRIPLET,
+    "sigma": _TRIPLET,
+    "n": _good_or_bad(["1", "2"], ["0", "-3", "1.5", "x"]),
+    "seed": _good_or_bad(["0", "7"], ["-1", "1.5", "x"]),
+}
+
+
+@st.composite
+def _beam_text(draw):
+    """A beam file, mostly well formed, with bad values and stray lines mixed in."""
+    dist = draw(st.sampled_from(["gaussian", "delta", "uniform"]))
+    keys = ["mean", "n"] + (["sigma", "seed"] if dist == "gaussian" else [])
+    lines = [f"distribution={dist}"] + [f"{k}={draw(_BEAM_VALUE[k])}" for k in keys]
+    lines += draw(st.lists(st.sampled_from(["# comment", "", "x=1", "mean=0,1,0", "=="]),
+                           max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_beam_text())
+def test_beam_file_raises_only_library_errors(text):
+    try:
+        realize_beam(parse_beam_definition(text))
+    except AvgBeamError:
+        pass
 
 
 def test_parse_beam_missing_key_reports_line_zero():

@@ -103,12 +103,12 @@ def test_lorentz_equals_reference_across_fodo_edges(fodo_lattice):
 
 
 def test_transverse_equals_reference(cfg_fine):
-    el = NormalQuadDipole(length=2.0, b0=0.5, b1=0.3)
+    # b0 = 0.05: b0 * b0 = 0.0025000000000000005, while 1/(r*r) with
+    # r = 1/b0 gives 0.0025; a small b1 keeps that last bit in K_h
+    el = NormalQuadDipole(length=2.0, b0=0.05, b1=1e-3)
     init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 2e-3]), np.array([0.0, 0.0, 0.0, 1e-4]))
     ser = integrate_transverse_linear(el, None, init, 1.5, cfg_fine)
-    r = 1.0 / el.b0
-    inv2 = 1.0 / (r * r)
-    freq = np.array([0.0, inv2 - el.b1, 0.0, el.b1])
+    freq = np.array([0.0, el.b0 * el.b0 - el.b1, 0.0, el.b1])
     xs, vs = reference_rk4(lambda k, theta, xi, dxi: -freq * xi, init.xi, init.dxi, 1e-3, 1500)
     assert np.array_equal(ser.xi, xs)
     assert np.array_equal(ser.dxi, vs)

@@ -1,11 +1,14 @@
 """Beamline elements, field evaluation, lattice files, and focusing profiles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgbeam import (
+    AvgBeamError,
     ConstantE,
     Dipole,
     Drift,
@@ -303,6 +306,52 @@ def test_parse_lattice_errors_carry_line_numbers():
         parse_lattice("# only a comment\n")
 
 
+def _field_values(element):
+    return [getattr(element, f.name) for f in fields(element)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(element=_ELEMENT)
+def test_lattice_line_round_trips_element_fields(element):
+    # the keys a lattice line carries are the element's dataclass fields
+    line = " ".join(["element", element.kind]
+                    + [f"{f.name}={getattr(element, f.name)!r}" for f in fields(element)])
+    (parsed,) = parse_lattice(line + "\n").elements
+    assert type(parsed) is type(element)
+    assert _field_values(parsed) == _field_values(element)
+
+
+_KEYS_OF = {cls.kind: [f.name for f in fields(cls)]
+            for cls in (Drift, Dipole, NormalQuadDipole, SkewQuadDipole, ConstantE, RFCavity)}
+_GOOD_NUMBER = st.sampled_from(["1", "0.5", "2e-3", "-1", "0"])
+_BAD_NUMBER = st.sampled_from(["1e400", "nan", "inf", "-inf", "x", ""])
+
+
+@st.composite
+def _lattice_line(draw):
+    """An element line, mostly well formed, with wrong tokens mixed in."""
+    kind = draw(st.sampled_from(list(_KEYS_OF) + ["wiggler", ""]))
+    keys = draw(st.one_of(
+        st.just(_KEYS_OF.get(kind, ["length"])),
+        st.lists(st.sampled_from(["length", "b0", "b1", "e2", "e2_0", "w_rf", "x", ""]),
+                 max_size=4),
+    ))
+    words = [f"{key}={draw(st.one_of(_GOOD_NUMBER, _GOOD_NUMBER, _BAD_NUMBER))}"
+             for key in keys]
+    words += draw(st.lists(st.sampled_from(["=", "#", "b0", "element"]), max_size=1))
+    head = draw(st.sampled_from(["element", "element", "element", "elements", "#", ""]))
+    return " ".join([head, kind] + words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_lattice_line(), max_size=5).map("\n".join))
+def test_parse_lattice_raises_only_library_errors(text):
+    try:
+        parse_lattice(text)
+    except AvgBeamError:
+        pass
+
+
 def test_load_lattice(tmp_path):
     p = tmp_path / "line.lat"
     p.write_text("element dipole length=2.4 b0=1.0\n")
@@ -330,6 +379,19 @@ def test_k_profile_quads():
     # grid points on the shared boundary take the downstream element
     assert np.allclose(kh[:2], b0sq - 1.5) and np.allclose(kh[2:], b0sq + 1.5)
     assert np.allclose(kv[:2], 1.5) and np.allclose(kv[2:], -1.5)
+
+
+def test_k_profile_samples_are_element_focusing():
+    # at b0 = 0.0588, b0 ** 2, b0 * b0 and 1/(1/b0)^2 are three different
+    # doubles, and b1 = 1e-3 keeps the last bit, so a second K expression shows
+    for element in (Dipole(length=1.0, b0=0.0588),
+                    NormalQuadDipole(length=1.0, b0=0.0588, b1=1e-3),
+                    SkewQuadDipole(length=1.0, b0=0.0588, b1=1e-3)):
+        lat = Lattice.from_elements([Drift(length=1.0), element])
+        for axis, plane in enumerate(("horizontal", "vertical")):
+            _, k = transverse_k_profile(lat, plane, 0.25)
+            assert np.array_equal(k[4:], np.full(5, element.focusing()[axis]))
+            assert not k[:4].any()
 
 
 def test_profiles_require_aligned_step(fodo_lattice):

@@ -135,13 +135,15 @@ def test_dispersion_constant_dipole():
     lat = Lattice.from_elements([Dipole(length=6.4, b0=1.0)])
     grid, k = transverse_k_profile(lat, "horizontal", 1e-3)
     _, inv = inverse_rho_profile(lat, 1e-3)
-    rho = np.where(inv == 0.0, np.inf, 1.0 / np.where(inv == 0.0, 1.0, inv))
     ps = principal_solutions(grid, k)
-    res = dispersion(ps, rho, delta=1e-3)
+    res = dispersion(ps, inv, delta=1e-3)
     assert np.abs(res.D - (1.0 - np.cos(grid))).max() < 1e-6
     assert np.array_equal(res.offset, 1e-3 * res.D)
-    with pytest.raises(ValueError):
-        dispersion(ps, np.zeros_like(rho), delta=1e-3)
+    # a straight line carries zero curvature and disperses nothing
+    assert not dispersion(ps, np.zeros_like(inv), delta=1e-3).D.any()
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            dispersion(ps, np.full_like(inv, bad), delta=1e-3)
 
 
 def test_momentum_spread_frozen():
