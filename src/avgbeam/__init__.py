@@ -65,6 +65,7 @@ from .errors import (
     MismatchedGrid,
     MismatchedSampling,
     NegativeLength,
+    NonFiniteValue,
     OffShell,
     OffShellInitial,
     OutOfLattice,

@@ -39,8 +39,10 @@ depend on how many trajectories are batched together.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +203,9 @@ def _rk4(accel, x, v, h, n, observe):
 
     theta in {0, 1/2, 1/2, 1} is the stage position inside step k.
     observe(k, x, v) sees the state at every grid point k = 0..n.  x and
-    v may have any (equal) shape; all updates are elementwise.
+    v may have any (equal) shape; all updates are elementwise.  Plain
+    Python floats are valid states, rounded exactly as one numpy element:
+    the linear channels run one scalar component at a time this way.
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -376,13 +380,6 @@ def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> Trajecto
     xs, vs = _rk4_rows(rhs, np.asarray(initial.x, dtype=float).reshape(1, 4),
                        np.asarray(initial.v, dtype=float).reshape(1, 4), h, n)
     return TrajectorySeries(t=t, x=xs[:, 0, :], v=vs[:, 0, :])
-
-
-def _deviation(accel, initial: JacobiState, t_end: float, step: float) -> JacobiSeries:
-    n, h, t = _grid(initial.t, t_end, step)
-    xis, dxis = _rk4_rows(accel, np.asarray(initial.xi, dtype=float),
-                          np.asarray(initial.dxi, dtype=float), h, n)
-    return JacobiSeries(t=t, xi=xis, dxi=dxis)
 
 
 def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
@@ -564,6 +561,16 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
+def _scalar_components(initial: JacobiState):
+    """The launch deviation and its rate as lists of plain floats."""
+    return (np.asarray(initial.xi, dtype=float).tolist(),
+            np.asarray(initial.dxi, dtype=float).tolist())
+
+
+def _drift(k, theta, u, du):
+    return 0.0
+
+
 def integrate_transverse_linear(element: Element, rho: float | None,
                                 initial: JacobiState, l_end: float,
                                 config: IntegratorConfig) -> JacobiSeries:
@@ -589,8 +596,14 @@ def integrate_transverse_linear(element: Element, rho: float | None,
         warnings.warn(
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
-    freq = np.array([0.0, kh, 0.0, kv])
-    return _deviation(lambda k, theta, xi, dxi: -freq * xi, initial, l_end, config.step)
+    n, h, t = _grid(initial.t, l_end, config.step)
+    xi, dxi = _scalar_components(initial)
+    out = JacobiSeries(t=t, xi=np.empty((n + 1, 4)), dxi=np.empty((n + 1, 4)))
+    for i, K in enumerate((0.0, kh, 0.0, kv)):
+        neg_k = -float(K)  # -0.0 on the free components, as -K elementwise
+        out.xi[:, i], out.dxi[:, i] = _rk4_rows(lambda k, theta, u, du: neg_k * u,
+                                                xi[i], dxi[i], h, n)
+    return out
 
 
 def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
@@ -603,33 +616,51 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     cavity.  Transverse components propagate freely.  gamma_of_t is a
     scalar or a series on the output grid (linearly interpolated at the
     RK4 stage midpoints).
+
+    Each component runs alone through the kernel as a plain float.  xi2
+    depends only on itself; xi0 is driven by xi2 alone, its acceleration
+    being exactly xi2's (ConstantE) or its negation (RFCavity) at every
+    stage, so xi2's run records its stage accelerations and xi0's run
+    replays them with that sign.
     """
     if isinstance(element, ConstantE):
-        def accel(k, theta, xi, dxi):
-            acc = np.zeros(4)
-            acc[0] = -element.e2 * dxi[2]
-            acc[2] = -element.e2 * dxi[2]
-            return acc
+        neg_e2, sign = -element.e2, 1.0
+
+        def accel2(k, theta, u, du):
+            return neg_e2 * du
     elif isinstance(element, RFCavity):
-        def accel(k, theta, xi, dxi):  # gammas is bound below, before the first call
-            g = _at_stage(gammas, k, theta)
-            acc = np.zeros(4)
-            acc[0] = -2.0 * g * element.e2_0 * xi[2]
-            acc[2] = 2.0 * g * element.e2_0 * xi[2]
-            return acc
+        e2_0, sign = element.e2_0, -1.0
+
+        def accel2(k, theta, u, du):  # gammas is bound below, before the first call
+            return 2.0 * _at_stage(gammas, k, theta) * e2_0 * u
     else:
         raise UnsupportedElement(
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
     _check_step(element.length, config.step)
-    n, _, _ = _grid(initial.t, t_end, config.step)
+    n, h, t = _grid(initial.t, t_end, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
     if gamma_of_t.ndim == 0:
-        gammas = np.full(n + 1, float(gamma_of_t))
+        gammas = [float(gamma_of_t)] * (n + 1)
     else:
         if len(gamma_of_t) != n + 1:
             raise MismatchedSampling(
                 f"gamma series has {len(gamma_of_t)} points, run grid has {n + 1}"
             )
-        gammas = gamma_of_t
-    return _deviation(accel, initial, t_end, config.step)
+        gammas = gamma_of_t.tolist()
+
+    stage_acc = array("d", [0.0]) * (4 * n)  # xi0's four stage accelerations per step
+    slot = itertools.count()
+
+    def recorded(k, theta, u, du):
+        a = accel2(k, theta, u, du)
+        stage_acc[next(slot)] = sign * a
+        return a
+
+    replay = iter(stage_acc)
+    xi, dxi = _scalar_components(initial)
+    out = JacobiSeries(t=t, xi=np.empty((n + 1, 4)), dxi=np.empty((n + 1, 4)))
+    for i, accel in ((2, recorded), (0, lambda k, theta, u, du: next(replay)),
+                     (1, _drift), (3, _drift)):
+        out.xi[:, i], out.dxi[:, i] = _rk4_rows(accel, xi[i], dxi[i], h, n)
+    return out

@@ -359,8 +359,8 @@ def parse_beam_definition(text: str) -> BeamDefinition:
 
 
 def _parse_triplet(ln: int, value: str, name: str, nonnegative: bool = False) -> np.ndarray:
-    parts = [p for p in value.split(",") if p.strip() != ""]
-    if len(parts) != 3:
+    parts = value.split(",")
+    if len(parts) != 3 or any(p.strip() == "" for p in parts):
         raise ParseError(ln, f"{name} needs 3 comma-separated floats, got '{value}'")
     try:
         vals = np.array([float(p) for p in parts])

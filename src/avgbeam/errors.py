@@ -63,6 +63,10 @@ class NegativeLength(AvgBeamError, ValueError):
     """An element length is not strictly positive."""
 
 
+class NonFiniteValue(AvgBeamError, ValueError):
+    """An element parameter is NaN or infinite."""
+
+
 class StepTooLarge(AvgBeamError, ValueError):
     """The integrator step does not resolve the shortest element."""
 

@@ -25,6 +25,7 @@ with kinds drift, dipole, quad_dipole, skew_quad_dipole, const_e, rf.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -35,6 +36,7 @@ from .errors import (
     DuplicateKey,
     MismatchedSampling,
     NegativeLength,
+    NonFiniteValue,
     OutOfLattice,
     ParseError,
     UnsupportedElement,
@@ -48,7 +50,8 @@ class Element(ABC):
     """One beamline element of fixed length.
 
     The fields, in order, are the element's lattice-file keys and its
-    constructor arguments; ``kind`` names it in the file.
+    constructor arguments; ``kind`` names it in the file.  Every field
+    must be finite and the length positive.
     """
 
     kind: ClassVar[str] = ""
@@ -56,7 +59,10 @@ class Element(ABC):
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, float(getattr(self, f.name)))
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{self.kind} {f.name} must be finite, got {value}")
+            setattr(self, f.name, value)
         if not self.length > 0.0:
             raise NegativeLength(f"element length must be positive, got {self.length}")
 
@@ -350,6 +356,8 @@ def parse_lattice(text: str) -> Lattice:
                 kv[key] = float(value)
             except ValueError:
                 raise ParseError(ln, f"non-numeric value for '{key}': '{value}'") from None
+            if not math.isfinite(kv[key]):
+                raise ParseError(ln, f"non-finite value for '{key}': '{value}'")
         if "length" not in kv:
             raise ParseError(ln, "missing required key 'length'")
         length = kv.pop("length")

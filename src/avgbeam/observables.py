@@ -125,12 +125,16 @@ def principal_solutions(t: np.ndarray, K: np.ndarray,
     h = _uniform_step(t)
     if config is not None and abs(config.step - abs(h)) > 1e-12:
         raise MismatchedGrid("config step does not match the grid spacing")
-    # u = (C, S), du = (C', S'): both columns advance through the same
-    # stage matrix, which is what keeps the Wronskian pinned.
-    us, dus = _rk4_rows(lambda k, theta, u, du: -_at_stage(K, k, theta) * u,
-                        np.array([1.0, 0.0]), np.array([0.0, 1.0]), h, len(t) - 1)
-    return PrincipalSolutions(t=t.copy(), C=us[:, 0], Cp=dus[:, 0],
-                              S=us[:, 1], Sp=dus[:, 1], K=K.copy())
+    # C and S run as plain floats, each stage seeing the same coefficient
+    # in both runs, which is what keeps the Wronskian pinned.
+    K_list = K.tolist()
+
+    def accel(k, theta, u, du):
+        return -_at_stage(K_list, k, theta) * u
+
+    C, Cp = _rk4_rows(accel, 1.0, 0.0, h, len(t) - 1)
+    S, Sp = _rk4_rows(accel, 0.0, 1.0, h, len(t) - 1)
+    return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 
 def _interp_checked(ps: PrincipalSolutions, value: float):

@@ -181,6 +181,17 @@ def test_domain_error_exits_one(files, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_non_finite_lattice_value_exits_one(tmp_path, capsys):
+    lat = tmp_path / "inf.lat"
+    lat.write_text("element dipole length=inf b0=0.1\n")
+    rc = main(["dispersion", "--lattice", str(lat), "--step", "1e-3",
+               "--delta", "1e-3", "--out", str(tmp_path / "d.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("avgbeam:")
+    assert "line 1" in err
+
+
 def test_bad_usage_exits_two(files):
     with pytest.raises(SystemExit) as e:
         main(["track"])  # missing required flags

@@ -185,6 +185,8 @@ def test_parse_beam_errors():
     ("seed", "-1"),
     ("mean", "0,nan,0"),
     ("mean", "-inf,1,0"),
+    ("mean", "0,,1,0"),
+    ("sigma", "0.01,0.01,0.01,"),
 ])
 def test_parse_beam_error_names_the_line_of_the_bad_value(key, bad):
     good = {"distribution": "gaussian", "mean": "0,1,0", "sigma": "0.01,0.01,0.01",

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgbeam import (
+    ConstantE,
     Dipole,
     FieldSample,
     IntegratorConfig,
@@ -21,6 +22,7 @@ from avgbeam import (
     MomentSet,
     NormalQuadDipole,
     RFCavity,
+    SkewQuadDipole,
     TrajectoryState,
     averaged_connection,
     compute_moments,
@@ -137,6 +139,22 @@ def test_longitudinal_equals_reference(cfg_fine):
     assert np.array_equal(ser.dxi, vs)
 
 
+def test_longitudinal_constant_field_equals_reference(cfg_fine):
+    el = ConstantE(length=20.0, e2=0.7)
+    init = JacobiState(0.0, np.array([2e-4, -1e-4, 1e-3, 3e-4]),
+                       np.array([-1e-4, 5e-5, 2e-3, 0.0]))
+    ser = integrate_longitudinal(el, 1.5, init, 2.0, cfg_fine)
+
+    def rhs(k, theta, xi, dxi):
+        acc = np.zeros(4)
+        acc[0] = acc[2] = -el.e2 * dxi[2]
+        return acc
+
+    xs, vs = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
+    assert np.array_equal(ser.xi, xs)
+    assert np.array_equal(ser.dxi, vs)
+
+
 def test_principal_solutions_equal_reference(fodo_lattice):
     t, K = transverse_k_profile(fodo_lattice, "horizontal", 1e-3)
     ps = principal_solutions(t, K)
@@ -243,3 +261,64 @@ def test_batched_cloud_rows_equal_single_row_runs(n, sigma, seed, b0):
             row = single(TrajectoryState(0.0, x0, ens.ys[a]))
             assert np.array_equal(xs[:, a, :], row.x)
             assert np.array_equal(vs[:, a, :], row.v)
+
+
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
+_LAUNCH = st.lists(_COMPONENT, min_size=4, max_size=4).map(np.array)
+_H = 0.01
+
+
+@st.composite
+def _linear_channel(draw):
+    """(run(initial), vector reference rhs, steps) of a random linear channel."""
+    n = draw(st.integers(4, 40))
+    cfg = IntegratorConfig(step=_H)
+    if draw(st.booleans()):
+        el = draw(st.sampled_from([NormalQuadDipole, SkewQuadDipole]))(
+            length=1.0, b0=draw(st.floats(0.05, 1.0)), b1=draw(st.floats(-1.0, 1.0)))
+        rho = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
+        kh, kv = el.focusing(rho)
+        freq = np.array([0.0, kh, 0.0, kv])
+        return (lambda init: integrate_transverse_linear(el, rho, init, n * _H, cfg),
+                lambda k, theta, xi, dxi: -freq * xi, n)
+    if draw(st.booleans()):
+        el = ConstantE(length=1.0, e2=draw(st.floats(-2.0, 2.0)))
+
+        def rhs(k, theta, xi, dxi):
+            acc = np.zeros(4)
+            acc[0] = acc[2] = -el.e2 * dxi[2]
+            return acc
+
+        return lambda init: integrate_longitudinal(el, 1.0, init, n * _H, cfg), rhs, n
+    el = RFCavity(length=1.0, e2_0=draw(st.floats(-2.0, 2.0)), w_rf=1.0)
+    gamma = draw(st.one_of(
+        st.floats(1.0, 10.0),
+        st.lists(st.floats(1.0, 10.0), min_size=n + 1, max_size=n + 1).map(np.array)))
+    gammas = np.broadcast_to(gamma, (n + 1,))
+
+    def rhs(k, theta, xi, dxi):
+        if theta <= 0.0:
+            g = gammas[k]
+        elif theta >= 1.0:
+            g = gammas[k + 1]
+        else:
+            g = gammas[k] * (1.0 - theta) + gammas[k + 1] * theta
+        acc = np.zeros(4)
+        acc[0] = -2.0 * g * el.e2_0 * xi[2]
+        acc[2] = 2.0 * g * el.e2_0 * xi[2]
+        return acc
+
+    return lambda init: integrate_longitudinal(el, gamma, init, n * _H, cfg), rhs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel=_linear_channel(), xi=_LAUNCH, dxi=_LAUNCH)
+def test_linear_channel_components_equal_vector_reference(channel, xi, dxi):
+    # every component of the launch is random, so a wrong coupling of
+    # xi0 to xi2, or a lost sign of zero, shows in some column
+    run, rhs, n = channel
+    ser = run(JacobiState(0.0, xi, dxi))
+    xs, vs = reference_rk4(rhs, xi, dxi, _H, n)
+    for got, want in ((ser.xi, xs), (ser.dxi, vs)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

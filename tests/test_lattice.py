@@ -15,6 +15,7 @@ from avgbeam import (
     Lattice,
     MismatchedSampling,
     NegativeLength,
+    NonFiniteValue,
     NormalQuadDipole,
     OutOfLattice,
     ParseError,
@@ -39,6 +40,17 @@ def test_element_length_must_be_positive():
         Drift(length=0.0)
     with pytest.raises(NegativeLength):
         Dipole(length=-1.0, b0=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Drift(length=float("inf")),
+    lambda: Dipole(length=1.0, b0=float("nan")),
+    lambda: RFCavity(length=1.0, e2_0=float("inf"), w_rf=1.0),
+    lambda: SkewQuadDipole(length=1.0, b0=0.1, b1=-float("inf")),
+])
+def test_element_fields_must_be_finite(make):
+    with pytest.raises(NonFiniteValue):
+        make()
 
 
 def test_curvature_radius():
@@ -304,6 +316,12 @@ def test_parse_lattice_errors_carry_line_numbers():
         parse_lattice("element dipole length=1 b0=1 e2=0.5\n")  # foreign key
     with pytest.raises(ParseError):
         parse_lattice("# only a comment\n")
+    for bad in ("element dipole length=inf b0=0.1", "element dipole length=1 b0=nan",
+                "element rf length=1 e2_0=inf w_rf=1", "element dipole length=1 b0=-inf",
+                "element const_e length=1 e2=1e400"):
+        with pytest.raises(ParseError) as e:
+            parse_lattice("element drift length=1\n" + bad + "\n")
+        assert e.value.line == 2
 
 
 def _field_values(element):
