@@ -90,8 +90,10 @@ from .lattice import (
     SkewQuadDipole,
     curvature_radius,
     field_at,
+    field_entries,
     field_gradient,
     field_mixed,
+    gradient_entries,
     inverse_rho_profile,
     load_lattice,
     parse_lattice,

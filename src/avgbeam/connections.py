@@ -87,16 +87,15 @@ def inertial_acceleration(mode: FrameMode, xi, dxi, xdot):
     + 2 Xdot^j dxi^k); with the zero-coefficient frames this reduces to
     the gradient part.  For the arc mode with xi = (0, e, 0, 0), zero
     dxi and unit spatial speed this is (0, e/rho^2, 0, 0); vertical and
-    temporal components always vanish.
+    temporal components always vanish.  Closed form on four components
+    each: the arc gradient's one entry 1/rho^2 enters as in frame_gradient.
     """
-    xi = np.asarray(xi, dtype=float)
-    dxi = np.asarray(dxi, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    G = frame_gradient(mode)
-    out = np.zeros(4)
     if isinstance(mode, ArcAdapted):
-        out[1] = xi[1] * G[1, 1, 2, 2] * (xdot[2] * xdot[2] + 2.0 * xdot[2] * dxi[2])
-    return out
+        return [0.0, xi[1] * (1.0 / (mode.rho * mode.rho))
+                * (xdot[2] * xdot[2] + 2.0 * xdot[2] * dxi[2]), 0.0, 0.0]
+    if not isinstance(mode, InertialCartesian):
+        raise TypeError(f"unknown frame mode {mode!r}")
+    return [0.0, 0.0, 0.0, 0.0]
 
 
 def _field_connection(F, first, third):

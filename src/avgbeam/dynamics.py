@@ -32,9 +32,11 @@ averaged run collapses onto the single-particle geodesic bit for bit
 (the zero-deviation case takes the same monomial code path as
 integrate_lorentz).
 
-All array reductions in the right-hand sides are written as elementwise
-operations plus sums in a fixed index order, so per-sample results do not
-depend on how many trajectories are batched together.
+The force algebra is written once, over 4-sequences of components (the
+field as its nonzero entries (i, j, F^i_j)), with every sum in a fixed
+index order.  One orbit runs it on plain floats; a batch (a cloud, a
+stored series) on contiguous (n,) columns, one per component.  A float
+rounds as one element of a column, so batching does not change the bits.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from .lattice import (
     Lattice,
     RFCavity,
     curvature_radius,
-    field_gradient,
-    field_mixed,
+    field_entries,
+    gradient_entries,
 )
-from .minkowski import METRIC_SIGNATURE, check_on_shell, velocity_monomials3
+from .minkowski import check_on_shell, norm_residual, velocity_monomials3
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class TrajectorySeries:
 
     def norm_drift(self) -> float:
         """max_k |eta(v_k, v_k) - 1| over the run."""
-        return float(np.max(np.abs(_mdot(self.v, self.v) - 1.0)))
+        return float(np.max(np.abs(norm_residual(self.v))))
 
 
 @dataclass
@@ -202,10 +204,10 @@ def _rk4(accel, x, v, h, n, observe):
     """Classical RK4 for x' = v, v' = accel(k, theta, x, v) over n steps of h.
 
     theta in {0, 1/2, 1/2, 1} is the stage position inside step k.
-    observe(k, x, v) sees the state at every grid point k = 0..n.  x and
-    v may have any (equal) shape; all updates are elementwise.  Plain
-    Python floats are valid states, rounded exactly as one numpy element:
-    the linear channels run one scalar component at a time this way.
+    observe(k, x, v) sees the state at every grid point k = 0..n.  All
+    updates are elementwise: an orbit's state is a (4,) array (eight
+    entries for Jacobi) whose accel reads it as floats, a batch's a (4, m)
+    array of columns, and the linear channels run plain floats.
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -246,56 +248,51 @@ def _at_stage(values, k, theta):
 
 
 # ---------------------------------------------------------------------------
-# the averaged-connection force (batch-stable elementwise algebra)
-
-_SIGN2 = METRIC_SIGNATURE[:, None] * METRIC_SIGNATURE[None, :]
-
+# the averaged-connection force, over 4-sequences of components
 
 def _matvec(F, v):
-    """F^i_j v^j as four fixed-order elementwise products."""
-    return (F[..., :, 0] * v[..., 0, None]
-            + F[..., :, 1] * v[..., 1, None]
-            + F[..., :, 2] * v[..., 2, None]
-            + F[..., :, 3] * v[..., 3, None])
+    """F^i_j v^j from the nonzero entries (i, j, F^i_j) of F, each row summed in column order."""
+    zero = 0.0 * v[0] + 0.0  # +0.0, or a column of it in a batch
+    out = [zero, zero, zero, zero]
+    for i, j, f in F:
+        out[i] = out[i] + f * v[j]
+    return out
 
 
 def _mdot(a, b):
-    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
-
-
-def _along(G, xi):
-    """xi^l G[l], the directional derivative of the field along xi."""
-    return (G[..., 0, :, :] * xi[..., 0, None, None]
-            + G[..., 1, :, :] * xi[..., 1, None, None]
-            + G[..., 2, :, :] * xi[..., 2, None, None]
-            + G[..., 3, :, :] * xi[..., 3, None, None])
+    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
 def _slot3(T, a, b):
-    """T^{msl} a_s b_l for a rank-3 tensor T (optionally batched), fixed order.
+    """T^{msl} a_s b_l with the metric signs on s, l; T[m] holds row m's sixteen, s-major.
 
-    The metric signs go onto T's last two axes (exact), then the sixteen
-    (s, l) terms are summed s-major.
+    Each sign goes onto a_s b_l, which rounds exactly as onto T^{msl}.
     """
-    Tl = T * _SIGN2
-    out = None
-    for s in range(4):
-        for l in range(4):
-            term = Tl[..., :, s, l] * (a[..., s] * b[..., l])[..., None]
-            out = term if out is None else out + term
-    return out
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    p = (a0 * b0, -(a0 * b1), -(a0 * b2), -(a0 * b3),
+         -(a1 * b0), a1 * b1, a1 * b2, a1 * b3,
+         -(a2 * b0), a2 * b1, a2 * b2, a2 * b3,
+         -(a3 * b0), a3 * b1, a3 * b2, a3 * b3)
+    return [t[0] * p[0] + t[1] * p[1] + t[2] * p[2] + t[3] * p[3]
+            + t[4] * p[4] + t[5] * p[5] + t[6] * p[6] + t[7] * p[7]
+            + t[8] * p[8] + t[9] * p[9] + t[10] * p[10] + t[11] * p[11]
+            + t[12] * p[12] + t[13] * p[13] + t[14] * p[14] + t[15] * p[15]
+            for t in T]
 
 
 def _comoving_third(v, D3, a, b):
     """third(a, b) for third = v x v x v + D3, without building the tensor."""
-    out = v * (_mdot(v, a) * _mdot(v, b))[..., None]
-    return out if D3 is None else out + _slot3(D3, a, b)
+    c = _mdot(v, a) * _mdot(v, b)
+    if D3 is None:
+        return [v[m] * c for m in range(4)]
+    return [v[m] * c + d for m, d in enumerate(_slot3(D3, a, b))]
 
 
 def _moment_slot(F, first, third_ab, a, b):
     """F^i_m (first^m eta(a, b) - third^m(a, b)), the moment part of 2 Gamma(a, b)."""
-    return _matvec(F, first * _mdot(a, b)[..., None] - third_ab)
+    ab = _mdot(a, b)
+    return _matvec(F, [first[m] * ab - third_ab[m] for m in range(4)])
 
 
 def _gamma(F, first, third_ab, a, b):
@@ -306,17 +303,10 @@ def _gamma(F, first, third_ab, a, b):
     third_ab being the rank-3 slot already contracted with a and b.  On
     the hyperboloid with point moments Gamma(v, v) = F v.
     """
-    return 0.5 * (_matvec(F, a) * _mdot(first, b)[..., None]
-                  + _matvec(F, b) * _mdot(first, a)[..., None]
-                  + _moment_slot(F, first, third_ab, a, b))
-
-
-def _field_xi(x):
-    """Deviation used for field lookup: transverse offsets of the orbit."""
-    xi = np.zeros_like(x)
-    xi[..., 1] = x[..., 1]
-    xi[..., 3] = x[..., 3]
-    return xi
+    Fa, fb = _matvec(F, a), _mdot(first, b)
+    Fb, fa = (Fa, fb) if b is a else (_matvec(F, b), _mdot(first, a))
+    M = _moment_slot(F, first, third_ab, a, b)
+    return [0.5 * (Fa[i] * fb + Fb[i] * fa + M[i]) for i in range(4)]
 
 
 def _geodesic_accel(F, v, D1, D3):
@@ -327,16 +317,28 @@ def _geodesic_accel(F, v, D1, D3):
     """
     if D1 is None:
         s = _mdot(v, v)
-        return -_matvec(F, v) * (s * (3.0 - s) * 0.5)[..., None]
-    return -_gamma(F, v + D1, _comoving_third(v, D3, v, v), v, v)
+        c = s * (3.0 - s) * 0.5
+        return [-f * c for f in _matvec(F, v)]
+    first = [v[m] + D1[m] for m in range(4)]
+    return [-g for g in _gamma(F, first, _comoving_third(v, D3, v, v), v, v)]
+
+
+def _directional(G, xi):
+    """Entries (i, j, xi^l d_l F^i_j) from gradient entries (l, i, j, d_l F^i_j)."""
+    return [(i, j, g * xi[l]) for l, i, j, g in G]
+
+
+def _lookup_xi(x):
+    """Deviation used for field lookup: the transverse offsets of the orbit."""
+    return (0.0, x[1], 0.0, x[3])
 
 
 def _rhs_force(lattice: Lattice):
     """Direct force form: a = -F v sqrt(eta(v, v))."""
 
     def rhs(k, theta, x, v):
-        F = field_mixed(lattice, x[..., 2], _field_xi(x))
-        return -_matvec(F, v) * np.sqrt(_mdot(v, v))[..., None]
+        r = np.sqrt(_mdot(v, v))
+        return [-f * r for f in _matvec(field_entries(lattice, x[2], _lookup_xi(x)), v)]
 
     return rhs
 
@@ -345,17 +347,32 @@ def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
     """Connection form with comoving moment slots (monomial slots by default)."""
 
     def rhs(k, theta, x, v):
-        return _geodesic_accel(field_mixed(lattice, x[..., 2], _field_xi(x)), v, D1, D3)
+        return _geodesic_accel(field_entries(lattice, x[2], _lookup_xi(x)), v, D1, D3)
 
     return rhs
 
 
+def _float_accel(rhs):
+    """rhs on one orbit's array state, its components read as plain floats."""
+    return lambda k, theta, x, v: np.array(rhs(k, theta, x.tolist(), v.tolist()))
+
+
+def _cloud_accel(rhs):
+    """rhs on the (4, m) state of m orbits, each component one contiguous column."""
+    return lambda k, theta, x, v: np.array(rhs(k, theta, x, v))
+
+
 def _frozen_slots(moments: MomentSet, reference_velocity):
-    """(D1, D3) for the comoving slots, (None, None) for an exact point ensemble."""
+    """(D1, D3) as floats for the comoving slots, (None, None) for an exact point ensemble."""
     D1, D3 = moment_deviations(moments, reference_velocity)
     if not D1.any() and not D3.any():
         return None, None
-    return D1, D3
+    return D1.tolist(), D3.reshape(4, 16).tolist()
+
+
+def _series_columns(series):
+    """An (n, ...) series as contiguous columns, sample axis last."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(series, dtype=float), 0, -1))
 
 
 def _grid(t0: float, t_end: float, step: float):
@@ -377,9 +394,9 @@ def _check_step(min_len: float, step: float):
 
 def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> TrajectorySeries:
     n, h, t = _grid(initial.t, t_end, step)
-    xs, vs = _rk4_rows(rhs, np.asarray(initial.x, dtype=float).reshape(1, 4),
-                       np.asarray(initial.v, dtype=float).reshape(1, 4), h, n)
-    return TrajectorySeries(t=t, x=xs[:, 0, :], v=vs[:, 0, :])
+    xs, vs = _rk4_rows(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
+                       np.reshape(initial.v, 4).astype(float), h, n)
+    return TrajectorySeries(t=t, x=xs, v=vs)
 
 
 def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
@@ -474,10 +491,13 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
     if len(moments_along) != len(curve) or not np.array_equal(moments_along.t, curve.t):
         raise MismatchedSampling("moment series and curve are sampled on different grids")
     h = float(curve.t[1] - curve.t[0])
-    V = moments_along.first
-    F = field_mixed(lattice, curve.x[:, 2], _field_xi(curve.x))
-    defect = _series_derivative(V, h) + _gamma(F, V, _slot3(moments_along.third, V, V), V, V)
-    return curve.t.copy(), np.sqrt(np.sum(defect * defect, axis=-1))
+    x = _series_columns(curve.x)
+    V = _series_columns(moments_along.first)
+    T = _series_columns(moments_along.third.reshape(-1, 4, 16))
+    gam = _gamma(field_entries(lattice, x[2], _lookup_xi(x)), V, _slot3(T, V, V), V, V)
+    dV = _series_columns(_series_derivative(moments_along.first, h))
+    d = [dV[c] + gam[c] for c in range(4)]
+    return curve.t.copy(), np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +515,8 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     ddxi + 2 Gamma(X)(dxi, Xdot) + xi^l d_l Gamma(X)(Xdot, Xdot) + A = 0
     with Gamma the moment-averaged connection, d_l Gamma taken through
     the analytic field gradients, and A the frame force of ``frame``.
-    The reference and the deviation advance as one stacked (2, 4) state
-    through the RK4 kernel, the reference with the same arithmetic as
+    The reference and the deviation advance as one stacked state of
+    eight floats through the RK4 kernel, the reference with the same arithmetic as
     integrate_averaged_geodesic and both sharing one field lookup per
     stage; the supplied series only fixes the launch state and the
     admissible span.
@@ -529,16 +549,17 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
     def accel(k, theta, x, v):
-        X, V, xi, dxi = x[:1], v[:1], x[1:], v[1:]
-        fxi = _field_xi(X)
-        F = field_mixed(lattice, X[..., 2], fxi)
-        dF = _along(field_gradient(lattice, X[..., 2], fxi), xi)
-        first = V if slot_D1 is None else V + slot_D1
-        # 2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot) + A
-        dev = (-(2.0 * _gamma(F, first, _comoving_third(V, slot_D3, dxi, V), dxi, V)
-                 + _gamma(dF, first, _comoving_third(V, slot_D3, V, V), V, V))
-               - inertial_acceleration(frame, xi[0], dxi[0], V[0]))
-        return np.concatenate([_geodesic_accel(F, V, D1, D3), dev])
+        X, V, xi, dxi = x[:4], v[:4], x[4:], v[4:]
+        lookup = _lookup_xi(X)
+        F = field_entries(lattice, X[2], lookup)
+        dF = _directional(gradient_entries(lattice, X[2], lookup), xi)
+        first = V if slot_D1 is None else [V[m] + slot_D1[m] for m in range(4)]
+        g_dev = _gamma(F, first, _comoving_third(V, slot_D3, dxi, V), dxi, V)
+        g_grad = _gamma(dF, first, _comoving_third(V, slot_D3, V, V), V, V)
+        A = inertial_acceleration(frame, xi, dxi, V)
+        # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot)) - A
+        return _geodesic_accel(F, V, D1, D3) + [-(2.0 * g_dev[i] + g_grad[i]) - A[i]
+                                                for i in range(4)]
 
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))
@@ -546,15 +567,17 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 
     def observe(k, x, v):
         nonlocal worst_coupling
-        xis[k] = x[1]
-        dxis[k] = v[1]
-        scale = float(np.sqrt(np.sum(v[1] * v[1])))
+        xis[k] = x[4:]
+        dxis[k] = v[4:]
+        d = v.tolist()
+        V, dxi = d[:4], d[4:]
+        scale = math.sqrt(dxi[0] * dxi[0] + dxi[1] * dxi[1] + dxi[2] * dxi[2] + dxi[3] * dxi[3])
         if k and scale > 0.0:
-            worst_coupling = max(worst_coupling, abs(float(_mdot(v[0], v[1]))) / scale)
+            worst_coupling = max(worst_coupling, abs(_mdot(V, dxi)) / scale)
 
-    x0 = np.stack([np.asarray(ref0.x, dtype=float), np.asarray(initial.xi, dtype=float)])
-    v0 = np.stack([np.asarray(ref0.v, dtype=float), np.asarray(initial.dxi, dtype=float)])
-    _rk4(accel, x0, v0, h, n, observe)
+    x0 = np.concatenate([np.reshape(ref0.x, 4), np.reshape(initial.xi, 4)]).astype(float)
+    v0 = np.concatenate([np.reshape(ref0.v, 4), np.reshape(initial.dxi, 4)]).astype(float)
+    _rk4(_float_accel(accel), x0, v0, h, n, observe)
     return JacobiSeries(t=t, xi=xis, dxi=dxis, decoupling_ok=worst_coupling < 1e-2)
 
 

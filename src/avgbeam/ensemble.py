@@ -37,6 +37,7 @@ from .errors import (
     DuplicateKey,
     EmptyEnsemble,
     InvalidCount,
+    NonFiniteValue,
     OffShell,
     ParseError,
     ZeroWeight,
@@ -78,9 +79,11 @@ def _check_samples(ys: np.ndarray, ws: np.ndarray):
     if len(bad):
         a = int(bad[0])
         raise OffShell(f"sample {a} has y0 = {ys[a, 0]} < 1, wrong hyperboloid sheet")
-    bad = np.flatnonzero(ws < 0.0)
+    bad = np.flatnonzero(~((ws >= 0.0) & (ws < math.inf)))  # NaN fails both
     if len(bad):
         a = int(bad[0])
+        if not math.isfinite(ws[a]):
+            raise NonFiniteValue(f"sample {a} weight must be finite, got {ws[a]}")
         raise ValueError(f"sample {a} weight must be nonnegative, got {ws[a]}")
 
 
@@ -157,6 +160,10 @@ class MomentSet:
         third = np.asarray(self.third, dtype=float)
         if first.shape != (4,) or third.shape != (4, 4, 4):
             raise ValueError("moment shapes must be (4,) and (4,4,4)")
+        for name, value in (("vol", np.atleast_1d(self.vol)), ("first", first), ("third", third)):
+            bad = value[~np.isfinite(value)]
+            if bad.size:
+                raise NonFiniteValue(f"moment {name} must be finite, got {bad[0]}")
         if not self.vol > 0.0:
             raise ZeroWeight(f"ensemble volume must be positive, got {self.vol}")
         if first[0] < 1.0 - 1e-9:
@@ -212,20 +219,38 @@ def moments_from_arrays(ys: np.ndarray, ws: np.ndarray) -> MomentSet:
 
 
 def energy_stats(ensemble: BeamEnsemble, chunk: int = 256) -> EnergyStats:
-    """Exact support statistics; the diameter scan is chunked, O(n^2)."""
+    """Exact support statistics; the diameter scan skips pairs that cannot win.
+
+    With samples sorted by distance r to their mean, farthest first, a
+    pair whose r_a + r_b (less a 1e-9 relative margin) cannot beat the
+    best distance so far is skipped, by row blocks of ``chunk`` and by
+    column suffixes.  Computed pairs sum the four squared differences in
+    order from zero, so alpha is the all-pairs maximum bit for bit.
+    """
     ys = ensemble.ys
     energy = np.min(ys[:, 0])
 
-    best = 0.0
-    for start in range(0, len(ys), chunk):
-        block = ys[start : start + chunk]
-        d2 = np.zeros((len(block), len(ys)))
+    centered = ys - ys.mean(axis=0)
+    r = np.sqrt(np.sum(centered * centered, axis=1))
+    order = np.argsort(-r, kind="stable")
+    ys, r = ys[order], r[order]
+
+    def max_d2(rows, cols):
+        d2 = np.zeros((len(rows), len(cols)))
         for c in range(4):
-            diff = block[:, c : c + 1] - ys[None, :, c]
+            diff = rows[:, c : c + 1] - cols[None, :, c]
             d2 += diff * diff
-        m = float(np.max(d2))
-        if m > best:
-            best = m
+        return float(np.max(d2))
+
+    best = max_d2(ys[:1], ys)
+    for start in range(0, len(ys), chunk):
+        reach = math.sqrt(best) / (1.0 + 1e-9) - r[start]  # a partner needs r_b >= reach
+        if r[start] < reach:
+            break  # no pair among the remaining samples can beat best
+        # columns before start were paired with these rows in earlier blocks;
+        # r descends, so the partners in reach are a prefix of the rest
+        stop = start + int(np.count_nonzero(r[start:] >= reach))
+        best = max(best, max_d2(ys[start : start + chunk], ys[start:stop]))
     return EnergyStats(energy=float(energy), alpha=math.sqrt(best))
 
 
@@ -284,6 +309,8 @@ def read_ensemble_csv(path, label: str = "") -> BeamEnsemble:
                 vals = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(ln, f"non-numeric value in '{raw}'") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ParseError(ln, f"non-finite value in '{raw}'")
             ys.append(vals[:4])
             ws.append(vals[4])
     if not ys:

@@ -64,7 +64,7 @@ class NegativeLength(AvgBeamError, ValueError):
 
 
 class NonFiniteValue(AvgBeamError, ValueError):
-    """An element parameter is NaN or infinite."""
+    """An element parameter, a sample weight or a moment is NaN or infinite."""
 
 
 class StepTooLarge(AvgBeamError, ValueError):

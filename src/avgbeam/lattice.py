@@ -7,13 +7,15 @@ that the charge-to-mass ratio is absorbed: b0 and e-type strengths carry
 1/m, the quadrupole gradient b1 carries 1/m^2.  With unit spatial
 momentum the bending radius of a dipole is rho = 1/b0.
 
-Field tensors are returned in mixed form F^i_j (see minkowski module).
-Magnetic elements populate the spatial block, electric elements the
-symmetric time row/column pairs.  Transverse field dependence enters
-through the deviation 4-vector xi: quadrupole entries are linear in the
-transverse offsets xi1 (horizontal) and xi3 (vertical), and the RF field
-is sampled at the shifted phase w_rf * (x2 + xi2) with phase origin at
-the lattice entry.
+Fields are in mixed form F^i_j (see minkowski module), given as their
+nonzero entries: floats for one point, columns for a batch.  Magnetic
+elements populate the spatial block, electric elements the symmetric
+time row/column pairs.  Transverse field dependence enters through the
+deviation 4-vector xi: quadrupole entries are linear in the transverse
+offsets xi1 (horizontal) and xi3 (vertical), and the RF field is sampled
+at the shifted phase w_rf * (x2 + xi2) with phase origin at the lattice
+entry.  The integrators contract the entries and never build a dense
+tensor; field_mixed, field_gradient and field_at scatter them into one.
 
 Text format, one element per line, '#' comments::
 
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -67,16 +70,16 @@ class Element(ABC):
             raise NegativeLength(f"element length must be positive, got {self.length}")
 
     @abstractmethod
-    def write_field(self, F, x2, xi):
-        """Add this element's mixed tensor entries into F (shape (...,4,4)).
+    def field_entries(self, x2, xi):
+        """Nonzero mixed entries (i, j, F^i_j) in row-major order.
 
         x2 is the longitudinal lattice coordinate (phase reference) and
-        xi the deviation 4-vector; both broadcast over leading axes.
+        xi the deviation's four components.
         """
 
-    def write_grad(self, G, x2, xi):
-        """Add analytic derivatives d_l F^i_j into G (shape (...,4,4,4))."""
-        # constant-field elements contribute nothing
+    def gradient_entries(self, x2, xi):
+        """Nonzero analytic derivatives (l, i, j, d_l F^i_j), one per (i, j) in row-major order."""
+        return ()  # constant-field elements
 
     def focusing(self, rho: float | None = None):
         """(K_h, K_v) of the linear transverse channels u'' + K u = 0.
@@ -97,8 +100,8 @@ def _inv_rho2(b0: float, rho: float | None) -> float:
 class Drift(Element):
     kind = "drift"
 
-    def write_field(self, F, x2, xi):
-        pass
+    def field_entries(self, x2, xi):
+        return ()
 
 
 @dataclass(eq=False)
@@ -108,9 +111,8 @@ class Dipole(Element):
     kind = "dipole"
     b0: float
 
-    def write_field(self, F, x2, xi):
-        F[..., 1, 2] += self.b0
-        F[..., 2, 1] += -self.b0
+    def field_entries(self, x2, xi):
+        return ((1, 2, self.b0), (2, 1, -self.b0))
 
     def focusing(self, rho=None):
         return _inv_rho2(self.b0, rho), 0.0
@@ -128,19 +130,13 @@ class NormalQuadDipole(Element):
     b0: float
     b1: float
 
-    def write_field(self, F, x2, xi):
-        horiz = self.b0 - self.b1 * xi[..., 1]
-        vert = self.b1 * xi[..., 3]
-        F[..., 1, 2] += horiz
-        F[..., 2, 1] += -horiz
-        F[..., 2, 3] += vert
-        F[..., 3, 2] += -vert
+    def field_entries(self, x2, xi):
+        horiz = self.b0 - self.b1 * xi[1]
+        vert = self.b1 * xi[3]
+        return ((1, 2, horiz), (2, 1, -horiz), (2, 3, vert), (3, 2, -vert))
 
-    def write_grad(self, G, x2, xi):
-        G[..., 1, 1, 2] += -self.b1
-        G[..., 1, 2, 1] += self.b1
-        G[..., 3, 2, 3] += self.b1
-        G[..., 3, 3, 2] += -self.b1
+    def gradient_entries(self, x2, xi):
+        return ((1, 1, 2, -self.b1), (1, 2, 1, self.b1), (3, 2, 3, self.b1), (3, 3, 2, -self.b1))
 
     def focusing(self, rho=None):
         return _inv_rho2(self.b0, rho) - self.b1, self.b1
@@ -160,19 +156,13 @@ class SkewQuadDipole(Element):
     b0: float
     b1: float
 
-    def write_field(self, F, x2, xi):
-        horiz = self.b0 + self.b1 * xi[..., 3]
-        vert = self.b1 * xi[..., 1]
-        F[..., 1, 2] += horiz
-        F[..., 2, 1] += -horiz
-        F[..., 2, 3] += vert
-        F[..., 3, 2] += -vert
+    def field_entries(self, x2, xi):
+        horiz = self.b0 + self.b1 * xi[3]
+        vert = self.b1 * xi[1]
+        return ((1, 2, horiz), (2, 1, -horiz), (2, 3, vert), (3, 2, -vert))
 
-    def write_grad(self, G, x2, xi):
-        G[..., 3, 1, 2] += self.b1
-        G[..., 3, 2, 1] += -self.b1
-        G[..., 1, 2, 3] += self.b1
-        G[..., 1, 3, 2] += -self.b1
+    def gradient_entries(self, x2, xi):
+        return ((3, 1, 2, self.b1), (3, 2, 1, -self.b1), (1, 2, 3, self.b1), (1, 3, 2, -self.b1))
 
     def focusing(self, rho=None):
         return _inv_rho2(self.b0, rho) + self.b1, -self.b1
@@ -185,9 +175,8 @@ class ConstantE(Element):
     kind = "const_e"
     e2: float
 
-    def write_field(self, F, x2, xi):
-        F[..., 0, 2] += self.e2
-        F[..., 2, 0] += self.e2
+    def field_entries(self, x2, xi):
+        return ((0, 2, self.e2), (2, 0, self.e2))
 
 
 @dataclass(eq=False)
@@ -202,15 +191,13 @@ class RFCavity(Element):
     e2_0: float
     w_rf: float
 
-    def write_field(self, F, x2, xi):
-        amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[..., 2]))
-        F[..., 0, 2] += amp
-        F[..., 2, 0] += amp
+    def field_entries(self, x2, xi):
+        amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[2]))
+        return ((0, 2, amp), (2, 0, amp))
 
-    def write_grad(self, G, x2, xi):
-        damp = self.e2_0 * self.w_rf * np.cos(self.w_rf * (x2 + xi[..., 2]))
-        G[..., 2, 0, 2] += damp
-        G[..., 2, 2, 0] += damp
+    def gradient_entries(self, x2, xi):
+        damp = self.e2_0 * self.w_rf * np.cos(self.w_rf * (x2 + xi[2]))
+        return ((2, 0, 2, damp), (2, 2, 0, damp))
 
 
 _BENDING_KINDS = (Dipole, NormalQuadDipole, SkewQuadDipole)
@@ -236,6 +223,12 @@ class Lattice:
     elements: tuple
     boundaries: np.ndarray
     total_length: float
+    # the boundaries between elements as floats, bisected for one position
+    inner_edges: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges = np.asarray(self.boundaries, dtype=float)[:-1].tolist()
+        object.__setattr__(self, "inner_edges", edges)
 
     @classmethod
     def from_elements(cls, elements) -> "Lattice":
@@ -256,61 +249,69 @@ class Lattice:
         return min(e.length for e in self.elements)
 
 
-def _by_element(lattice: Lattice, x2):
-    """Yield (element, where) once per distinct element the positions x2 occupy.
+def _entries(lattice: Lattice, x2, xi, method):
+    """Entries from ``method`` of the element holding each x2 (a float, or a column).
 
-    ``where`` is Ellipsis when that element holds them all, else a mask.
+    Every element a batch occupies is evaluated once on its points; across
+    elements each entry becomes a column that is zero off its element.
+    Raises OutOfLattice when any position is NaN or leaves [0, total_length].
     """
-    if len(lattice.elements) == 1:
-        yield lattice.elements[0], ...
-        return
-    idx = lattice.element_index(x2)
-    first = idx.min()
-    if first == idx.max():
-        yield lattice.elements[first], ...
-        return
-    for e in np.unique(idx):
-        yield lattice.elements[e], idx == e
-
-
-def _lookup(lattice: Lattice, x2, xi, shape, method):
-    """Evaluate ``method`` (write_field or write_grad) of the element at each x2.
-
-    Returns an array of shape x2.shape + shape, zero where the element
-    contributes nothing.  One element call per distinct element the batch
-    occupies, written in place when that is a single element.
-    """
-    x2 = np.asarray(x2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    lo, hi = x2.min(), x2.max()
+    lo, hi = (x2, x2) if isinstance(x2, float) else (float(x2.min()), float(x2.max()))
     if not (lo >= 0.0 and hi <= lattice.total_length):  # NaN fails both
         raise OutOfLattice(f"longitudinal position {hi if lo >= 0.0 else lo} "
                            f"outside [0, {lattice.total_length}]")
+    first = bisect_right(lattice.inner_edges, lo)
+    if lo == hi or first == bisect_right(lattice.inner_edges, hi):  # one element holds all
+        return getattr(lattice.elements[first], method)(x2, xi)
+    idx = lattice.element_index(x2)
+    merged = {}
+    for e in np.unique(idx):
+        where = idx == e
+        sub = [c[where] if isinstance(c, np.ndarray) else c for c in xi]
+        for entry in getattr(lattice.elements[e], method)(x2[where], sub):
+            merged.setdefault(entry[:-1], np.zeros(len(x2)))[where] = entry[-1]
+    # row-major; two elements may share an (i, j) through different l,
+    # but at any one point at most one of those entries is nonzero
+    return tuple(key + (merged[key],) for key in sorted(merged, key=lambda k: k[-2:] + k[:-2]))
+
+
+def field_entries(lattice: Lattice, x2, xi):
+    """Nonzero mixed entries (i, j, F^i_j) at x2 with deviation components xi.
+
+    One element evaluation per distinct element the points occupy; each
+    point's values are bit for bit those of a float call.
+    """
+    return _entries(lattice, x2, xi, "field_entries")
+
+
+def gradient_entries(lattice: Lattice, x2, xi):
+    """Nonzero analytic derivatives (l, i, j, d_l F^i_j), as field_entries."""
+    return _entries(lattice, x2, xi, "gradient_entries")
+
+
+def _dense(lattice: Lattice, x2, xi, method, shape):
+    x2 = np.asarray(x2, dtype=float)
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), x2.shape + (4,))
     out = np.zeros(x2.shape + shape)
-    for element, where in _by_element(lattice, x2):
-        if where is Ellipsis:
-            getattr(element, method)(out, x2, xi)
-        else:
-            sub = np.zeros((int(np.count_nonzero(where)),) + shape)
-            getattr(element, method)(sub, x2[where], xi[where])
-            out[where] = sub
+    for entry in _entries(lattice, x2 if x2.ndim else float(x2), [xi[..., c] for c in range(4)],
+                          method):
+        out[(Ellipsis,) + entry[:-1]] += entry[-1]
     return out
 
 
 def field_mixed(lattice: Lattice, x2, xi):
-    """Mixed tensor F^i_j at longitudinal positions x2 with deviations xi.
+    """Dense mixed tensor F^i_j at positions x2 (scalar or (m,)) with deviations xi.
 
-    Batched: x2 may be a scalar or shape (m,), xi shape (...,4).  Raises
-    OutOfLattice when any position is NaN or leaves [0, total_length].
-    Costs one element evaluation per distinct element the batch occupies;
-    each point's value is bit for bit that of a scalar call.
+    The scatter of field_entries, for the tensor form of the connection
+    and the gradient check; no integrator builds it.  Raises OutOfLattice
+    when any position is NaN or leaves [0, total_length].
     """
-    return _lookup(lattice, x2, xi, (4, 4), "write_field")
+    return _dense(lattice, x2, xi, "field_entries", (4, 4))
 
 
 def field_gradient(lattice: Lattice, x2, xi):
-    """Analytic derivatives d_l F^i_j, axes [..., l, i, j]."""
-    return _lookup(lattice, x2, xi, (4, 4, 4), "write_grad")
+    """Dense analytic derivatives d_l F^i_j, axes [..., l, i, j]; see field_mixed."""
+    return _dense(lattice, x2, xi, "gradient_entries", (4, 4, 4))
 
 
 def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
@@ -413,18 +414,12 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
         raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
     grid = _aligned_grid(lattice, step)
     axis = 0 if plane == "horizontal" else 1
-    k = np.zeros(len(grid))
-    for element, where in _by_element(lattice, grid):
-        if isinstance(element, _BENDING_KINDS):
-            k[where] = element.focusing()[axis]
-    return grid, k
+    k = [e.focusing()[axis] if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
+    return grid, np.array(k)[lattice.element_index(grid)]
 
 
 def inverse_rho_profile(lattice: Lattice, step: float):
     """Piecewise 1/rho(l) = b0 of bending elements, 0 elsewhere."""
     grid = _aligned_grid(lattice, step)
-    inv = np.zeros(len(grid))
-    for element, where in _by_element(lattice, grid):
-        if isinstance(element, _BENDING_KINDS):
-            inv[where] = element.b0
-    return grid, inv
+    inv = [e.b0 if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
+    return grid, np.array(inv)[lattice.element_index(grid)]

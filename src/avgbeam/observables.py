@@ -17,13 +17,14 @@ from .dynamics import (
     JacobiSeries,
     MomentsSeries,
     TrajectorySeries,
-    _along,
     _at_stage,
-    _field_xi,
+    _directional,
+    _lookup_xi,
     _matvec,
     _mdot,
     _moment_slot,
     _rk4_rows,
+    _series_columns,
     _slot3,
 )
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     ResidualTooLarge,
     WronskianDrift,
 )
-from .lattice import Lattice, field_gradient, field_mixed
+from .lattice import Lattice, field_entries, gradient_entries
 
 
 @dataclass
@@ -212,12 +213,14 @@ def _check_common_grid(reference: TrajectorySeries, series, what="moment series"
         raise MismatchedGrid(f"{what} and reference are on different grids")
 
 
-def _avg_integrand(lattice: Lattice, reference: TrajectorySeries,
-                   moments_along: MomentsSeries) -> np.ndarray:
-    """F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV)) along the run, all rows."""
-    V = reference.v
-    F = field_mixed(lattice, reference.x[:, 2], _field_xi(reference.x))
-    return _moment_slot(F, moments_along.first, _slot3(moments_along.third, V, V), V, V)
+def _along_run(lattice: Lattice, reference: TrajectorySeries, moments_along: MomentsSeries):
+    """Lookup arguments, field entries, V, <y> and <yyy>(V, V) along the run, as columns."""
+    x = _series_columns(reference.x)
+    lookup = (lattice, x[2], _lookup_xi(x))
+    V = _series_columns(reference.v)
+    first = _series_columns(moments_along.first)
+    third = _series_columns(moments_along.third.reshape(-1, 4, 16))
+    return lookup, field_entries(*lookup), V, first, _slot3(third, V, V)
 
 
 def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
@@ -233,9 +236,10 @@ def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
     """
     _check_common_grid(reference, moments_along)
     h = _uniform_step(reference.t)
-    integ = _avg_integrand(lattice, reference, moments_along)
-    avg1 = _cumtrapz(integ[:, 1], h)
-    avg3 = _cumtrapz(integ[:, 3], h)
+    _, F, V, first, th = _along_run(lattice, reference, moments_along)
+    integ = _moment_slot(F, first, th, V, V)  # F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV))
+    avg1 = _cumtrapz(integ[1], h)
+    avg3 = _cumtrapz(integ[3], h)
     return OffsetSeries(t=reference.t.copy(), off1=avg1.copy(), off3=avg3.copy(),
                         avg1=avg1, avg3=avg3)
 
@@ -253,23 +257,19 @@ def born_offset(lattice: Lattice, reference: TrajectorySeries,
     _check_common_grid(reference, moments_along)
     _check_common_grid(reference, xi_run, "deviation run")
     h = _uniform_step(reference.t)
-    V = reference.v
-    xi = xi_run.xi
-    dxi = xi_run.dxi
-    fxi = _field_xi(reference.x)
-    F = field_mixed(lattice, reference.x[:, 2], fxi)
-    dF = _along(field_gradient(lattice, reference.x[:, 2], fxi), xi)
-    eps = moments_along.first - V
-    th = _slot3(moments_along.third, V, V)
-    base = _moment_slot(F, moments_along.first, th, V, V)
+    lookup, F, V, first, th = _along_run(lattice, reference, moments_along)
+    xi = _series_columns(xi_run.xi)
+    dxi = _series_columns(xi_run.dxi)
+    eps = [first[c] - V[c] for c in range(4)]
+    base = _moment_slot(F, first, th, V, V)
     # 2 dxi^j X'^k * (1/2)(F_j eps_k + F_k eps_j)
-    cross = (_matvec(F, dxi) * _mdot(eps, V)[:, None]
-             + _matvec(F, V) * _mdot(eps, dxi)[:, None])
-    grad = _moment_slot(dF, moments_along.first, th, V, V)
-    integ = base + cross + grad
-    off1 = _cumtrapz(integ[:, 1], h)
-    off3 = _cumtrapz(integ[:, 3], h)
-    avg1 = _cumtrapz(base[:, 1], h)
-    avg3 = _cumtrapz(base[:, 3], h)
+    F_dxi, F_V = _matvec(F, dxi), _matvec(F, V)
+    e_V, e_dxi = _mdot(eps, V), _mdot(eps, dxi)
+    grad = _moment_slot(_directional(gradient_entries(*lookup), xi), first, th, V, V)
+    integ = [base[c] + (F_dxi[c] * e_V + F_V[c] * e_dxi) + grad[c] for c in range(4)]
+    off1 = _cumtrapz(integ[1], h)
+    off3 = _cumtrapz(integ[3], h)
+    avg1 = _cumtrapz(base[1], h)
+    avg3 = _cumtrapz(base[3], h)
     return OffsetSeries(t=reference.t.copy(), off1=off1, off3=off3,
                         avg1=avg1, avg3=avg3)

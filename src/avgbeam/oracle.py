@@ -25,6 +25,7 @@ from .dynamics import (
     TrajectorySeries,
     TrajectoryState,
     _check_step,
+    _cloud_accel,
     _frozen_slots,
     _grid,
     _rhs_geodesic,
@@ -129,15 +130,17 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
 
     def observe(k, x, v):
         for c in range(4):
-            mean_x[k, c] = _shifted_mean(x[:, c], ws, vol)
-            mean_v[k, c] = _shifted_mean(v[:, c], ws, vol)
+            mean_x[k, c] = _shifted_mean(x[c], ws, vol)
+            mean_v[k, c] = _shifted_mean(v[c], ws, vol)
         if record_moments:
-            mom = moments_from_arrays(v, ws)
+            mom = moments_from_arrays(v.T, ws)
             firsts[k] = mom.first
             thirds[k] = mom.third
 
-    x = np.tile(np.asarray(x0, dtype=float), (len(ys), 1))
-    _rk4(_rhs_geodesic(lattice), x, ys, h, n, observe)
+    # one contiguous column per component, one entry per sample
+    x = np.repeat(np.reshape(np.asarray(x0, dtype=float), (4, 1)), len(ys), axis=1)
+    _rk4(_cloud_accel(_rhs_geodesic(lattice)), x, np.ascontiguousarray(ys.T),
+         h, n, observe)
 
     mean = TrajectorySeries(t=t, x=mean_x, v=mean_v)
     moments = (MomentsSeries(t=t.copy(), first=firsts, third=thirds)
@@ -316,18 +319,17 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, reference: TrajectorySeri
     rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
     n, h, _ = _grid(reference.t[0], reference.t[-1], config.step)
 
-    def raw_run(xs, vs):
-        X, V = _rk4_rows(rhs, xs.reshape(1, 4), vs.reshape(1, 4), h, n)
-        return X[:, 0, :], V[:, 0, :]
-
-    base_x, _ = raw_run(x0, v0)
+    xi, dxi = np.asarray(xi0.xi, dtype=float), np.asarray(xi0.dxi, dtype=float)
+    # the base run and every displaced companion advance together, one
+    # column each; each column rounds as its own single run would
+    xs = np.column_stack([x0] + [x0 + sigma * xi for sigma in scales])
+    vs = np.column_stack([v0] + [v0 + sigma * dxi for sigma in scales])
+    end = _rk4_rows(_cloud_accel(rhs), xs, vs, h, n)[0][-1].T
     jac = integrate_jacobi_full(lattice, moments, reference, xi0, config, mode="full")
 
     errors = []
-    for sigma in scales:
-        px, _ = raw_run(x0 + sigma * np.asarray(xi0.xi, dtype=float),
-                        v0 + sigma * np.asarray(xi0.dxi, dtype=float))
-        resid = (px[-1] - base_x[-1]) - sigma * jac.xi[-1]
+    for sigma, px in zip(scales, end[1:]):
+        resid = (px - end[0]) - sigma * jac.xi[-1]
         errors.append(float(np.sqrt(np.sum(resid * resid))))
 
     pos = [(s, e) for s, e in zip(scales, errors) if s > 0.0 and e > 0.0]

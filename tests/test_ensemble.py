@@ -1,5 +1,7 @@
 """Weighted velocity ensembles, moment reduction, and beam file parsing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from avgbeam import (
     DuplicateKey,
     EmptyEnsemble,
     InvalidCount,
+    MomentSet,
+    NonFiniteValue,
     OffShell,
     ParseError,
     VelocitySample,
@@ -106,6 +110,42 @@ def test_energy_stats_chunking_agrees():
     b = energy_stats(ens, chunk=300)
     assert a.energy == b.energy
     assert a.alpha == b.alpha
+
+
+def _brute_force_energy_stats(ys):
+    """The plain scan over all n^2 pairs, components summed in order from zero."""
+    best = 0.0
+    for a in range(len(ys)):
+        d2 = np.zeros(len(ys))
+        for c in range(4):
+            diff = ys[a, c] - ys[:, c]
+            d2 += diff * diff
+        best = max(best, float(np.max(d2)))
+    return float(np.min(ys[:, 0])), math.sqrt(best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    speed=st.floats(0.0, 50.0),
+    log_sigma=st.floats(-7.0, -1.0),
+    shape=st.sampled_from(["gaussian", "two-blobs", "duplicates", "flat"]),
+    chunk=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_energy_stats_equals_brute_force_scan(n, speed, log_sigma, shape, chunk, seed):
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** log_sigma * rng.uniform(0.1, 1.0, size=3)
+    draws = np.array([0.0, speed, 0.0]) + sigma * rng.standard_normal((n, 3))
+    if shape == "two-blobs":
+        draws[: n // 2] += 5.0 * sigma
+    elif shape == "duplicates":
+        draws = draws[rng.integers(0, max(1, n // 4), size=n)]
+    elif shape == "flat":
+        draws[:, 2] = speed  # a plane of samples, many equal distances
+    ens = BeamEnsemble(project_to_hyperboloid(draws))
+    es = energy_stats(ens, chunk=chunk)
+    assert (es.energy, es.alpha) == _brute_force_energy_stats(ens.ys)
 
 
 def test_gaussian_sampler_reproducible_and_on_shell():
@@ -245,6 +285,38 @@ def test_parse_beam_missing_key_reports_line_zero():
     with pytest.raises(ParseError) as err:
         parse_beam_definition("distribution=gaussian\nmean=0,1,0\nn=10\nseed=1\n")
     assert err.value.line == 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ensemble_rejects_non_finite_weights(bad):
+    ws = np.ones(6)
+    ws[2] = bad
+    with pytest.raises(NonFiniteValue, match="sample 2 weight must be finite"):
+        BeamEnsemble(np.tile(TWO_SAMPLES[0], (6, 1)), ws=ws)
+    with pytest.raises(NonFiniteValue, match="sample 0 "):
+        VelocitySample(TWO_SAMPLES[0], w=bad)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_ensemble_file_names_the_line_of_a_non_finite_value(tmp_path, value):
+    p = tmp_path / "beam.csv"
+    rows = [",".join(repr(float(c)) for c in TWO_SAMPLES[0]) + ",1.0"] * 3
+    rows[1] = rows[1].rsplit(",", 1)[0] + "," + value  # the weight of line 3
+    p.write_text("y0,y1,y2,y3,w\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_ensemble_csv(p)
+    assert err.value.line == 3
+
+
+def test_moment_set_rejects_non_finite_moments():
+    y = TWO_SAMPLES[0]
+    mono = velocity_monomials3(y)
+    for vol, first, third in ((math.inf, y, mono), (math.nan, y, mono),
+                              (1.0, np.array([math.nan, 1.0, 0.0, 0.0]), mono),
+                              (1.0, np.array([1.5, math.inf, 0.0, 0.0]), mono),
+                              (1.0, y, np.where(mono == mono[1, 1, 1], math.nan, mono))):
+        with pytest.raises(NonFiniteValue):
+            MomentSet(vol=vol, first=first, third=third)
 
 
 def test_ensemble_rejection_names_first_bad_sample():

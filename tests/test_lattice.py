@@ -25,8 +25,10 @@ from avgbeam import (
     ZeroStrength,
     curvature_radius,
     field_at,
+    field_entries,
     field_gradient,
     field_mixed,
+    gradient_entries,
     inverse_rho_profile,
     load_lattice,
     parse_lattice,
@@ -208,9 +210,9 @@ def _count_element_calls(lattice, method):
     """Wrap ``method`` of every element; return the list each call appends its element to."""
     calls = []
     for element in lattice.elements:
-        def counted(F, x2, xi, _write=getattr(element, method), _element=element):
+        def counted(x2, xi, _entries=getattr(element, method), _element=element):
             calls.append(_element)
-            _write(F, x2, xi)
+            return _entries(x2, xi)
         setattr(element, method, counted)
     return calls
 
@@ -230,8 +232,9 @@ class _VisitedElements(tuple):
             yield element
 
 
-@pytest.mark.parametrize("lookup, method", [(field_mixed, "write_field"),
-                                            (field_gradient, "write_grad")])
+@pytest.mark.parametrize("lookup, method", [(field_entries, "field_entries"),
+                                            (gradient_entries, "gradient_entries")],
+                         ids=["field", "gradient"])
 def test_lookup_calls_each_occupied_element_once(lookup, method):
     # distinct instances, so each element counts only its own calls
     plain = tuple(
@@ -254,17 +257,17 @@ def test_lookup_calls_each_occupied_element_once(lookup, method):
         assert lat.elements.visits == len(calls)
         return calls
 
-    orbit = np.array([[0.0, 0.01, 100.3, -0.02]])  # one point, shape (1, 4)
-    assert touched(orbit[..., 2], orbit) == [plain[401]]
+    orbit = [0.0, 0.01, 100.3, -0.02]  # one point, plain floats
+    assert touched(orbit[2], orbit) == [plain[401]]
 
-    cloud = rng.normal(scale=0.01, size=(500, 4))
-    cloud[:, 2] = rng.uniform(100.26, 100.49, size=500)  # all inside element 401
-    assert touched(cloud[:, 2], cloud) == [plain[401]]
+    cloud = rng.normal(scale=0.01, size=(4, 500))  # one column per component
+    cloud[2] = rng.uniform(100.26, 100.49, size=500)  # all inside element 401
+    assert touched(cloud[2], cloud) == [plain[401]]
 
     for occupied in ([10, 11, 12, 13, 14], [3, 500, 1023]):
         x2 = np.repeat(lat.boundaries[occupied] - 0.1, 3)
         rng.shuffle(x2)
-        assert touched(x2, rng.normal(scale=0.01, size=(len(x2), 4))) == [
+        assert touched(x2, rng.normal(scale=0.01, size=(4, len(x2)))) == [
             plain[e] for e in occupied]
 
 
