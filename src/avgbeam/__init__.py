@@ -71,7 +71,6 @@ from .errors import (
     OutOfLattice,
     OutOfSpan,
     ParseError,
-    ReferenceSpanExceeded,
     ResidualTooLarge,
     StepTooLarge,
     UnsupportedElement,

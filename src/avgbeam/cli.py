@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,15 +45,23 @@ from .observables import averaged_offset, dispersion, principal_solutions
 from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
 
 
+def _finite(text: str) -> float:
+    """A finite float flag value; anything else is a usage error."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got '{text}'")
+    return value
+
+
 def _four_floats(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected 4 comma-separated floats, got '{text}'")
-    return np.array([float(p) for p in parts])
+    return np.array([_finite(p) for p in parts])
 
 
 def _alpha_list(text: str):
-    vals = [float(p) for p in text.split(",") if p.strip()]
+    vals = [_finite(p) for p in text.split(",") if p.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("expected a comma-separated list of alphas")
     return vals
@@ -65,8 +74,8 @@ def _load_beam(path: str):
 
 def _add_common(p, span_help="integration span in proper time (m)"):
     p.add_argument("--lattice", required=True, help="lattice file path")
-    p.add_argument("--step", type=float, required=True, help="integrator step (m)")
-    p.add_argument("--span", type=float, required=True, help=span_help)
+    p.add_argument("--step", type=_finite, required=True, help="integrator step (m)")
+    p.add_argument("--span", type=_finite, required=True, help=span_help)
     p.add_argument("--out", required=True, help="output artifact path")
 
 
@@ -100,21 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moment slots comoving (full) or reference-velocity (linearized)")
     p.add_argument("--frame", choices=("inertial", "arc"), default="inertial",
                    help="reference frame mode")
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--rho", type=_finite, default=None,
                    help="bending radius for the arc frame (m)")
 
     p = sub.add_parser("transverse", help="linear transverse channel of the first element")
     _add_common(p, span_help="path length span l (m)")
     p.add_argument("--xi0", type=_four_floats, required=True, help="initial deviation (m)")
     p.add_argument("--dxi0", type=_four_floats, required=True, help="initial deviation slope")
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--rho", type=_finite, default=None,
                    help="bending radius override (m); default 1/b0 of the element")
 
     p = sub.add_parser("longitudinal", help="longitudinal channel of the first element")
     _add_common(p)
     p.add_argument("--xi0", type=_four_floats, required=True, help="initial deviation (m)")
     p.add_argument("--dxi0", type=_four_floats, required=True, help="initial deviation rate")
-    p.add_argument("--gamma", type=float, default=1.0,
+    p.add_argument("--gamma", type=_finite, default=1.0,
                    help="constant Lorentz factor entering the RF focusing strength")
 
     p = sub.add_parser("moments", help="velocity moments and support statistics of a beam")
@@ -127,20 +136,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", help="dispersion function of the lattice optics")
     p.add_argument("--lattice", required=True, help="lattice file path")
-    p.add_argument("--step", type=float, required=True, help="grid step (m), must align with element boundaries")
-    p.add_argument("--delta", type=float, required=True, help="momentum error dp/p0")
+    p.add_argument("--step", type=_finite, required=True, help="grid step (m), must align with element boundaries")
+    p.add_argument("--delta", type=_finite, required=True, help="momentum error dp/p0")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("scan-alpha", help="bunch-size scaling of the averaged dynamics")
     p.add_argument("--lattice", required=True, help="lattice file path")
     p.add_argument("--alphas", type=_alpha_list, required=True,
                    help="decreasing comma-separated support diameters")
-    p.add_argument("--span", type=float, required=True, help="lab path length (m)")
+    p.add_argument("--span", type=_finite, required=True, help="lab path length (m)")
     p.add_argument("--seed", type=int, required=True, help="ensemble RNG seed")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--step", type=float, default=1e-3, help="integrator step (m)")
+    p.add_argument("--step", type=_finite, default=1e-3, help="integrator step (m)")
     p.add_argument("--n", type=int, default=10000, help="samples per ensemble")
-    p.add_argument("--gamma", type=float, default=100.0,
+    p.add_argument("--gamma", type=_finite, default=100.0,
                    help="Lorentz factor of the beam mean velocity")
     p.add_argument("--comparison", choices=("lab-time", "proper-time"),
                    default="lab-time", help="endpoint comparison convention")
@@ -148,19 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="finite-difference check of field gradients")
     p.add_argument("--lattice", required=True, help="lattice file path")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--fd-step", type=float, default=1e-5,
+    p.add_argument("--fd-step", type=_finite, default=1e-5,
                    help="finite-difference step (m)")
     return ap
 
 
-def _averaged_reference(lattice, defn, args):
-    ens = realize_beam(defn)
-    moments = compute_moments(ens)
+def _averaged_launch(args):
+    """The beam's moments, the launch on their projected mean velocity, the config."""
+    moments = compute_moments(realize_beam(_load_beam(args.beam)))
     v0 = project_to_hyperboloid(moments.first[1:4])
-    state = TrajectoryState(t=0.0, x=np.zeros(4), v=v0)
-    cfg = IntegratorConfig(step=args.step)
-    series = integrate_averaged_geodesic(lattice, moments, state, args.span, cfg)
-    return series, moments, cfg
+    return moments, TrajectoryState(t=0.0, x=np.zeros(4), v=v0), IntegratorConfig(step=args.step)
 
 
 def _write_json(path, payload):
@@ -178,16 +184,16 @@ def _run(args) -> int:
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
-        series, _, _ = _averaged_reference(lattice, _load_beam(args.beam), args)
+        moments, launch, cfg = _averaged_launch(args)
+        series = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "jacobi":
-        reference, moments, cfg = _averaged_reference(lattice, _load_beam(args.beam), args)
+        moments, launch, cfg = _averaged_launch(args)
         frame = INERTIAL if args.frame == "inertial" else ArcAdapted(rho=args.rho)
         xi_run = integrate_jacobi_full(
-            lattice, moments, reference,
-            JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
-            cfg, frame=frame, mode=args.mode,
+            lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
+            args.span, cfg, frame=frame, mode=args.mode,
         )
         write_jacobi_csv(xi_run, args.out)
 
@@ -222,7 +228,8 @@ def _run(args) -> int:
         _write_json(args.out, payload)
 
     elif args.command == "offset":
-        reference, moments, _ = _averaged_reference(lattice, _load_beam(args.beam), args)
+        moments, launch, cfg = _averaged_launch(args)
+        reference = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         along = comoving_moments_along(reference, moments)
         off = averaged_offset(lattice, reference, along)
         _write_rows(args.out, "t,off1,off3,avg1,avg3",
@@ -264,6 +271,8 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "jacobi" and args.frame == "arc" and args.rho is None:
+        parser.error("jacobi --frame arc needs --rho")
     try:
         return _run(args)
     except (AvgBeamError, OSError, ValueError) as exc:

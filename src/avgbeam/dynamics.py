@@ -55,7 +55,6 @@ from .errors import (
     MismatchedSampling,
     OffShellInitial,
     OutOfLattice,
-    ReferenceSpanExceeded,
     StepTooLarge,
     UnsupportedElement,
 )
@@ -362,9 +361,9 @@ def _cloud_accel(rhs):
     return lambda k, theta, x, v: np.array(rhs(k, theta, x, v))
 
 
-def _frozen_slots(moments: MomentSet, reference_velocity):
+def _frozen_slots(moments: MomentSet, velocity):
     """(D1, D3) as floats for the comoving slots, (None, None) for an exact point ensemble."""
-    D1, D3 = moment_deviations(moments, reference_velocity)
+    D1, D3 = moment_deviations(moments, velocity)
     if not D1.any() and not D3.any():
         return None, None
     return D1.tolist(), D3.reshape(4, 16).tolist()
@@ -378,8 +377,8 @@ def _series_columns(series):
 def _grid(t0: float, t_end: float, step: float):
     """Step count, signed step and the uniform output grid from t0 towards t_end."""
     span = t_end - t0
-    if span == 0.0:
-        raise ValueError("integration span is zero")
+    if span == 0.0 or not math.isfinite(span):
+        raise ValueError(f"integration span must be finite and nonzero, got {span}")
     n = max(int(math.ceil(abs(span) / step - 1e-9)), 1)
     h = math.copysign(step, span)
     return n, h, t0 + np.arange(n + 1) * h
@@ -419,9 +418,9 @@ def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
     return _orbit(rhs, initial, t_end, config.step)
 
 
-def moment_deviations(moments: MomentSet, reference_velocity):
+def moment_deviations(moments: MomentSet, velocity):
     """Centered moment deviations D1, D3 relative to a launch velocity."""
-    vref = np.asarray(reference_velocity, dtype=float)
+    vref = np.asarray(velocity, dtype=float)
     D1 = moments.first - vref
     D3 = moments.third - velocity_monomials3(vref)
     return D1, D3
@@ -429,26 +428,17 @@ def moment_deviations(moments: MomentSet, reference_velocity):
 
 def integrate_averaged_geodesic(lattice: Lattice, moments: MomentSet,
                                 initial: TrajectoryState, t_end: float,
-                                config: IntegratorConfig,
-                                deviations_from=None) -> TrajectorySeries:
-    """Geodesic of the moment-averaged connection with comoving moments.
-
-    deviations_from optionally pins the velocity against which the
-    centered deviations are computed (default: the launch velocity), so
-    perturbed companions of a reference run evolve in the same field.
-    """
+                                config: IntegratorConfig) -> TrajectorySeries:
+    """Geodesic of the moment-averaged connection, slots comoving from the launch velocity."""
     check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
     _check_step(lattice.min_length(), config.step)
-    vref = initial.v if deviations_from is None else deviations_from
-    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, vref))
+    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, initial.v))
     return _orbit(rhs, initial, t_end, config.step)
 
 
-def comoving_moments_along(series: TrajectorySeries, moments: MomentSet,
-                           reference_velocity=None) -> MomentsSeries:
-    """Moment series along a run under the frozen-shape transport rule."""
-    vref = series.v[0] if reference_velocity is None else np.asarray(reference_velocity)
-    D1, D3 = moment_deviations(moments, vref)
+def comoving_moments_along(series: TrajectorySeries, moments: MomentSet) -> MomentsSeries:
+    """Moment series along a run, its deviations frozen at the run's first velocity."""
+    D1, D3 = moment_deviations(moments, series.v[0])
     first = series.v + D1
     third = velocity_monomials3(series.v) + D3
     return MomentsSeries(t=series.t.copy(), first=first, third=third)
@@ -504,22 +494,21 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
 # deviation (Jacobi) transport along a reference run
 
 def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
-                          reference: TrajectorySeries, initial: JacobiState,
-                          config: IntegratorConfig,
+                          launch: TrajectoryState, initial: JacobiState,
+                          t_end: float, config: IntegratorConfig,
                           frame: FrameMode = INERTIAL,
-                          mode: str = "full",
-                          t_end: float | None = None) -> JacobiSeries:
-    """Transport a deviation vector along a reference run.
+                          mode: str = "full") -> JacobiSeries:
+    """Transport a deviation vector along the averaged geodesic from launch.
 
     Integrates the linearized geodesic deviation system
     ddxi + 2 Gamma(X)(dxi, Xdot) + xi^l d_l Gamma(X)(Xdot, Xdot) + A = 0
     with Gamma the moment-averaged connection, d_l Gamma taken through
     the analytic field gradients, and A the frame force of ``frame``.
-    The reference and the deviation advance as one stacked state of
-    eight floats through the RK4 kernel, the reference with the same arithmetic as
-    integrate_averaged_geodesic and both sharing one field lookup per
-    stage; the supplied series only fixes the launch state and the
-    admissible span.
+    The reference X is the curve integrate_averaged_geodesic returns for
+    the same launch: it and the deviation advance as one stacked state
+    of eight floats through the RK4 kernel, the reference with the same
+    arithmetic as that run and both sharing one field lookup per stage.
+    The grid runs from initial.t to t_end; launch.t must equal initial.t.
 
     mode "full" keeps the moment slots comoving (first = Xdot + D1);
     mode "linearized" substitutes the reference velocity for the first
@@ -530,22 +519,14 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     if mode not in ("full", "linearized"):
         raise ValueError(f"unknown jacobi mode '{mode}'")
     _check_step(lattice.min_length(), config.step)
-    ref0 = reference.state(0)
-    check_on_shell(ref0.v, exc=OffShellInitial, label="reference velocity")
-    ref_span = abs(float(reference.t[-1] - reference.t[0]))
-    span = ref_span if t_end is None else t_end - initial.t
-    if abs(span) > ref_span + 1e-9:
-        raise ReferenceSpanExceeded(
-            f"requested span {span} exceeds reference span {ref_span}"
-        )
-    n, h, t = _grid(initial.t, initial.t + span, config.step)
-    ref_h = reference.t[1] - reference.t[0] if len(reference) > 1 else h
-    if abs(abs(ref_h) - config.step) > 1e-12:
+    check_on_shell(launch.v, exc=OffShellInitial, label="launch velocity")
+    if launch.t != initial.t:
         raise MismatchedSampling(
-            f"reference grid step {ref_h} does not match integrator step {config.step}"
+            f"deviation starts at t = {initial.t}, its reference launch at t = {launch.t}"
         )
+    n, h, t = _grid(initial.t, t_end, config.step)
 
-    D1, D3 = _frozen_slots(moments, ref0.v)
+    D1, D3 = _frozen_slots(moments, launch.v)
     slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
     def accel(k, theta, x, v):
@@ -575,8 +556,8 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
         if k and scale > 0.0:
             worst_coupling = max(worst_coupling, abs(_mdot(V, dxi)) / scale)
 
-    x0 = np.concatenate([np.reshape(ref0.x, 4), np.reshape(initial.xi, 4)]).astype(float)
-    v0 = np.concatenate([np.reshape(ref0.v, 4), np.reshape(initial.dxi, 4)]).astype(float)
+    x0 = np.concatenate([np.reshape(launch.x, 4), np.reshape(initial.xi, 4)]).astype(float)
+    v0 = np.concatenate([np.reshape(launch.v, 4), np.reshape(initial.dxi, 4)]).astype(float)
     _rk4(_float_accel(accel), x0, v0, h, n, observe)
     return JacobiSeries(t=t, xi=xis, dxi=dxis, decoupling_ok=worst_coupling < 1e-2)
 

@@ -53,8 +53,9 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 def _shifted_mean(q: np.ndarray, ws: np.ndarray, vol: float):
-    """Weighted mean over the leading axis, accumulated relative to sample 0."""
-    return q[0] + _sequential_sum(ws * (q - q[0])) / vol
+    """Weighted mean over the last (sample) axis, each row summed in order relative to sample 0."""
+    q0 = q[..., :1]
+    return q0[..., 0] + np.cumsum(ws * (q - q0), axis=-1)[..., -1] / vol
 
 
 def project_to_hyperboloid(spatial) -> np.ndarray:
@@ -209,7 +210,7 @@ def moments_from_arrays(ys: np.ndarray, ws: np.ndarray) -> MomentSet:
     if vol <= 0.0:
         raise ZeroWeight("total ensemble weight is zero")
 
-    first = np.array([_shifted_mean(ys[:, i], ws, vol) for i in range(4)])
+    first = _shifted_mean(ys.T, ws, vol)
     third = np.zeros((4, 4, 4))
     for m, s, l in _SORTED_TRIPLES:
         val = _shifted_mean((ys[:, m] * ys[:, s]) * ys[:, l], ws, vol)

@@ -36,7 +36,7 @@ class OutOfLattice(AvgBeamError, ValueError):
 
 
 class ZeroStrength(AvgBeamError, ValueError):
-    """A bending radius was requested for an element with b0 = 0."""
+    """A bending radius was requested for b0 = 0, or a given radius is zero."""
 
 
 class UnsupportedElement(AvgBeamError, ValueError):
@@ -77,10 +77,6 @@ class MismatchedSampling(AvgBeamError, ValueError):
 
 class MismatchedGrid(MismatchedSampling):
     """Observable inputs are sampled on different time grids."""
-
-
-class ReferenceSpanExceeded(AvgBeamError, ValueError):
-    """A deviation run was requested beyond the reference series span."""
 
 
 class WronskianDrift(AvgBeamError, ArithmeticError):

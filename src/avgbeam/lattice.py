@@ -93,7 +93,12 @@ class Element(ABC):
 
 
 def _inv_rho2(b0: float, rho: float | None) -> float:
-    return b0 * b0 if rho is None else 1.0 / (rho * rho)
+    if rho is None:
+        return b0 * b0
+    inv = 1.0 / (rho * rho) if rho * rho > 0.0 else math.inf
+    if not math.isfinite(inv):
+        raise ZeroStrength(f"bending radius {rho} gives no finite 1/rho^2")
+    return inv
 
 
 @dataclass(eq=False)

@@ -109,8 +109,7 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
 
 
-def principal_solutions(t: np.ndarray, K: np.ndarray,
-                        config=None) -> PrincipalSolutions:
+def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid.
 
     K is sampled on the same grid; RK4 stages use the midpoint average
@@ -124,8 +123,6 @@ def principal_solutions(t: np.ndarray, K: np.ndarray,
     if not np.all(np.isfinite(K)):
         raise ValueError("K must be finite on the grid")
     h = _uniform_step(t)
-    if config is not None and abs(config.step - abs(h)) > 1e-12:
-        raise MismatchedGrid("config step does not match the grid spacing")
     # C and S run as plain floats, each stage seeing the same coefficient
     # in both runs, which is what keeps the Wronskian pinned.
     K_list = K.tolist()

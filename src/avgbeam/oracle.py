@@ -129,9 +129,8 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
     thirds = np.empty((n + 1, 4, 4, 4)) if record_moments else None
 
     def observe(k, x, v):
-        for c in range(4):
-            mean_x[k, c] = _shifted_mean(x[c], ws, vol)
-            mean_v[k, c] = _shifted_mean(v[c], ws, vol)
+        mean_x[k] = _shifted_mean(x, ws, vol)
+        mean_v[k] = _shifted_mean(v, ws, vol)
         if record_moments:
             mom = moments_from_arrays(v.T, ws)
             firsts[k] = mom.first
@@ -293,14 +292,15 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
 # ---------------------------------------------------------------------------
 # two-geodesic linearization check
 
-def jacobi_vs_two_geodesics(lattice: Lattice, moments, reference: TrajectorySeries,
-                            xi0: JacobiState, scales, config: IntegratorConfig) -> LinearizationReport:
+def jacobi_vs_two_geodesics(lattice: Lattice, moments, launch: TrajectoryState,
+                            xi0: JacobiState, t_end: float, scales,
+                            config: IntegratorConfig) -> LinearizationReport:
     """Compare transported deviations against actual geodesic differences.
 
-    For each scale sigma the initial state is displaced by sigma times
-    (xi0.xi, xi0.dxi) and re-integrated with the same right-hand side as
-    the reference (deviations of the moment slots stay pinned to the
-    reference launch velocity, so both runs see the same connection
+    For each scale sigma the launch is displaced by sigma times (xi0.xi,
+    xi0.dxi) and integrated to t_end with the same right-hand side as the
+    averaged reference X from launch (deviations of the moment slots stay
+    pinned to the launch velocity, so both runs see the same connection
     field).  The residual |[x_sigma - X] - sigma*xi| at the endpoint is
     second order in sigma when the transport is the true linearization.
 
@@ -314,18 +314,17 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, reference: TrajectorySeri
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    x0 = np.asarray(reference.x[0], dtype=float)
-    v0 = np.asarray(reference.v[0], dtype=float)
-    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
-    n, h, _ = _grid(reference.t[0], reference.t[-1], config.step)
-
+    jac = integrate_jacobi_full(lattice, moments, launch, xi0, t_end, config, mode="full")
+    x0 = np.asarray(launch.x, dtype=float)
+    v0 = np.asarray(launch.v, dtype=float)
     xi, dxi = np.asarray(xi0.xi, dtype=float), np.asarray(xi0.dxi, dtype=float)
     # the base run and every displaced companion advance together, one
     # column each; each column rounds as its own single run would
     xs = np.column_stack([x0] + [x0 + sigma * xi for sigma in scales])
     vs = np.column_stack([v0] + [v0 + sigma * dxi for sigma in scales])
+    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
+    n, h, _ = _grid(xi0.t, t_end, config.step)
     end = _rk4_rows(_cloud_accel(rhs), xs, vs, h, n)[0][-1].T
-    jac = integrate_jacobi_full(lattice, moments, reference, xi0, config, mode="full")
 
     errors = []
     for sigma, px in zip(scales, end[1:]):
@@ -351,8 +350,11 @@ def validate_field_gradients(lattice: Lattice, probes, step: float = 1e-5) -> fl
     probes is an iterable of 4-positions; at each, every deviation
     direction is perturbed by +-step and the centered difference of the
     field is compared entrywise against the analytic gradient.  The
-    error is normalized by max(1, largest gradient entry).
+    error is normalized by max(1, largest gradient entry).  step must
+    be finite and positive.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"finite-difference step must be finite and positive, got {step}")
     worst = 0.0
     gmax = 0.0
     for probe in probes:

@@ -176,11 +176,10 @@ def test_criterion_07_jacobi_linearization_order(capsys):
     lat = Lattice.from_elements([Dipole(length=2.4, b0=1.0)])
     st = TrajectoryState(0.0, np.array([0.0, 0.0, 1.2, 0.0]), np.array([SQRT2, 0.0, 1.0, 0.0]))
     cfg = IntegratorConfig(step=1e-3)
-    ref = integrate_lorentz(lat, st, 1.0, cfg)
     rep = jacobi_vs_two_geodesics(
-        lat, delta_moments(st.v), ref,
+        lat, delta_moments(st.v), st,
         JacobiState(0.0, np.array([0.0, 1.0, 0.0, 0.5]), np.array([0.0, 0.2, -0.1, 0.3])),
-        [4e-4, 2e-4, 1e-4], cfg,
+        1.0, [4e-4, 2e-4, 1e-4], cfg,
     )
     ok = 1.7 <= rep.fitted_order <= 2.3
     _verdict(capsys, 7, "jacobi-linearization-order", ok,

@@ -192,6 +192,45 @@ def test_non_finite_lattice_value_exits_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+_ORBIT = ["--step", "1e-3", "--span", "0.3"]
+_DEVIATION = ["--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"]
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT, *_DEVIATION,
+         "--frame", "arc"]),
+    (1, ["transverse", "--lattice", "LAT", *_ORBIT, *_DEVIATION, "--rho", "0"]),
+    (2, ["track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3", "--span", "inf"]),
+    (2, ["avg-track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3",
+         "--span", "nan"]),
+    (2, ["dispersion", "--lattice", "LAT", "--step", "1e-3", "--delta", "nan"]),
+    (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "nan"]),
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT,
+         "--xi0", "nan,1e-3,0,0", "--dxi0", "0,0,0,0"]),
+    (2, ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,nan,0.005", "--span", "1.0",
+         "--seed", "3", "--n", "100"]),
+    (1, ["validate", "--lattice", "LAT", "--fd-step", "0"]),
+], ids=["arc-without-rho", "rho-zero", "span-inf", "span-nan", "delta-nan", "gamma-nan",
+        "xi0-nan", "alpha-nan", "fd-step-zero"])
+def test_bad_numeric_input_is_a_one_line_error(files, capsys, code, argv):
+    tmp, lat, delta, gauss = files
+    rf = tmp / "rf.lat"
+    rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    names = {"LAT": str(lat), "DELTA": str(delta), "GAUSS": str(gauss), "RF": str(rf)}
+    out = tmp / "x.out"
+    try:
+        rc = main([names.get(a, a) for a in argv] + ["--out", str(out)])
+    except SystemExit as e:  # argparse usage error
+        rc = e.code
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("avgbeam:")
+    else:
+        assert [line for line in err if "error:" in line] == [err[-1]]
+    assert not out.exists()
+
+
 def test_bad_usage_exits_two(files):
     with pytest.raises(SystemExit) as e:
         main(["track"])  # missing required flags

@@ -17,7 +17,6 @@ from avgbeam import (
     OffShellInitial,
     OutOfLattice,
     RFCavity,
-    ReferenceSpanExceeded,
     SkewQuadDipole,
     StepTooLarge,
     TrajectoryState,
@@ -80,9 +79,9 @@ def test_high_gamma_launch_built_by_the_library_is_accepted():
     ref = integrate_lorentz(lat, st, 1e-4, cfg)
     avg = integrate_averaged_geodesic(lat, delta_moments(v0), st, 1e-4, cfg)
     assert np.array_equal(avg.x, ref.x)
-    jac = integrate_jacobi_full(lat, delta_moments(v0), avg,
+    jac = integrate_jacobi_full(lat, delta_moments(v0), st,
                                 JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4)),
-                                cfg)
+                                1e-4, cfg)
     assert len(jac) == len(ref) == 11
     assert np.all(np.isfinite(jac.xi))
     bad = TrajectoryState(0.0, np.zeros(4), np.array([1.0, 0.5, 0.0, 0.0]))
@@ -104,6 +103,12 @@ def test_grid_is_uniform_and_covers_span(circle_lattice, circle_state):
     assert ser.t[0] == 0.0
     assert ser.t[-1] >= 1.0  # span rounded up to whole steps
     assert len(ser) == 5
+
+
+@pytest.mark.parametrize("t_end", [np.inf, -np.inf, np.nan])
+def test_non_finite_span_is_rejected(circle_lattice, circle_state, cfg_fine, t_end):
+    with pytest.raises(ValueError, match="span"):
+        integrate_lorentz(circle_lattice, circle_state, t_end, cfg_fine)
 
 
 def test_circle_closes_after_full_turn(circle_lattice, circle_state):
@@ -195,21 +200,6 @@ def test_averaged_geodesic_moments_shift_orbit(circle_lattice, circle_state, cfg
     assert np.abs(ref.x[-1] - pt.x[-1]).max() > 1e-6  # spread feeds back on the mean
 
 
-def test_deviations_from_overrides_reference(circle_lattice, circle_state, cfg_fine):
-    ens = sample_gaussian_beam([0.0, 1.0, 0.0], [0.05] * 3, n=400, seed=6)
-    mom = compute_moments(ens)
-    a = integrate_averaged_geodesic(circle_lattice, mom, circle_state, 1.0, cfg_fine)
-    b = integrate_averaged_geodesic(
-        circle_lattice, mom, circle_state, 1.0, cfg_fine, deviations_from=circle_state.v
-    )
-    assert np.array_equal(a.x, b.x)  # default reference is the launch velocity
-    c = integrate_averaged_geodesic(
-        circle_lattice, mom, circle_state, 1.0, cfg_fine,
-        deviations_from=project_to_hyperboloid([0.0, 1.01, 0.0]),
-    )
-    assert np.abs(c.x[-1] - a.x[-1]).max() > 0.0
-
-
 def test_comoving_moments_track_velocity(circle_lattice, circle_state, cfg_fine):
     ser = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
     mom = delta_moments(circle_state.v)
@@ -237,11 +227,11 @@ def test_trajectory_csv_round_trip(circle_lattice, circle_state, tmp_path):
 def test_jacobi_free_space_is_linear(cfg_fine):
     lat = Lattice.from_elements([Drift(length=10.0)])
     v0 = project_to_hyperboloid([0.0, 1.0, 0.0])
-    ref = integrate_lorentz(lat, TrajectoryState(0.0, np.zeros(4), v0), 5.0, cfg_fine)
+    launch = TrajectoryState(0.0, np.zeros(4), v0)
     xi0 = np.array([0.0, 1e-3, 0.0, 2e-3])
     dxi0 = np.array([0.0, 5e-4, 0.0, -1e-4])
     jac = integrate_jacobi_full(
-        lat, delta_moments(v0), ref, JacobiState(0.0, xi0, dxi0), cfg_fine
+        lat, delta_moments(v0), launch, JacobiState(0.0, xi0, dxi0), 5.0, cfg_fine
     )
     want = xi0[None, :] + jac.t[:, None] * dxi0[None, :]
     assert np.abs(jac.xi - want).max() < 1e-11
@@ -259,7 +249,7 @@ def test_jacobi_is_exact_linearization_of_flow(circle_lattice, circle_state, cfg
     u = circle_state.v[1:]
     dxi0 = np.concatenate([[np.dot(u, w) / circle_state.v[0]], w])
     jac = integrate_jacobi_full(
-        circle_lattice, mom, ref, JacobiState(0.0, xi0, dxi0), cfg_fine
+        circle_lattice, mom, circle_state, JacobiState(0.0, xi0, dxi0), 1.0, cfg_fine
     )
 
     def displaced(sigma):
@@ -276,14 +266,18 @@ def test_jacobi_is_exact_linearization_of_flow(circle_lattice, circle_state, cfg
     assert errs[1] < 1e-7
 
 
-def test_jacobi_span_and_grid_guards(circle_lattice, circle_state, cfg_fine):
+def test_jacobi_starts_at_its_launch(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
-    init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
-    with pytest.raises(ReferenceSpanExceeded):
-        integrate_jacobi_full(circle_lattice, mom, ref, init, cfg_fine, t_end=2.0)
+    init = JacobiState(0.5, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
     with pytest.raises(MismatchedSampling):
-        integrate_jacobi_full(circle_lattice, mom, ref, init, IntegratorConfig(step=2e-3))
+        integrate_jacobi_full(circle_lattice, mom, circle_state, init, 1.0, cfg_fine)
+    late = TrajectoryState(0.5, circle_state.x, circle_state.v)
+    jac = integrate_jacobi_full(circle_lattice, mom, late, init, 1.0, cfg_fine)
+    assert jac.t[0] == 0.5 and len(jac) == 501
+    # the launch alone fixes the reference: a shifted start changes no value
+    base = integrate_jacobi_full(circle_lattice, mom, circle_state,
+                                 JacobiState(0.0, init.xi, init.dxi), 0.5, cfg_fine)
+    assert np.array_equal(jac.xi, base.xi) and np.array_equal(jac.dxi, base.dxi)
 
 
 def test_first_moment_offset_is_frozen_along_jacobi_reference(
@@ -297,7 +291,7 @@ def test_first_moment_offset_is_frozen_along_jacobi_reference(
     st = TrajectoryState(0.0, circle_state.x, v0)
     ref = integrate_averaged_geodesic(circle_lattice, mom, st, 1.0, cfg_fine)
     jac = integrate_jacobi_full(
-        circle_lattice, mom, ref, JacobiState(0.0, np.zeros(4), np.zeros(4)), cfg_fine
+        circle_lattice, mom, st, JacobiState(0.0, np.zeros(4), np.zeros(4)), 1.0, cfg_fine
     )
     assert np.array_equal(jac.t, ref.t)
     assert not np.any(jac.xi) and not np.any(jac.dxi)  # zero deviation stays zero
@@ -309,35 +303,34 @@ def test_first_moment_offset_is_frozen_along_jacobi_reference(
 
 def test_jacobi_linearized_mode_matches_full_for_delta(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
     init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
-    a = integrate_jacobi_full(circle_lattice, mom, ref, init, cfg_fine, mode="full")
-    b = integrate_jacobi_full(circle_lattice, mom, ref, init, cfg_fine, mode="linearized")
+    a = integrate_jacobi_full(circle_lattice, mom, circle_state, init, 1.0, cfg_fine,
+                              mode="full")
+    b = integrate_jacobi_full(circle_lattice, mom, circle_state, init, 1.0, cfg_fine,
+                              mode="linearized")
     assert np.abs(a.xi - b.xi).max() < 1e-12
 
 
 def test_jacobi_flags_velocity_coupling(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
     bad = integrate_jacobi_full(
-        circle_lattice, mom, ref,
-        JacobiState(0.0, np.zeros(4), circle_state.v * 1e-3), cfg_fine,
+        circle_lattice, mom, circle_state,
+        JacobiState(0.0, np.zeros(4), circle_state.v * 1e-3), 1.0, cfg_fine,
     )
     assert not bad.decoupling_ok
     good = integrate_jacobi_full(
-        circle_lattice, mom, ref,
-        JacobiState(0.0, np.zeros(4), np.array([0.0, 0.0, 0.0, 1e-3])), cfg_fine,
+        circle_lattice, mom, circle_state,
+        JacobiState(0.0, np.zeros(4), np.array([0.0, 0.0, 0.0, 1e-3])), 1.0, cfg_fine,
     )
     assert good.decoupling_ok
 
 
 def test_jacobi_arc_frame_restores(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
     init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
-    inertial = integrate_jacobi_full(circle_lattice, mom, ref, init, cfg_fine)
+    inertial = integrate_jacobi_full(circle_lattice, mom, circle_state, init, 1.0, cfg_fine)
     arc = integrate_jacobi_full(
-        circle_lattice, mom, ref, init, cfg_fine, frame=ArcAdapted(rho=1.0)
+        circle_lattice, mom, circle_state, init, 1.0, cfg_fine, frame=ArcAdapted(rho=1.0)
     )
     # the centripetal gradient term changes the horizontal channel only
     diff = np.abs(arc.xi - inertial.xi).max(axis=0)
@@ -347,10 +340,9 @@ def test_jacobi_arc_frame_restores(circle_lattice, circle_state, cfg_fine):
 
 def test_jacobi_csv_round_trip(circle_lattice, circle_state, cfg_fine, tmp_path):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 0.2, cfg_fine)
     jac = integrate_jacobi_full(
-        circle_lattice, mom, ref,
-        JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4)), cfg_fine,
+        circle_lattice, mom, circle_state,
+        JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4)), 0.2, cfg_fine,
     )
     p = tmp_path / "jac.csv"
     write_jacobi_csv(jac, p)
@@ -484,6 +476,6 @@ def test_defect_detects_wrong_curve(circle_lattice, circle_state, cfg_fine):
     # leave a visible residual
     mom = delta_moments(project_to_hyperboloid([0.0, 1.1, 0.0]))
     ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
-    along = comoving_moments_along(ref, mom, reference_velocity=circle_state.v)
+    along = comoving_moments_along(ref, mom)
     _, defect = mean_field_defect(circle_lattice, along, ref)
     assert defect[2:-2].max() > 1e-3

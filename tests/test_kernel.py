@@ -64,6 +64,7 @@ from avgbeam.dynamics import (
     _comoving_third,
     _frozen_slots,
     _gamma,
+    _orbit,
     _rhs_geodesic,
     _rk4_rows,
     _series_derivative,
@@ -344,8 +345,8 @@ def test_averaged_equals_dense_reference(edged):
 def test_jacobi_equals_dense_reference(edged, frame, mode):
     lattice, launch = edged
     mom = _beam_moments()
-    ref = integrate_averaged_geodesic(lattice, mom, launch, 1.0, _CFG)
-    jac = integrate_jacobi_full(lattice, mom, ref, _DEVIATION, _CFG, frame=frame, mode=mode)
+    jac = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG, frame=frame,
+                                mode=mode)
     D1, D3 = d_slots(mom, launch.v)
     slots = (None, None) if mode == "linearized" else (D1, D3)
     xs, vs = reference_rk4(jacobi_rhs(lattice, D1, D3, slots, frame),
@@ -369,7 +370,7 @@ def test_offsets_and_defect_equal_dense_reference(edged):
     mom = _beam_moments()
     ref = integrate_averaged_geodesic(lattice, mom, launch, 1.0, _CFG)
     along = comoving_moments_along(ref, mom)
-    xi_run = integrate_jacobi_full(lattice, mom, ref, _DEVIATION, _CFG)
+    xi_run = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG)
     h = float(ref.t[1] - ref.t[0])
     V, first = ref.v, along.first
     fxi = d_field_xi(ref.x)
@@ -417,8 +418,9 @@ def test_integrators_never_build_dense_fields(fodo_lattice, monkeypatch):
     for form in ("connection", "force"):
         integrate_lorentz(fodo_lattice, launch, 0.6, _CFG, form=form)
     ref = integrate_averaged_geodesic(fodo_lattice, mom, launch, 0.6, _CFG)
-    xi_run = integrate_jacobi_full(fodo_lattice, mom, ref, _DEVIATION, _CFG)
-    integrate_jacobi_full(fodo_lattice, mom, ref, _DEVIATION, _CFG, frame=ArcAdapted(rho=5.0))
+    xi_run = integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG)
+    integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG,
+                          frame=ArcAdapted(rho=5.0))
     ens = sample_gaussian_beam(launch.v[1:], [0.01] * 3, n=16, seed=5)
     ensemble_track(fodo_lattice, ens, launch.x, 0.6, _CFG, record_moments=True)
     along = comoving_moments_along(ref, mom)
@@ -525,15 +527,13 @@ def test_batched_cloud_rows_equal_single_row_runs(n, sigma, seed, b0):
     x0 = np.array([0.0, 0.0, 1.2, 0.0])
     cfg = IntegratorConfig(step=1e-2)
     # every row rides the single-particle flow, then the averaged flow of
-    # the cloud's own moments (slot deviations pinned to one velocity)
+    # the cloud's own moments (slot deviations pinned to one velocity),
+    # each against a single run of the same rhs on the float path
     vref = project_to_hyperboloid([0.0, 1.0, 0.0])
-    cloud = compute_moments(ens)
+    pinned = _rhs_geodesic(lattice, *_frozen_slots(compute_moments(ens), vref))
     for rhs, single in (
-        (_rhs_geodesic(lattice),
-         lambda st0: integrate_lorentz(lattice, st0, 0.3, cfg)),
-        (_rhs_geodesic(lattice, *_frozen_slots(cloud, vref)),
-         lambda st0: integrate_averaged_geodesic(lattice, cloud, st0, 0.3, cfg,
-                                                 deviations_from=vref)),
+        (_rhs_geodesic(lattice), lambda st0: integrate_lorentz(lattice, st0, 0.3, cfg)),
+        (pinned, lambda st0: _orbit(pinned, st0, 0.3, cfg.step)),
     ):
         # the column path: one contiguous column per component, one entry per row
         xs, vs = _rk4_rows(_cloud_accel(rhs), np.repeat(x0[:, None], n, axis=1),

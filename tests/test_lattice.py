@@ -64,6 +64,14 @@ def test_curvature_radius():
         curvature_radius(Drift(length=1.0))
 
 
+@pytest.mark.parametrize("element", [Dipole(1.0, 0.1), NormalQuadDipole(1.0, 0.1, 0.5),
+                                     SkewQuadDipole(1.0, 0.1, 0.5)], ids=lambda e: e.kind)
+@pytest.mark.parametrize("rho", [0.0, -0.0, 1e-170])
+def test_focusing_rejects_a_radius_without_finite_curvature(element, rho):
+    with pytest.raises(ZeroStrength):
+        element.focusing(rho)
+
+
 def test_dipole_field_frozen():
     lat = Lattice.from_elements([Dipole(length=2.0, b0=0.7)])
     F = field_mixed(lat, 1.0, np.zeros(4))

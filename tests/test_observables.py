@@ -195,9 +195,9 @@ def test_averaged_offset_scales_quadratically_in_spread():
 
 def test_born_offset_with_zero_deviation_matches_averaged():
     lat, mom, ref, along = _dipole_reference(0.02, span=10.0 / SPEED)
-    zero = integrate_jacobi_full(
-        lat, mom, ref, JacobiState(0.0, np.zeros(4), np.zeros(4)), IntegratorConfig(step=1e-3)
-    )
+    zero = integrate_jacobi_full(lat, mom, ref.state(0),
+                                 JacobiState(0.0, np.zeros(4), np.zeros(4)), ref.final.t,
+                                 IntegratorConfig(step=1e-3))
     born = born_offset(lat, ref, along, zero)
     avg = averaged_offset(lat, ref, along)
     assert np.array_equal(born.avg1, avg.avg1)
@@ -209,8 +209,9 @@ def test_born_offset_antisymmetric_pair_averages_out():
     cfg = IntegratorConfig(step=1e-3)
     xi0 = np.array([0.0, 1e-3, 0.0, 5e-4])
     dxi0 = np.array([0.0, 2e-4, -1e-4, 3e-4])
-    up = integrate_jacobi_full(lat, mom, ref, JacobiState(0.0, xi0, dxi0), cfg)
-    dn = integrate_jacobi_full(lat, mom, ref, JacobiState(0.0, -xi0, -dxi0), cfg)
+    launch, t_end = ref.state(0), ref.final.t
+    up = integrate_jacobi_full(lat, mom, launch, JacobiState(0.0, xi0, dxi0), t_end, cfg)
+    dn = integrate_jacobi_full(lat, mom, launch, JacobiState(0.0, -xi0, -dxi0), t_end, cfg)
     avg = averaged_offset(lat, ref, along)
     both = 0.5 * (born_offset(lat, ref, along, up).off1 + born_offset(lat, ref, along, dn).off1)
     assert np.abs(both - avg.avg1).max() < 1e-12

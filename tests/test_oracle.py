@@ -128,15 +128,22 @@ def test_scan_needs_three_decreasing_spreads():
 
 def test_jacobi_linearization_order_quarters(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
-    ref = integrate_lorentz(circle_lattice, circle_state, 1.0, cfg_fine)
     xi0 = JacobiState(
         0.0, np.array([0.0, 1.0, 0.0, 0.5]), np.array([0.0, 0.2, -0.1, 0.3])
     )
     rep = jacobi_vs_two_geodesics(
-        circle_lattice, mom, ref, xi0, [4e-4, 2e-4, 1e-4], cfg_fine
+        circle_lattice, mom, circle_state, xi0, 1.0, [4e-4, 2e-4, 1e-4], cfg_fine
     )
     assert 1.7 < rep.fitted_order < 2.3
     assert rep.errors[0] > rep.errors[-1]
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+def test_field_gradient_validation_needs_a_positive_step(step):
+    # at step 0 every difference is 0/0, which must not read as a pass
+    lat = Lattice.from_elements([Dipole(length=2.0, b0=1.0)])
+    with pytest.raises(ValueError, match="step"):
+        validate_field_gradients(lat, [np.array([0.0, 0.01, 1.0, -0.02])], step=step)
 
 
 def test_field_gradient_validation_windows():
