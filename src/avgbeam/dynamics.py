@@ -41,7 +41,6 @@ rounds as one element of a column, so batching does not change the bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from array import array
@@ -166,14 +165,16 @@ class MomentsSeries:
 
 TRAJECTORY_HEADER = "t,x0,x1,x2,x3,v0,v1,v2,v3"
 JACOBI_HEADER = "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
+_BLOCK_ROWS = 1024  # rows per write, which bounds the strings held at once
 
 
 def _write_rows(path, header, columns):
+    """CSV of float64 columns, a block of rows per write, each value one float repr."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        n = len(columns[0])
-        for k in range(n):
-            fh.write(",".join(repr(float(c[k])) for c in columns) + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [map(repr, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_trajectory_csv(series: TrajectorySeries, path):
@@ -225,25 +226,26 @@ def _rk4(accel, x, v, h, n, observe):
 
 
 def _rk4_rows(accel, x0, v0, h, n):
-    """Run the kernel and keep every grid point: arrays of shape (n+1,) + x0.shape."""
-    xs = np.empty((n + 1,) + np.shape(x0))
-    vs = np.empty_like(xs)
+    """Run the kernel, listing every grid point; arrays of shape (n+1,) + x0.shape at the end."""
+    xs, vs = [], []
 
     def observe(k, x, v):
-        xs[k] = x
-        vs[k] = v
+        xs.append(x)
+        vs.append(v)
 
     _rk4(accel, x0, v0, h, n, observe)
-    return xs, vs
+    return np.array(xs, dtype=float), np.array(vs, dtype=float)
 
 
-def _at_stage(values, k, theta):
-    """Tabulated coefficient at stage theta of step k, linear between grid points."""
-    if theta <= 0.0:
-        return values[k]
-    if theta >= 1.0:
-        return values[k + 1]
-    return values[k] * (1.0 - theta) + values[k + 1] * theta
+def _stage_tables(values, coefficient):
+    """tables[theta][k] = coefficient(c at stage theta of step k) as floats, c on the grid.
+
+    c is c[k] at theta 0, c[k+1] at theta 1 and c[k] * 0.5 + c[k+1] * 0.5 between;
+    the two end tables share their floats.
+    """
+    c = np.asarray(values, dtype=float)
+    ends = coefficient(c).tolist()
+    return {0.0: ends, 0.5: coefficient(c[:-1] * 0.5 + c[1:] * 0.5).tolist(), 1.0: ends[1:]}
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +395,14 @@ def _check_step(min_len: float, step: float):
 
 def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> TrajectorySeries:
     n, h, t = _grid(initial.t, t_end, step)
-    xs, vs = _rk4_rows(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
-                       np.reshape(initial.v, 4).astype(float), h, n)
+    xs, vs = np.empty((n + 1, 4)), np.empty((n + 1, 4))
+
+    def observe(k, x, v):  # copied as they come: a kept (4,) array costs 4.5 times its data
+        xs[k] = x
+        vs[k] = v
+
+    _rk4(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
+         np.reshape(initial.v, 4).astype(float), h, n, observe)
     return TrajectorySeries(t=t, x=xs, v=vs)
 
 
@@ -618,8 +626,8 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     RFCavity: ddxi2 = +2 gamma(t) e2_0 xi2 and ddxi0 = -2 gamma(t) e2_0
     xi2, the linearized dynamics at the zero-crossing phase of the
     cavity.  Transverse components propagate freely.  gamma_of_t is a
-    scalar or a series on the output grid (linearly interpolated at the
-    RK4 stage midpoints).
+    scalar or a series on the output grid; the RF coefficient 2 gamma e2_0
+    is tabulated once at every RK4 stage (_stage_tables).
 
     Each component runs alone through the kernel as a plain float.  xi2
     depends only on itself; xi0 is driven by xi2 alone, its acceleration
@@ -627,38 +635,37 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     stage, so xi2's run records its stage accelerations and xi0's run
     replays them with that sign.
     """
-    if isinstance(element, ConstantE):
-        neg_e2, sign = -element.e2, 1.0
-
-        def accel2(k, theta, u, du):
-            return neg_e2 * du
-    elif isinstance(element, RFCavity):
-        e2_0, sign = element.e2_0, -1.0
-
-        def accel2(k, theta, u, du):  # gammas is bound below, before the first call
-            return 2.0 * _at_stage(gammas, k, theta) * e2_0 * u
-    else:
+    if not isinstance(element, (ConstantE, RFCavity)):
         raise UnsupportedElement(
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
     _check_step(element.length, config.step)
     n, h, t = _grid(initial.t, t_end, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
-    if gamma_of_t.ndim == 0:
-        gammas = [float(gamma_of_t)] * (n + 1)
-    else:
-        if len(gamma_of_t) != n + 1:
-            raise MismatchedSampling(
-                f"gamma series has {len(gamma_of_t)} points, run grid has {n + 1}"
-            )
-        gammas = gamma_of_t.tolist()
+    if gamma_of_t.ndim and len(gamma_of_t) != n + 1:
+        raise MismatchedSampling(
+            f"gamma series has {len(gamma_of_t)} points, run grid has {n + 1}"
+        )
+    if isinstance(element, ConstantE):
+        neg_e2, sign = -element.e2, 1.0
 
-    stage_acc = array("d", [0.0]) * (4 * n)  # xi0's four stage accelerations per step
-    slot = itertools.count()
+        def accel2(k, theta, u, du):
+            return neg_e2 * du
+    else:
+        e2_0, sign = element.e2_0, -1.0
+        # (2 gamma) e2_0 at every stage, rounded as 2.0 * gamma * e2_0 * u groups it;
+        # an overflow gives inf (or nan) silently, as that float expression does
+        with np.errstate(over="ignore", invalid="ignore"):
+            focus = _stage_tables(np.broadcast_to(gamma_of_t, (n + 1,)), lambda g: 2.0 * g * e2_0)
+
+        def accel2(k, theta, u, du):
+            return focus[theta][k] * u
+
+    stage_acc = array("d")  # xi0's four stage accelerations per step
 
     def recorded(k, theta, u, du):
         a = accel2(k, theta, u, du)
-        stage_acc[next(slot)] = sign * a
+        stage_acc.append(sign * a)
         return a
 
     replay = iter(stage_acc)

@@ -17,7 +17,6 @@ from .dynamics import (
     JacobiSeries,
     MomentsSeries,
     TrajectorySeries,
-    _at_stage,
     _directional,
     _lookup_xi,
     _matvec,
@@ -26,6 +25,7 @@ from .dynamics import (
     _rk4_rows,
     _series_columns,
     _slot3,
+    _stage_tables,
 )
 from .errors import (
     MismatchedGrid,
@@ -112,9 +112,9 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid.
 
-    K is sampled on the same grid; RK4 stages use the midpoint average
-    of adjacent samples.  Raises WronskianDrift if the fundamental pair
-    loses its unit Wronskian beyond 1e-9 anywhere on the grid.
+    K is sampled on the same grid; -K is tabulated once at the RK4 stages,
+    blending adjacent samples evenly at the midpoints.  Raises WronskianDrift
+    if the pair loses its unit Wronskian beyond 1e-9 anywhere on the grid.
     """
     t = np.asarray(t, dtype=float)
     K = np.asarray(K, dtype=float)
@@ -125,10 +125,10 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     h = _uniform_step(t)
     # C and S run as plain floats, each stage seeing the same coefficient
     # in both runs, which is what keeps the Wronskian pinned.
-    K_list = K.tolist()
+    neg_k = _stage_tables(K, np.negative)
 
     def accel(k, theta, u, du):
-        return -_at_stage(K_list, k, theta) * u
+        return neg_k[theta][k] * u
 
     C, Cp = _rk4_rows(accel, 1.0, 0.0, h, len(t) - 1)
     S, Sp = _rk4_rows(accel, 0.0, 1.0, h, len(t) - 1)

@@ -42,7 +42,7 @@ from .ensemble import (
     moments_from_arrays,
     project_to_hyperboloid,
 )
-from .errors import DegenerateFit, OutOfSpan
+from .errors import DegenerateFit, InvalidCount, OutOfSpan
 from .lattice import Lattice, field_gradient, field_mixed
 from .minkowski import check_on_shell
 
@@ -231,6 +231,8 @@ def gaussian_beam_family(mean_spatial, n: int, seed: int):
     the sample mean, which would otherwise mask the quadratic moment
     effects the scan is trying to measure.
     """
+    if n <= 0 or int(n) != n:
+        raise InvalidCount(f"sample count must be a positive integer, got {n}")
     mean_spatial = np.asarray(mean_spatial, dtype=float)
 
     def family(alpha: float) -> BeamEnsemble:

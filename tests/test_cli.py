@@ -231,6 +231,27 @@ def test_bad_numeric_input_is_a_one_line_error(files, capsys, code, argv):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("code, flags, needle", [
+    (2, ["--gamma", "0.5"], "--gamma"),
+    (1, ["--n", "0"], "sample count"),
+], ids=["gamma-below-one", "no-samples"])
+def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, needle):
+    tmp, lat, _, _ = files
+    out = tmp / "scan.json"
+    argv = ["scan-alpha", "--lattice", str(lat), "--alphas", "0.02,0.01,0.005",
+            "--span", "1.0", "--seed", "3", *flags, "--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse usage error
+        rc = e.code
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if needle in line] == [err[-1]]
+    assert code == 2 or len(err) == 1
+    assert not out.exists()
+
+
 def test_bad_usage_exits_two(files):
     with pytest.raises(SystemExit) as e:
         main(["track"])  # missing required flags

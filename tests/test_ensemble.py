@@ -1,5 +1,6 @@
 """Weighted velocity ensembles, moment reduction, and beam file parsing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -146,6 +147,20 @@ def test_energy_stats_equals_brute_force_scan(n, speed, log_sigma, shape, chunk,
     ens = BeamEnsemble(project_to_hyperboloid(draws))
     es = energy_stats(ens, chunk=chunk)
     assert (es.energy, es.alpha) == _brute_force_energy_stats(ens.ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 200), gamma=st.floats(1.0, 1e3), log_sigma=st.floats(-6.0, -1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_third_moment_is_totally_symmetric(n, gamma, log_sigma, seed):
+    rng = np.random.default_rng(seed)
+    mean = np.array([0.0, math.sqrt(gamma * gamma - 1.0), 0.0])
+    draws = mean + 10.0 ** log_sigma * rng.standard_normal((n, 3))
+    ws = rng.uniform(0.0, 2.0, size=n)
+    ws[rng.integers(n)] = 1.0  # positive total weight
+    third = compute_moments(BeamEnsemble(project_to_hyperboloid(draws), ws)).third
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(third, third.transpose(perm))
 
 
 def test_gaussian_sampler_reproducible_and_on_shell():

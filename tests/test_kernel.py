@@ -9,7 +9,9 @@ orbit) or on columns (a batch); both must reproduce the dense reference
 bit for bit, up to the sign of a zero, which the dense sums reach by
 adding exact zeros.  The property tests pin the closed-form rank-3 slot
 against the tensor form of the connection and the promised batch
-invariance of the right-hand sides.
+invariance of the right-hand sides.  The per-row CSV writer and the
+branching stage coefficient the linear channels first used are kept as
+references for the block writer and the per-step stage tables.
 """
 
 import numpy as np
@@ -60,6 +62,7 @@ from avgbeam import (
 )
 from avgbeam import lattice as lattice_module
 from avgbeam.dynamics import (
+    _BLOCK_ROWS,
     _cloud_accel,
     _comoving_third,
     _frozen_slots,
@@ -68,6 +71,8 @@ from avgbeam.dynamics import (
     _rhs_geodesic,
     _rk4_rows,
     _series_derivative,
+    _stage_tables,
+    _write_rows,
 )
 from avgbeam.minkowski import METRIC_SIGNATURE
 from avgbeam.observables import _cumtrapz
@@ -96,6 +101,24 @@ def reference_rk4(rhs, x0, v0, h, n):
         xs[k + 1] = x
         vs[k + 1] = v
     return xs, vs
+
+
+def reference_write_rows(path, header, columns):
+    """CSV writer formatting one value at a time, row by row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        n = len(columns[0])
+        for k in range(n):
+            fh.write(",".join(repr(float(c[k])) for c in columns) + "\n")
+
+
+def reference_at_stage(values, k, theta):
+    """Tabulated coefficient at stage theta of step k, linear between grid points."""
+    if theta <= 0.0:
+        return values[k]
+    if theta >= 1.0:
+        return values[k + 1]
+    return values[k] * (1.0 - theta) + values[k + 1] * theta
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +309,63 @@ def test_principal_solutions_equal_reference(fodo_lattice):
     us, dus = reference_rk4(rhs, [1.0, 0.0], [0.0, 1.0], float(t[1] - t[0]), len(t) - 1)
     assert np.array_equal(ps.C, us[:, 0]) and np.array_equal(ps.S, us[:, 1])
     assert np.array_equal(ps.Cp, dus[:, 0]) and np.array_equal(ps.Sp, dus[:, 1])
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+_REPR_EDGES = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+               -1e-4, -1e16, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               np.inf, -np.inf, np.nan]
+_ROWS = [0, 1] + [m * _BLOCK_ROWS + d for m in (1, 2) for d in (-2, -1, 0, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cols=st.integers(1, 9), n_rows=st.sampled_from(_ROWS),
+       pool=st.lists(st.one_of(st.floats(), st.sampled_from(_REPR_EDGES)),
+                     min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_rows, pool, seed):
+    # the columns are strided views of one table, as a series' columns are
+    table = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, n_cols))
+    columns = [table[:, i] for i in range(n_cols)]
+    header = ",".join(f"c{i}" for i in range(n_cols))
+    out = tmp_path_factory.mktemp("csv")
+    _write_rows(out / "block.csv", header, columns)
+    reference_write_rows(out / "row.csv", header, columns)
+    assert (out / "block.csv").read_bytes() == (out / "row.csv").read_bytes()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=2, max_size=40),
+       e2_0=st.floats(-2.0, 2.0))
+def test_stage_tables_equal_branching_stage_coefficient(values, e2_0):
+    # the Hill table stores -K, the RF table (2 gamma) e2_0: elementwise on
+    # the tables as on each stage's float; huge values overflow to the same
+    # inf, and inf * 0 to the same nan
+    for coefficient in (lambda c: -c, lambda g: 2.0 * g * e2_0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = _stage_tables(np.array(values), coefficient)
+        assert sorted(tables) == [0.0, 0.5, 1.0]
+        for theta, table in tables.items():
+            want = [coefficient(reference_at_stage(values, k, theta))
+                    for k in range(len(values) - 1)]
+            got = table[:len(want)]
+            assert all(type(c) is float for c in got)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e2_0", [1.0, 0.0])  # 2 gamma e2_0 overflows to inf, or inf * 0 = nan
+def test_rf_coefficient_overflow_is_silent_like_float_arithmetic(e2_0):
+    ser = integrate_longitudinal(RFCavity(length=1.0, e2_0=e2_0, w_rf=1.0),
+                                 np.array([1.0, 1e308, 1.0, 1.0]),
+                                 JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4)),
+                                 0.03, IntegratorConfig(step=0.01))
+    assert not np.isfinite(ser.dxi[-1, 2])
 
 
 def _shifted_mean(q, ws):

@@ -10,6 +10,7 @@ from avgbeam import (
     DegenerateFit,
     Dipole,
     IntegratorConfig,
+    InvalidCount,
     JacobiState,
     Lattice,
     LinearizationReport,
@@ -117,6 +118,13 @@ def test_beam_family_reproducible_and_centered():
         fam(0.0)
     with pytest.raises(ValueError):
         fam(0.3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+def test_beam_family_rejects_a_bad_count_before_drawing(n):
+    with pytest.raises(InvalidCount):
+        gaussian_beam_family(np.array([0.0, 10.0, 0.0]), n=n, seed=1)
 
 
 def test_scan_needs_three_decreasing_spreads():
