@@ -243,8 +243,7 @@ def _run(args) -> int:
         _write_rows(args.out, "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset])
 
     elif args.command == "scan-alpha":
-        gamma = args.gamma
-        mean_spatial = np.array([0.0, np.sqrt(gamma * gamma - 1.0), 0.0])
+        mean_spatial = np.array([0.0, np.sqrt(args.gamma * args.gamma - 1.0), 0.0])
         family = gaussian_beam_family(mean_spatial, n=args.n, seed=args.seed)
         report = theorem1_scan(lattice, family, args.alphas, args.span,
                                IntegratorConfig(step=args.step),

@@ -178,8 +178,7 @@ def _write_rows(path, header, columns):
 
 
 def write_trajectory_csv(series: TrajectorySeries, path):
-    cols = [series.t] + [series.x[:, i] for i in range(4)] + [series.v[:, i] for i in range(4)]
-    _write_rows(path, TRAJECTORY_HEADER, cols)
+    _write_rows(path, TRAJECTORY_HEADER, [series.t, *series.x.T, *series.v.T])
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
@@ -188,8 +187,7 @@ def read_trajectory_csv(path) -> TrajectorySeries:
 
 
 def write_jacobi_csv(series: JacobiSeries, path):
-    cols = [series.t] + [series.xi[:, i] for i in range(4)] + [series.dxi[:, i] for i in range(4)]
-    _write_rows(path, JACOBI_HEADER, cols)
+    _write_rows(path, JACOBI_HEADER, [series.t, *series.xi.T, *series.dxi.T])
 
 
 def read_jacobi_csv(path) -> JacobiSeries:
@@ -226,22 +224,21 @@ def _rk4(accel, x, v, h, n, observe):
 
 
 def _rk4_rows(accel, x0, v0, h, n):
-    """Run the kernel, listing every grid point; arrays of shape (n+1,) + x0.shape at the end."""
-    xs, vs = [], []
+    """Run the kernel and keep every grid point: arrays of shape (n+1,) + x0.shape."""
+    xs = np.empty((n + 1,) + np.shape(x0))
+    vs = np.empty_like(xs)
 
     def observe(k, x, v):
-        xs.append(x)
-        vs.append(v)
+        xs[k] = x
+        vs[k] = v
 
     _rk4(accel, x0, v0, h, n, observe)
-    return np.array(xs, dtype=float), np.array(vs, dtype=float)
+    return xs, vs
 
 
 def _stage_tables(values, coefficient):
-    """tables[theta][k] = coefficient(c at stage theta of step k) as floats, c on the grid.
-
-    c is c[k] at theta 0, c[k+1] at theta 1 and c[k] * 0.5 + c[k+1] * 0.5 between;
-    the two end tables share their floats.
+    """tables[theta][k] = coefficient(c) as floats at stage theta of step k, c on the grid:
+    c[k] at theta 0, c[k] * 0.5 + c[k+1] * 0.5 at theta 1/2 and c[k+1] at theta 1.
     """
     c = np.asarray(values, dtype=float)
     ends = coefficient(c).tolist()
@@ -395,14 +392,8 @@ def _check_step(min_len: float, step: float):
 
 def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> TrajectorySeries:
     n, h, t = _grid(initial.t, t_end, step)
-    xs, vs = np.empty((n + 1, 4)), np.empty((n + 1, 4))
-
-    def observe(k, x, v):  # copied as they come: a kept (4,) array costs 4.5 times its data
-        xs[k] = x
-        vs[k] = v
-
-    _rk4(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
-         np.reshape(initial.v, 4).astype(float), h, n, observe)
+    xs, vs = _rk4_rows(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
+                       np.reshape(initial.v, 4).astype(float), h, n)
     return TrajectorySeries(t=t, x=xs, v=vs)
 
 
@@ -573,10 +564,13 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
-def _scalar_components(initial: JacobiState):
-    """The launch deviation and its rate as lists of plain floats."""
-    return (np.asarray(initial.xi, dtype=float).tolist(),
-            np.asarray(initial.dxi, dtype=float).tolist())
+def _channels(initial: JacobiState, t, h, accels):
+    """Run each (component i, accel) of accels alone through the kernel as a plain float."""
+    xi, dxi = (np.asarray(a, dtype=float).tolist() for a in (initial.xi, initial.dxi))
+    out = JacobiSeries(t=t, xi=np.empty((len(t), 4)), dxi=np.empty((len(t), 4)))
+    for i, accel in accels:
+        out.xi[:, i], out.dxi[:, i] = _rk4_rows(accel, xi[i], dxi[i], h, len(t) - 1)
+    return out
 
 
 def _drift(k, theta, u, du):
@@ -608,14 +602,10 @@ def integrate_transverse_linear(element: Element, rho: float | None,
         warnings.warn(
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
-    n, h, t = _grid(initial.t, l_end, config.step)
-    xi, dxi = _scalar_components(initial)
-    out = JacobiSeries(t=t, xi=np.empty((n + 1, 4)), dxi=np.empty((n + 1, 4)))
-    for i, K in enumerate((0.0, kh, 0.0, kv)):
-        neg_k = -float(K)  # -0.0 on the free components, as -K elementwise
-        out.xi[:, i], out.dxi[:, i] = _rk4_rows(lambda k, theta, u, du: neg_k * u,
-                                                xi[i], dxi[i], h, n)
-    return out
+    _, h, t = _grid(initial.t, l_end, config.step)
+    neg_k = [-float(K) for K in (0.0, kh, 0.0, kv)]  # -0.0 on the free components, as -K
+    return _channels(initial, t, h, [(i, lambda k, theta, u, du, c=c: c * u)
+                                     for i, c in enumerate(neg_k)])
 
 
 def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
@@ -643,9 +633,8 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     n, h, t = _grid(initial.t, t_end, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
     if gamma_of_t.ndim and len(gamma_of_t) != n + 1:
-        raise MismatchedSampling(
-            f"gamma series has {len(gamma_of_t)} points, run grid has {n + 1}"
-        )
+        raise MismatchedSampling(f"gamma series has {len(gamma_of_t)} points, "
+                                 f"run grid has {n + 1}")
     if isinstance(element, ConstantE):
         neg_e2, sign = -element.e2, 1.0
 
@@ -653,8 +642,7 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
             return neg_e2 * du
     else:
         e2_0, sign = element.e2_0, -1.0
-        # (2 gamma) e2_0 at every stage, rounded as 2.0 * gamma * e2_0 * u groups it;
-        # an overflow gives inf (or nan) silently, as that float expression does
+        # (2 gamma) e2_0, grouped as 2.0 * gamma * e2_0 * u; overflow silent as in floats
         with np.errstate(over="ignore", invalid="ignore"):
             focus = _stage_tables(np.broadcast_to(gamma_of_t, (n + 1,)), lambda g: 2.0 * g * e2_0)
 
@@ -669,9 +657,5 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
         return a
 
     replay = iter(stage_acc)
-    xi, dxi = _scalar_components(initial)
-    out = JacobiSeries(t=t, xi=np.empty((n + 1, 4)), dxi=np.empty((n + 1, 4)))
-    for i, accel in ((2, recorded), (0, lambda k, theta, u, du: next(replay)),
-                     (1, _drift), (3, _drift)):
-        out.xi[:, i], out.dxi[:, i] = _rk4_rows(accel, xi[i], dxi[i], h, n)
-    return out
+    return _channels(initial, t, h, ((2, recorded), (0, lambda k, theta, u, du: next(replay)),
+                                     (1, _drift), (3, _drift)))

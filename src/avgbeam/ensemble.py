@@ -255,6 +255,12 @@ def energy_stats(ensemble: BeamEnsemble, chunk: int = 256) -> EnergyStats:
     return EnergyStats(energy=float(energy), alpha=math.sqrt(best))
 
 
+def _check_count(n) -> None:
+    """Raise InvalidCount unless n is a positive integer sample count."""
+    if n <= 0 or int(n) != n:
+        raise InvalidCount(f"sample count must be a positive integer, got {n}")
+
+
 def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int,
                          label: str = "gaussian") -> BeamEnsemble:
     """Draw n unit-weight samples around a spatial mean velocity.
@@ -264,8 +270,7 @@ def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int,
     exactly, giving a delta ensemble.  Sampling uses a seeded PCG64
     generator, so identical arguments give identical ensembles.
     """
-    if n <= 0 or int(n) != n:
-        raise InvalidCount(f"sample count must be a positive integer, got {n}")
+    _check_count(n)
     mean_spatial = np.asarray(mean_spatial, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if mean_spatial.shape != (3,) or sigma.shape != (3,):

@@ -184,18 +184,12 @@ class ConstantE(Element):
         return ((0, 2, self.e2), (2, 0, self.e2))
 
 
-def _plain(value):
-    """A numpy scalar as a float, so one point's force algebra runs on floats; a column as is."""
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
 @dataclass(eq=False)
 class RFCavity(Element):
     """Sinusoidal longitudinal field E2 = e2_0 sin(w_rf (x2 + xi2)).
 
     The phase argument is the lattice coordinate plus the longitudinal
-    deviation, with origin at the lattice entry.  One point takes numpy's
-    sin and cos, as a column does, so it keeps its column's bits.
+    deviation, with origin at the lattice entry.
     """
 
     kind = "rf"
@@ -203,11 +197,11 @@ class RFCavity(Element):
     w_rf: float
 
     def field_entries(self, x2, xi):
-        amp = self.e2_0 * _plain(np.sin(self.w_rf * (x2 + xi[2])))
+        amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[2]))
         return ((0, 2, amp), (2, 0, amp))
 
     def gradient_entries(self, x2, xi):
-        damp = self.e2_0 * self.w_rf * _plain(np.cos(self.w_rf * (x2 + xi[2])))
+        damp = self.e2_0 * self.w_rf * np.cos(self.w_rf * (x2 + xi[2]))
         return ((2, 0, 2, damp), (2, 2, 0, damp))
 
 

@@ -36,13 +36,14 @@ from .dynamics import (
 )
 from .ensemble import (
     BeamEnsemble,
+    _check_count,
     _sequential_sum,
     _shifted_mean,
     compute_moments,
     moments_from_arrays,
     project_to_hyperboloid,
 )
-from .errors import DegenerateFit, InvalidCount, OutOfSpan
+from .errors import DegenerateFit, OutOfSpan
 from .lattice import Lattice, field_gradient, field_mixed
 from .minkowski import check_on_shell
 
@@ -231,8 +232,7 @@ def gaussian_beam_family(mean_spatial, n: int, seed: int):
     the sample mean, which would otherwise mask the quadratic moment
     effects the scan is trying to measure.
     """
-    if n <= 0 or int(n) != n:
-        raise InvalidCount(f"sample count must be a positive integer, got {n}")
+    _check_count(n)
     mean_spatial = np.asarray(mean_spatial, dtype=float)
 
     def family(alpha: float) -> BeamEnsemble:

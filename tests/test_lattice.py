@@ -124,19 +124,6 @@ def test_field_batch_matches_scalar_calls():
         assert np.array_equal(batch[k], field_mixed(lat, x2[k], xi[k]))
 
 
-def test_rf_entries_of_one_point_are_floats_with_their_column_bits():
-    lat = Lattice.from_elements([Drift(length=1.0), RFCavity(length=5.0, e2_0=1.3, w_rf=2.7)])
-    x2 = np.linspace(1.5, 5.5, 9)
-    xi2 = np.linspace(-1e-3, 1e-3, 9)
-    for lookup in (field_entries, gradient_entries):
-        columns = lookup(lat, x2, (0.0, 0.0, xi2, 0.0))
-        for k in range(len(x2)):
-            point = lookup(lat, float(x2[k]), (0.0, 0.0, float(xi2[k]), 0.0))
-            assert [e[:-1] for e in point] == [c[:-1] for c in columns]
-            assert all(type(e[-1]) is float for e in point)
-            assert [e[-1] for e in point] == [c[-1][k] for c in columns]
-
-
 def test_gradient_matches_finite_differences():
     lat = Lattice.from_elements([SkewQuadDipole(length=2.0, b0=0.5, b1=2.0)])
     xi = np.array([0.0, 0.03, 0.0, -0.02])
