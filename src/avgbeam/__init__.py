@@ -34,8 +34,10 @@ from .dynamics import (
     integrate_transverse_linear,
     mean_field_defect,
     moment_deviations,
+    read_ensemble_csv,
     read_jacobi_csv,
     read_trajectory_csv,
+    write_ensemble_csv,
     write_jacobi_csv,
     write_trajectory_csv,
 )
@@ -51,10 +53,8 @@ from .ensemble import (
     moments_from_arrays,
     parse_beam_definition,
     project_to_hyperboloid,
-    read_ensemble_csv,
     realize_beam,
     sample_gaussian_beam,
-    write_ensemble_csv,
 )
 from .errors import (
     AvgBeamError,

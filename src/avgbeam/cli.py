@@ -272,8 +272,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "jacobi" and args.frame == "arc" and args.rho is None:
         parser.error("jacobi --frame arc needs --rho")
-    if args.command == "scan-alpha" and not args.gamma >= 1.0:
-        parser.error(f"scan-alpha --gamma must be at least 1, got {args.gamma!r}")
+    if args.command in ("scan-alpha", "longitudinal") and not args.gamma >= 1.0:
+        parser.error(f"{args.command} --gamma must be at least 1, got {args.gamma!r}")
     try:
         return _run(args)
     except (AvgBeamError, OSError, ValueError) as exc:

@@ -49,11 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import FrameMode, INERTIAL, inertial_acceleration
-from .ensemble import MomentSet
+from .ensemble import BeamEnsemble, MomentSet
 from .errors import (
+    EmptyEnsemble,
+    MismatchedGrid,
     MismatchedSampling,
     OffShellInitial,
     OutOfLattice,
+    ParseError,
     StepTooLarge,
     UnsupportedElement,
 )
@@ -143,13 +146,6 @@ class JacobiSeries:
     def __len__(self):
         return len(self.t)
 
-    def state(self, k: int) -> JacobiState:
-        return JacobiState(t=float(self.t[k]), xi=self.xi[k].copy(), dxi=self.dxi[k].copy())
-
-    @property
-    def final(self) -> JacobiState:
-        return self.state(len(self.t) - 1)
-
 
 @dataclass
 class MomentsSeries:
@@ -165,6 +161,7 @@ class MomentsSeries:
 
 TRAJECTORY_HEADER = "t,x0,x1,x2,x3,v0,v1,v2,v3"
 JACOBI_HEADER = "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
+ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
 _BLOCK_ROWS = 1024  # rows per write, which bounds the strings held at once
 
 
@@ -177,12 +174,26 @@ def _write_rows(path, header, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _read_header(fh, header):
+    """Consume line 1 of a CSV file; ParseError unless it is header."""
+    got = fh.readline().strip()
+    if got != header:
+        raise ParseError(1, f"expected header '{header}', got '{got}'")
+
+
+def _read_rows(path, header):
+    """The float rows below a checked header, as an (n, columns) array."""
+    with open(path) as fh:
+        _read_header(fh, header)
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 def write_trajectory_csv(series: TrajectorySeries, path):
     _write_rows(path, TRAJECTORY_HEADER, [series.t, *series.x.T, *series.v.T])
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_rows(path, TRAJECTORY_HEADER)
     return TrajectorySeries(t=data[:, 0], x=data[:, 1:5], v=data[:, 5:9])
 
 
@@ -191,8 +202,41 @@ def write_jacobi_csv(series: JacobiSeries, path):
 
 
 def read_jacobi_csv(path) -> JacobiSeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_rows(path, JACOBI_HEADER)
     return JacobiSeries(t=data[:, 0], xi=data[:, 1:5], dxi=data[:, 5:9])
+
+
+def write_ensemble_csv(ensemble: BeamEnsemble, path):
+    """Write samples as CSV with full round-trip float formatting.
+
+    It sits with the other CSV formats here because dynamics imports ensemble.
+    """
+    _write_rows(path, ENSEMBLE_HEADER, [*ensemble.ys.T, ensemble.ws])
+
+
+def read_ensemble_csv(path) -> BeamEnsemble:
+    """Samples of an ensemble CSV; a bad line raises ParseError naming it."""
+    with open(path) as fh:
+        _read_header(fh, ENSEMBLE_HEADER)
+        ys, ws = [], []
+        for ln, raw in enumerate(fh, start=2):
+            raw = raw.strip()
+            if not raw:
+                continue
+            parts = raw.split(",")
+            if len(parts) != 5:
+                raise ParseError(ln, f"expected 5 comma-separated values, got {len(parts)}")
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError:
+                raise ParseError(ln, f"non-numeric value in '{raw}'") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ParseError(ln, f"non-finite value in '{raw}'")
+            ys.append(vals[:4])
+            ws.append(vals[4])
+    if not ys:
+        raise EmptyEnsemble("ensemble file contains no samples")
+    return BeamEnsemble(np.array(ys), np.array(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +427,20 @@ def _grid(t0: float, t_end: float, step: float):
     return n, h, t0 + np.arange(n + 1) * h
 
 
+def _uniform_step(t: np.ndarray) -> float:
+    if len(t) < 2:
+        raise ValueError("grid needs at least two points")
+    h = float(t[1] - t[0])
+    if not np.allclose(np.diff(t), h, rtol=0.0, atol=1e-12 * max(1.0, abs(h))):
+        raise ValueError("grid must be uniform")
+    return h
+
+
+def _check_common_grid(reference: TrajectorySeries, series, what="moment series"):
+    if len(series) != len(reference) or not np.array_equal(series.t, reference.t):
+        raise MismatchedGrid(f"{what} and reference are on different grids")
+
+
 def _check_step(min_len: float, step: float):
     if step > min_len / 4.0 + 1e-15:
         raise StepTooLarge(
@@ -476,10 +534,11 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
     uses fourth-order finite differences.  For a point ensemble riding
     its own geodesic this vanishes to integrator tolerance, and its
     magnitude scales with the squared support diameter of the ensemble.
+    The moment series must share the curve's grid (MismatchedGrid
+    otherwise), and the grid must be uniform (ValueError otherwise).
     """
-    if len(moments_along) != len(curve) or not np.array_equal(moments_along.t, curve.t):
-        raise MismatchedSampling("moment series and curve are sampled on different grids")
-    h = float(curve.t[1] - curve.t[0])
+    _check_common_grid(curve, moments_along)
+    h = _uniform_step(curve.t)
     x = _series_columns(curve.x)
     V = _series_columns(moments_along.first)
     T = _series_columns(moments_along.third.reshape(-1, 4, 16))

@@ -114,11 +114,9 @@ class BeamEnsemble:
         Sample 4-velocities, each on the unit hyperboloid.
     ws : array-like, shape (n,), optional
         Nonnegative weights, default all ones.
-    label : str
-        Free-form tag carried through outputs.
     """
 
-    def __init__(self, ys, ws=None, label: str = ""):
+    def __init__(self, ys, ws=None):
         ys = np.array(ys, dtype=float)
         if ys.ndim != 2 or ys.shape[1] != 4:
             raise ValueError(f"ensemble velocities must have shape (n,4), got {ys.shape}")
@@ -132,7 +130,6 @@ class BeamEnsemble:
         ws.setflags(write=False)
         self.ys = ys
         self.ws = ws
-        self.label = label
 
     def __len__(self) -> int:
         return len(self.ys)
@@ -261,8 +258,7 @@ def _check_count(n) -> None:
         raise InvalidCount(f"sample count must be a positive integer, got {n}")
 
 
-def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int,
-                         label: str = "gaussian") -> BeamEnsemble:
+def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int) -> BeamEnsemble:
     """Draw n unit-weight samples around a spatial mean velocity.
 
     Spatial components are drawn componentwise normal with the given
@@ -279,49 +275,7 @@ def sample_gaussian_beam(mean_spatial, sigma, n: int, seed: int,
         raise ValueError("sigma components must be nonnegative")
     rng = np.random.default_rng(seed)
     draws = mean_spatial + sigma * rng.standard_normal((int(n), 3))
-    return BeamEnsemble(project_to_hyperboloid(draws), label=label)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
-
-
-def write_ensemble_csv(ensemble: BeamEnsemble, path):
-    """Write samples as CSV with full round-trip float formatting."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(ENSEMBLE_HEADER + "\n")
-        for a in range(len(ensemble)):
-            row = [repr(float(v)) for v in ensemble.ys[a]]
-            row.append(repr(float(ensemble.ws[a])))
-            fh.write(",".join(row) + "\n")
-
-
-def read_ensemble_csv(path, label: str = "") -> BeamEnsemble:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ENSEMBLE_HEADER:
-            raise ParseError(1, f"expected header '{ENSEMBLE_HEADER}', got '{header}'")
-        ys, ws = [], []
-        for ln, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 5:
-                raise ParseError(ln, f"expected 5 comma-separated values, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(ln, f"non-numeric value in '{raw}'") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(ln, f"non-finite value in '{raw}'")
-            ys.append(vals[:4])
-            ws.append(vals[4])
-    if not ys:
-        raise EmptyEnsemble("ensemble file contains no samples")
-    return BeamEnsemble(np.array(ys), np.array(ws), label=label)
+    return BeamEnsemble(project_to_hyperboloid(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -419,5 +373,5 @@ def realize_beam(defn: BeamDefinition) -> BeamEnsemble:
     """Instantiate the ensemble described by a beam definition."""
     if defn.distribution == "delta":
         y = project_to_hyperboloid(defn.mean)
-        return BeamEnsemble(np.tile(y, (defn.n, 1)), label="delta")
+        return BeamEnsemble(np.tile(y, (defn.n, 1)))
     return sample_gaussian_beam(defn.mean, defn.sigma, defn.n, defn.seed)

@@ -223,27 +223,26 @@ def curvature_radius(element: Element) -> float:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Ordered element list with cumulative boundary positions."""
+    """Nonempty element tuple laid end to end from x2 = 0; the lengths fix boundaries
+    (exits, read-only), total_length and inner_edges (between elements, as floats)."""
 
     elements: tuple
-    boundaries: np.ndarray
-    total_length: float
-    # the boundaries between elements as floats, bisected for one position
+    boundaries: np.ndarray = field(init=False, compare=False)
+    total_length: float = field(init=False, compare=False)
     inner_edges: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.boundaries, dtype=float)[:-1].tolist()
-        object.__setattr__(self, "inner_edges", edges)
+        if not self.elements:
+            raise ValueError("lattice needs at least one element")
+        bounds = np.cumsum([e.length for e in self.elements])
+        bounds.setflags(write=False)
+        object.__setattr__(self, "boundaries", bounds)
+        object.__setattr__(self, "total_length", float(bounds[-1]))
+        object.__setattr__(self, "inner_edges", bounds[:-1].tolist())
 
     @classmethod
     def from_elements(cls, elements) -> "Lattice":
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("lattice needs at least one element")
-        bounds = np.cumsum([e.length for e in elements])
-        bounds.setflags(write=False)
-        return cls(elements=elements, boundaries=bounds,
-                   total_length=float(bounds[-1]))
+        return cls(tuple(elements))
 
     def element_index(self, x2):
         """Element index for each x2 (right-open intervals, end inclusive)."""

@@ -17,6 +17,7 @@ from .dynamics import (
     JacobiSeries,
     MomentsSeries,
     TrajectorySeries,
+    _check_common_grid,
     _directional,
     _lookup_xi,
     _matvec,
@@ -26,6 +27,7 @@ from .dynamics import (
     _series_columns,
     _slot3,
     _stage_tables,
+    _uniform_step,
 )
 from .errors import (
     MismatchedGrid,
@@ -93,15 +95,6 @@ class OffsetSeries:
         for name in ("off1", "off3", "avg1", "avg3"):
             if len(getattr(self, name)) != n:
                 raise MismatchedGrid(f"{name} length does not match the grid")
-
-
-def _uniform_step(t: np.ndarray) -> float:
-    if len(t) < 2:
-        raise ValueError("grid needs at least two points")
-    h = float(t[1] - t[0])
-    if not np.allclose(np.diff(t), h, rtol=0.0, atol=1e-12 * max(1.0, abs(h))):
-        raise ValueError("grid must be uniform")
-    return h
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -204,11 +197,6 @@ def momentum_spread(xi_run: JacobiSeries, p0: float = 1.0) -> float:
 
 # ---------------------------------------------------------------------------
 # collective offset integrals
-
-def _check_common_grid(reference: TrajectorySeries, series, what="moment series"):
-    if len(series) != len(reference) or not np.array_equal(series.t, reference.t):
-        raise MismatchedGrid(f"{what} and reference are on different grids")
-
 
 def _along_run(lattice: Lattice, reference: TrajectorySeries, moments_along: MomentsSeries):
     """Lookup arguments, field entries, V, <y> and <yyy>(V, V) along the run, as columns."""

@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import (
     IntegratorConfig,
     JacobiState,
-    MomentsSeries,
     TrajectorySeries,
     TrajectoryState,
     _check_step,
@@ -40,7 +39,6 @@ from .ensemble import (
     _sequential_sum,
     _shifted_mean,
     compute_moments,
-    moments_from_arrays,
     project_to_hyperboloid,
 )
 from .errors import DegenerateFit, OutOfSpan
@@ -50,10 +48,9 @@ from .minkowski import check_on_shell
 
 @dataclass
 class EnsembleTrackResult:
-    """Weighted-mean trajectory of a tracked cloud, plus optional moments."""
+    """Weighted-mean trajectory of a tracked cloud."""
 
     mean: TrajectorySeries
-    moments: MomentsSeries | None = None
 
 
 @dataclass
@@ -107,15 +104,14 @@ class LinearizationReport:
 
 
 def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
-                   t_end: float, config: IntegratorConfig,
-                   record_moments: bool = False) -> EnsembleTrackResult:
+                   t_end: float, config: IntegratorConfig) -> EnsembleTrackResult:
     """Track every sample through the exact force law; stream the mean.
 
     All samples start from the common event x0 and integrate in proper
     time with the same arithmetic as integrate_lorentz, batched over the
-    cloud.  Means (and, on request, first/third moments) are reduced at
-    every step in the documented fixed order, so a point bunch yields a
-    mean trajectory bit-identical to the single-particle run.  Sample
+    cloud.  The weighted mean position and velocity are reduced at every
+    step in the documented fixed order, so a point bunch yields a mean
+    trajectory bit-identical to the single-particle run.  Sample
     histories are not stored; memory stays O(n samples + n steps).
     """
     ys, ws = ensemble.ys, ensemble.ws
@@ -126,26 +122,17 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
 
     mean_x = np.empty((n + 1, 4))
     mean_v = np.empty((n + 1, 4))
-    firsts = np.empty((n + 1, 4)) if record_moments else None
-    thirds = np.empty((n + 1, 4, 4, 4)) if record_moments else None
 
     def observe(k, x, v):
         mean_x[k] = _shifted_mean(x, ws, vol)
         mean_v[k] = _shifted_mean(v, ws, vol)
-        if record_moments:
-            mom = moments_from_arrays(v.T, ws)
-            firsts[k] = mom.first
-            thirds[k] = mom.third
 
     # one contiguous column per component, one entry per sample
     x = np.repeat(np.reshape(np.asarray(x0, dtype=float), (4, 1)), len(ys), axis=1)
     _rk4(_cloud_accel(_rhs_geodesic(lattice)), x, np.ascontiguousarray(ys.T),
          h, n, observe)
 
-    mean = TrajectorySeries(t=t, x=mean_x, v=mean_v)
-    moments = (MomentsSeries(t=t.copy(), first=firsts, third=thirds)
-               if record_moments else None)
-    return EnsembleTrackResult(mean=mean, moments=moments)
+    return EnsembleTrackResult(mean=TrajectorySeries(t=t, x=mean_x, v=mean_v))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +228,7 @@ def gaussian_beam_family(mean_spatial, n: int, seed: int):
         rng = np.random.default_rng([seed, int(round(alpha * 1e12))])
         draws = mean_spatial + (alpha / 8.0) * rng.standard_normal((n, 3))
         draws = draws - draws.mean(axis=0) + mean_spatial
-        return BeamEnsemble(project_to_hyperboloid(draws), label=f"gaussian-alpha-{alpha}")
+        return BeamEnsemble(project_to_hyperboloid(draws))
 
     return family
 

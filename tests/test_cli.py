@@ -252,6 +252,38 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("code, argv, needle", [
+    (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "0.5"], "--gamma"),
+    (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "-3"], "--gamma"),
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT,
+         "--xi0", "0,1e-3,0", "--dxi0", "0,0,0,0"], "expected 4 comma-separated floats"),
+    (2, ["scan-alpha", "--lattice", "LAT", "--alphas", ",", "--span", "1.0", "--seed", "3"],
+     "expected a comma-separated list of alphas"),
+    (1, ["dispersion", "--lattice", "LAT", "--step", "1e-3", "--delta", "-0.001"],
+     "momentum spread must be nonnegative"),
+    (1, ["dispersion", "--lattice", "EDGED", "--step", "0.2", "--delta", "1e-3"],
+     "element boundary at 0.3 is not aligned to step 0.2"),
+], ids=["longitudinal-gamma-below-one", "longitudinal-gamma-negative", "xi0-three-values",
+        "alphas-empty", "delta-negative", "step-misses-inner-edge"])
+def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
+    tmp, lat, _, gauss = files
+    rf, edged = tmp / "rf.lat", tmp / "edged.lat"
+    rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    edged.write_text("element dipole length=0.3 b0=0.1\nelement drift length=0.7\n")
+    names = {"LAT": str(lat), "GAUSS": str(gauss), "RF": str(rf), "EDGED": str(edged)}
+    out = tmp / "x.out"
+    try:
+        rc = main([names.get(a, a) for a in argv] + ["--out", str(out)])
+    except SystemExit as e:  # argparse usage error
+        rc = e.code
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if needle in line] == [err[-1]]
+    assert code == 2 or (len(err) == 1 and err[0].startswith("avgbeam: "))
+    assert not out.exists()
+
+
 def test_bad_usage_exits_two(files):
     with pytest.raises(SystemExit) as e:
         main(["track"])  # missing required flags

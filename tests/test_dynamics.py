@@ -16,6 +16,7 @@ from avgbeam import (
     NormalQuadDipole,
     OffShellInitial,
     OutOfLattice,
+    ParseError,
     RFCavity,
     SkewQuadDipole,
     StepTooLarge,
@@ -349,6 +350,22 @@ def test_jacobi_csv_round_trip(circle_lattice, circle_state, cfg_fine, tmp_path)
     back = read_jacobi_csv(p)
     assert np.array_equal(back.xi, jac.xi)
     assert np.array_equal(back.dxi, jac.dxi)
+
+
+def test_csv_readers_check_their_header(circle_lattice, circle_state, tmp_path):
+    ser = integrate_lorentz(circle_lattice, circle_state, 0.05, IntegratorConfig(step=1e-2))
+    jac = integrate_jacobi_full(circle_lattice, delta_moments(circle_state.v), circle_state,
+                                JacobiState(0.0, np.zeros(4), np.zeros(4)), 0.05,
+                                IntegratorConfig(step=1e-2))
+    traj, dev, off = tmp_path / "traj.csv", tmp_path / "jac.csv", tmp_path / "off.csv"
+    write_trajectory_csv(ser, traj)
+    write_jacobi_csv(jac, dev)
+    off.write_text("t,off1,off3,avg1,avg3\n0.0,0.0,0.0,0.0,0.0\n")
+    for read, wrong in ((read_trajectory_csv, dev), (read_trajectory_csv, off),
+                        (read_jacobi_csv, traj), (read_jacobi_csv, off)):
+        with pytest.raises(ParseError, match="expected header") as err:
+            read(wrong)
+        assert err.value.line == 1
 
 
 # ------------------------------------------------------- linear channel maps

@@ -323,6 +323,23 @@ def test_ensemble_file_names_the_line_of_a_non_finite_value(tmp_path, value):
     assert err.value.line == 3
 
 
+_ROW = ",".join(repr(float(c)) for c in TWO_SAMPLES[0]) + ",1.0"
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("y0,y1,y2,y3\n" + _ROW + "\n", ParseError, 1),
+    ("y0,y1,y2,y3,w\n" + _ROW + "\n" + _ROW + ",1.0\n", ParseError, 3),
+    ("y0,y1,y2,y3,w\n" + _ROW.replace("1.0", "one", 1) + "\n", ParseError, 2),
+    ("y0,y1,y2,y3,w\n\n", EmptyEnsemble, None),
+], ids=["header", "columns", "non-numeric", "no-samples"])
+def test_ensemble_file_errors(tmp_path, text, error, line):
+    p = tmp_path / "beam.csv"
+    p.write_text(text)
+    with pytest.raises(error) as err:
+        read_ensemble_csv(p)
+    assert getattr(err.value, "line", None) == line
+
+
 def test_moment_set_rejects_non_finite_moments():
     y = TWO_SAMPLES[0]
     mono = velocity_monomials3(y)

@@ -24,6 +24,7 @@ import pytest
 
 from avgbeam import (
     ArcAdapted,
+    BeamEnsemble,
     ConstantE,
     Dipole,
     Drift,
@@ -59,6 +60,7 @@ from avgbeam import (
     sample_gaussian_beam,
     transverse_k_profile,
     velocity_monomials3,
+    write_ensemble_csv,
 )
 from avgbeam import lattice as lattice_module
 from avgbeam.dynamics import (
@@ -334,6 +336,14 @@ def test_block_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_rows, p
     assert (out / "block.csv").read_bytes() == (out / "row.csv").read_bytes()
 
 
+def test_ensemble_writer_bytes_equal_row_writer(tmp_path):
+    ens = sample_gaussian_beam([0.2, 4.0, -0.1], [0.02] * 3, n=_BLOCK_ROWS + 3, seed=8)
+    ens = BeamEnsemble(ens.ys, ws=np.random.default_rng(8).uniform(0.0, 2.0, len(ens)))
+    write_ensemble_csv(ens, tmp_path / "block.csv")
+    reference_write_rows(tmp_path / "row.csv", "y0,y1,y2,y3,w", [*ens.ys.T, ens.ws])
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
@@ -502,7 +512,7 @@ def test_integrators_never_build_dense_fields(fodo_lattice, monkeypatch):
     integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG,
                           frame=ArcAdapted(rho=5.0))
     ens = sample_gaussian_beam(launch.v[1:], [0.01] * 3, n=16, seed=5)
-    ensemble_track(fodo_lattice, ens, launch.x, 0.6, _CFG, record_moments=True)
+    ensemble_track(fodo_lattice, ens, launch.x, 0.6, _CFG)
     along = comoving_moments_along(ref, mom)
     averaged_offset(fodo_lattice, ref, along)
     born_offset(fodo_lattice, ref, along, xi_run)

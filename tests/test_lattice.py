@@ -162,6 +162,21 @@ def test_lattice_boundaries_and_lookup():
         field_mixed(lat, 4.1, np.zeros(4))
 
 
+def test_lattice_edges_follow_from_its_elements():
+    elements = (Dipole(length=1.0, b0=0.5), Drift(length=1.0))
+    with pytest.raises(TypeError):
+        Lattice(elements=elements, boundaries=np.array([3.0, 4.0]))
+    lat = Lattice(elements)
+    assert np.array_equal(lat.boundaries, [1.0, 2.0]) and lat.total_length == 2.0
+    assert lat.inner_edges == [1.0]
+    with pytest.raises(ValueError):
+        lat.boundaries[0] = 3.0  # read-only
+    with pytest.raises(OutOfLattice):
+        field_mixed(lat, 2.5, np.zeros(4))
+    with pytest.raises(ValueError, match="at least one element"):
+        Lattice.from_elements([])
+
+
 @pytest.mark.parametrize("elements", [
     [Drift(length=1.5), Dipole(length=2.5, b0=1.0)],
     [Dipole(length=2.0, b0=0.7)],
@@ -251,9 +266,7 @@ def test_lookup_calls_each_occupied_element_once(lookup, method):
         for element in (NormalQuadDipole(length=0.25, b0=0.2, b1=1.5), Drift(length=0.25),
                         SkewQuadDipole(length=0.25, b0=0.2, b1=-1.5), Dipole(length=0.25, b0=0.3))
     )
-    lat = Lattice.from_elements(plain)
-    lat = Lattice(elements=_VisitedElements(plain), boundaries=lat.boundaries,
-                  total_length=lat.total_length)
+    lat = Lattice(elements=_VisitedElements(plain))
     calls = _count_element_calls(lat, method)
     rng = np.random.default_rng(5)
 
@@ -426,6 +439,10 @@ def test_k_profile_samples_are_element_focusing():
 def test_profiles_require_aligned_step(fodo_lattice):
     with pytest.raises(MismatchedSampling):
         transverse_k_profile(fodo_lattice, "horizontal", 0.3)
+    # 0.2 divides the 1 m line but misses its inner edge at 0.3
+    lat = Lattice.from_elements([Dipole(length=0.3, b0=0.1), Drift(length=0.7)])
+    with pytest.raises(MismatchedSampling, match="boundary at 0.3 is not aligned"):
+        transverse_k_profile(lat, "horizontal", 0.2)
 
 
 def test_inverse_rho_profile():

@@ -12,13 +12,16 @@ import avgbeam
 from avgbeam import (
     Dipole,
     IntegratorConfig,
+    JacobiSeries,
     JacobiState,
     Lattice,
     MismatchedGrid,
+    MomentsSeries,
     OffsetSeries,
     OutOfSpan,
     PrincipalSolutions,
     ResidualTooLarge,
+    TrajectorySeries,
     TrajectoryState,
     WronskianDrift,
     averaged_offset,
@@ -32,6 +35,7 @@ from avgbeam import (
     integrate_averaged_geodesic,
     integrate_jacobi_full,
     inverse_rho_profile,
+    mean_field_defect,
     momentum_spread,
     particular_solution,
     principal_solutions,
@@ -144,6 +148,8 @@ def test_dispersion_constant_dipole():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             dispersion(ps, np.full_like(inv, bad), delta=1e-3)
+    with pytest.raises(ValueError, match="momentum spread must be nonnegative"):
+        dispersion(ps, inv, delta=-1e-3)
 
 
 def test_momentum_spread_frozen():
@@ -161,6 +167,31 @@ def test_offset_series_requires_shared_grid():
     z = np.zeros(11)
     with pytest.raises(MismatchedGrid):
         OffsetSeries(t, z, z, z[:-1], z)
+
+
+def test_series_consumers_share_one_grid_check(circle_lattice, circle_state, cfg_fine):
+    mom = delta_moments(circle_state.v)
+    ref = integrate_averaged_geodesic(circle_lattice, mom, circle_state, 0.1, cfg_fine)
+    along = comoving_moments_along(ref, mom)
+    xi_run = integrate_jacobi_full(circle_lattice, mom, circle_state,
+                                   JacobiState(0.0, np.zeros(4), np.zeros(4)), 0.1, cfg_fine)
+
+    def consumers(t_ref, t_series):
+        r = TrajectorySeries(t_ref, ref.x, ref.v)
+        a = MomentsSeries(t_series, along.first, along.third)
+        d = JacobiSeries(t_series, xi_run.xi, xi_run.dxi)
+        return (lambda: averaged_offset(circle_lattice, r, a),
+                lambda: born_offset(circle_lattice, r, a, d),
+                lambda: mean_field_defect(circle_lattice, a, r))
+
+    for run in consumers(ref.t, ref.t + 1e-3):
+        with pytest.raises(MismatchedGrid):
+            run()
+    bent = ref.t.copy()
+    bent[50] += 2e-4  # one point off the uniform grid, shared by every series
+    for run in consumers(bent, bent):
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            run()
 
 
 def _dipole_reference(alpha, span, n=2000, seed=11, step=1e-3):

@@ -67,18 +67,6 @@ def test_ensemble_mean_of_identical_samples_is_the_geodesic(
     assert np.array_equal(res.mean.v, single.v)
 
 
-def test_ensemble_track_records_moments(circle_lattice, circle_state, cfg_fine):
-    rng = np.random.default_rng(31)
-    spatial = circle_state.v[1:] + rng.normal(scale=0.01, size=(16, 3))
-    ys = np.concatenate([np.sqrt(1.0 + np.sum(spatial**2, axis=1))[:, None], spatial], axis=1)
-    ens = BeamEnsemble(ys)
-    res = ensemble_track(circle_lattice, ens, circle_state.x, 0.2, cfg_fine, record_moments=True)
-    assert res.moments is not None
-    assert res.moments.first.shape == (len(res.mean), 4)
-    # initial recorded moment is the plain weighted mean
-    assert np.abs(res.moments.first[0] - ys.mean(axis=0)).max() < 1e-13
-
-
 def test_position_at_lab_time_interpolates(circle_lattice, circle_state, cfg_fine):
     ser = integrate_lorentz(circle_lattice, circle_state, 1.5, cfg_fine)
     T = SQRT2 * 1.0  # lab clock runs at dX0/dtau = sqrt(2), so tau = 1 here
