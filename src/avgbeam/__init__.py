@@ -16,7 +16,6 @@ from .connections import (
     connection_gradient,
     frame_gradient,
     inertial_acceleration,
-    levi_civita,
     lorentz_connection,
 )
 from .dynamics import (

@@ -19,6 +19,8 @@ import numpy as np
 
 from .connections import ArcAdapted, INERTIAL
 from .dynamics import (
+    JACOBI_HEADER,
+    TRAJECTORY_HEADER,
     IntegratorConfig,
     JacobiState,
     TrajectoryState,
@@ -39,7 +41,7 @@ from .ensemble import (
     project_to_hyperboloid,
     realize_beam,
 )
-from .errors import AvgBeamError
+from .errors import AvgBeamError, NonFiniteValue
 from .lattice import load_lattice, inverse_rho_profile, transverse_k_profile
 from .observables import averaged_offset, dispersion, principal_solutions
 from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
@@ -151,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10000, help="samples per ensemble")
     p.add_argument("--gamma", type=_finite, default=100.0,
                    help="Lorentz factor of the beam mean velocity")
-    p.add_argument("--comparison", choices=("lab-time", "proper-time"),
-                   default="lab-time", help="endpoint comparison convention")
 
     p = sub.add_parser("validate", help="finite-difference check of field gradients")
     p.add_argument("--lattice", required=True, help="lattice file path")
@@ -169,6 +169,16 @@ def _averaged_launch(args):
     return moments, TrajectoryState(t=0.0, x=np.zeros(4), v=v0), IntegratorConfig(step=args.step)
 
 
+def _check_finite(header, *blocks):
+    """NonFiniteValue naming the first row (from 0), and its column, at which a CSV table
+    of (n,) and (n, k) blocks in header order is not finite; called before writing."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        table = np.column_stack(blocks)
+        row, col = np.unravel_index(np.argmax(~np.isfinite(table)), table.shape)
+        raise NonFiniteValue(f"column {header.split(',')[col]} is {float(table[row, col])!r} "
+                             f"at row {row}; no CSV written")
+
+
 def _write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
@@ -181,11 +191,13 @@ def _run(args) -> int:
         cfg = IntegratorConfig(step=args.step)
         state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
         series = integrate_lorentz(lattice, state, args.span, cfg, form=args.form)
+        _check_finite(TRAJECTORY_HEADER, series.t, series.x, series.v)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
         moments, launch, cfg = _averaged_launch(args)
         series = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
+        _check_finite(TRAJECTORY_HEADER, series.t, series.x, series.v)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "jacobi":
@@ -195,6 +207,7 @@ def _run(args) -> int:
             lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, cfg, frame=frame, mode=args.mode,
         )
+        _check_finite(JACOBI_HEADER, xi_run.t, xi_run.xi, xi_run.dxi)
         write_jacobi_csv(xi_run, args.out)
 
     elif args.command == "transverse":
@@ -203,6 +216,7 @@ def _run(args) -> int:
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, IntegratorConfig(step=args.step),
         )
+        _check_finite(JACOBI_HEADER, series.t, series.xi, series.dxi)
         write_jacobi_csv(series, args.out)
 
     elif args.command == "longitudinal":
@@ -211,6 +225,7 @@ def _run(args) -> int:
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, IntegratorConfig(step=args.step),
         )
+        _check_finite(JACOBI_HEADER, series.t, series.xi, series.dxi)
         write_jacobi_csv(series, args.out)
 
     elif args.command == "moments":
@@ -232,22 +247,24 @@ def _run(args) -> int:
         reference = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         along = comoving_moments_along(reference, moments)
         off = averaged_offset(lattice, reference, along)
-        _write_rows(args.out, "t,off1,off3,avg1,avg3",
-                    [off.t, off.off1, off.off3, off.avg1, off.avg3])
+        header, columns = "t,off1,off3,avg1,avg3", [off.t, off.off1, off.off3, off.avg1, off.avg3]
+        _check_finite(header, *columns)
+        _write_rows(args.out, header, columns)
 
     elif args.command == "dispersion":
         l, K = transverse_k_profile(lattice, "horizontal", args.step)
         _, inv_rho = inverse_rho_profile(lattice, args.step)
         ps = principal_solutions(l, K)
         result = dispersion(ps, inv_rho, args.delta)
-        _write_rows(args.out, "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset])
+        header, columns = "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset]
+        _check_finite(header, *columns)
+        _write_rows(args.out, header, columns)
 
     elif args.command == "scan-alpha":
         mean_spatial = np.array([0.0, np.sqrt(args.gamma * args.gamma - 1.0), 0.0])
         family = gaussian_beam_family(mean_spatial, n=args.n, seed=args.seed)
         report = theorem1_scan(lattice, family, args.alphas, args.span,
-                               IntegratorConfig(step=args.step),
-                               comparison=args.comparison)
+                               IntegratorConfig(step=args.step))
         with open(args.out, "w", newline="\n") as fh:
             fh.write(report.to_json() + "\n")
 
@@ -270,8 +287,8 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "jacobi" and args.frame == "arc" and args.rho is None:
-        parser.error("jacobi --frame arc needs --rho")
+    if args.command == "jacobi" and (args.frame == "arc") != (args.rho is not None):
+        parser.error("jacobi --frame arc needs --rho, and --rho needs --frame arc")
     if args.command in ("scan-alpha", "longitudinal") and not args.gamma >= 1.0:
         parser.error(f"{args.command} --gamma must be at least 1, got {args.gamma!r}")
     try:

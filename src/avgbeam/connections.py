@@ -58,18 +58,6 @@ FrameMode = InertialCartesian | ArcAdapted
 INERTIAL = InertialCartesian()
 
 
-def levi_civita(mode: FrameMode) -> Connection3:
-    """Frame connection coefficients at the reference point (zero here).
-
-    The inertial Cartesian frame is flat; the arc-adapted frame is
-    constructed so its coefficients vanish on the design orbit, with all
-    content in the first derivative (see frame_gradient).
-    """
-    if not isinstance(mode, (InertialCartesian, ArcAdapted)):
-        raise TypeError(f"unknown frame mode {mode!r}")
-    return Connection3.zero()
-
-
 def frame_gradient(mode: FrameMode):
     """d_l Gamma(frame)^i_jk with axes [l, i, j, k]."""
     G = np.zeros((4, 4, 4, 4))
@@ -125,15 +113,14 @@ def lorentz_connection(field: FieldSample, y) -> Connection3:
     return Connection3(_field_connection(field.f_mixed, y, velocity_monomials3(y)))
 
 
-def averaged_connection(field: FieldSample, moments: MomentSet,
-                        mode: FrameMode = INERTIAL) -> Connection3:
+def averaged_connection(field: FieldSample, moments: MomentSet) -> Connection3:
     """Connection with the velocity slots replaced by ensemble moments.
 
-    The frame mode contributes its (zero) reference-point coefficients;
-    its gradient only matters for deviation transport.
+    Every frame mode has zero coefficients at the reference point, so the
+    frame enters only through its gradient, in deviation transport
+    (connection_gradient, inertial_acceleration).
     """
-    frame = levi_civita(mode)
-    return Connection3(frame.coeffs + _field_connection(field.f_mixed, moments.first, moments.third))
+    return Connection3(_field_connection(field.f_mixed, moments.first, moments.third))
 
 
 def connection_gradient(field: FieldSample, first, third, mode: FrameMode = INERTIAL):

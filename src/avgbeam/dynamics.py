@@ -4,9 +4,10 @@ Parameterization and units
 --------------------------
 Trajectories x(t) are parameterized by proper time t in meters (c = 1);
 velocities v = dx/dt live on the unit hyperboloid.  Every integrator
-here, and the ensemble oracle, advances x' = v, v' = accel(k, theta, x, v)
-through one classical fixed-step RK4 kernel; theta in {0, 1/2, 1/2, 1} is
-the stage position inside step k, and an observer sees every grid point.
+here, and the ensemble oracle, advances x' = v, v' = accel(x, v) through
+one classical fixed-step RK4 kernel that calls accel at t_k, twice at
+t_k + h/2 and at t_k + h in every step, in that order, which is all a
+right-hand side knows of its stage; an observer sees every grid point.
 No adaptive control, so identical inputs give identical output bytes.
 
 Moment transport
@@ -45,6 +46,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -174,18 +176,30 @@ def _write_rows(path, header, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _read_header(fh, header):
-    """Consume line 1 of a CSV file; ParseError unless it is header."""
-    got = fh.readline().strip()
-    if got != header:
-        raise ParseError(1, f"expected header '{header}', got '{got}'")
-
-
 def _read_rows(path, header):
-    """The float rows below a checked header, as an (n, columns) array."""
+    """(n, columns) floats below header, which must be line 1; a line that is neither
+    blank nor one finite number per column raises ParseError naming it."""
+    width = header.count(",") + 1
+    rows = []
     with open(path) as fh:
-        _read_header(fh, header)
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
+        got = fh.readline().strip()
+        if got != header:
+            raise ParseError(1, f"expected header '{header}', got '{got}'")
+        for ln, raw in enumerate(fh, start=2):
+            raw = raw.strip()
+            if not raw:
+                continue
+            parts = raw.split(",")
+            if len(parts) != width:
+                raise ParseError(ln, f"expected {width} comma-separated values, got {len(parts)}")
+            try:
+                vals = list(map(float, parts))
+            except ValueError:
+                raise ParseError(ln, f"non-numeric value in '{raw}'") from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(ln, f"non-finite value in '{raw}'")
+            rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def write_trajectory_csv(series: TrajectorySeries, path):
@@ -216,37 +230,20 @@ def write_ensemble_csv(ensemble: BeamEnsemble, path):
 
 def read_ensemble_csv(path) -> BeamEnsemble:
     """Samples of an ensemble CSV; a bad line raises ParseError naming it."""
-    with open(path) as fh:
-        _read_header(fh, ENSEMBLE_HEADER)
-        ys, ws = [], []
-        for ln, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 5:
-                raise ParseError(ln, f"expected 5 comma-separated values, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(ln, f"non-numeric value in '{raw}'") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(ln, f"non-finite value in '{raw}'")
-            ys.append(vals[:4])
-            ws.append(vals[4])
-    if not ys:
+    data = _read_rows(path, ENSEMBLE_HEADER)
+    if not len(data):
         raise EmptyEnsemble("ensemble file contains no samples")
-    return BeamEnsemble(np.array(ys), np.array(ws))
+    return BeamEnsemble(data[:, :4], data[:, 4])
 
 
 # ---------------------------------------------------------------------------
 # the RK4 kernel
 
 def _rk4(accel, x, v, h, n, observe):
-    """Classical RK4 for x' = v, v' = accel(k, theta, x, v) over n steps of h.
+    """Classical RK4 for x' = v, v' = accel(x, v) over n steps of h.
 
-    theta in {0, 1/2, 1/2, 1} is the stage position inside step k.
-    observe(k, x, v) sees the state at every grid point k = 0..n.  All
+    Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and t_k + h
+    in that order; observe(k, x, v) sees every grid point k = 0..n.  All
     updates are elementwise: an orbit's state is a (4,) array (eight
     entries for Jacobi) whose accel reads it as floats, a batch's a (4, m)
     array of columns, and the linear channels run plain floats.
@@ -255,13 +252,13 @@ def _rk4(accel, x, v, h, n, observe):
     sixth = h / 6.0
     observe(0, x, v)
     for k in range(n):
-        a1 = accel(k, 0.0, x, v)
+        a1 = accel(x, v)
         v2 = v + half * a1
-        a2 = accel(k, 0.5, x + half * v, v2)
+        a2 = accel(x + half * v, v2)
         v3 = v + half * a2
-        a3 = accel(k, 0.5, x + half * v2, v3)
+        a3 = accel(x + half * v2, v3)
         v4 = v + h * a3
-        a4 = accel(k, 1.0, x + h * v3, v4)
+        a4 = accel(x + h * v3, v4)
         x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         observe(k + 1, x, v)
@@ -280,13 +277,13 @@ def _rk4_rows(accel, x0, v0, h, n):
     return xs, vs
 
 
-def _stage_tables(values, coefficient):
-    """tables[theta][k] = coefficient(c) as floats at stage theta of step k, c on the grid:
-    c[k] at theta 0, c[k] * 0.5 + c[k+1] * 0.5 at theta 1/2 and c[k+1] at theta 1.
-    """
+def _stage_stream(values, coefficient):
+    """coefficient(c) as floats in the kernel's call order for one run, c on the grid:
+    step k yields c[k], the blend c[k] * 0.5 + c[k+1] * 0.5 twice, then c[k+1]."""
     c = np.asarray(values, dtype=float)
     ends = coefficient(c).tolist()
-    return {0.0: ends, 0.5: coefficient(c[:-1] * 0.5 + c[1:] * 0.5).tolist(), 1.0: ends[1:]}
+    mids = coefficient(c[:-1] * 0.5 + c[1:] * 0.5).tolist()
+    return chain.from_iterable(zip(ends, mids, mids, islice(ends, 1, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +375,7 @@ def _lookup_xi(x):
 def _rhs_force(lattice: Lattice):
     """Direct force form: a = -F v sqrt(eta(v, v))."""
 
-    def rhs(k, theta, x, v):
+    def rhs(x, v):
         r = np.sqrt(_mdot(v, v))
         return [-f * r for f in _matvec(field_entries(lattice, x[2], _lookup_xi(x)), v)]
 
@@ -388,7 +385,7 @@ def _rhs_force(lattice: Lattice):
 def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
     """Connection form with comoving moment slots (monomial slots by default)."""
 
-    def rhs(k, theta, x, v):
+    def rhs(x, v):
         return _geodesic_accel(field_entries(lattice, x[2], _lookup_xi(x)), v, D1, D3)
 
     return rhs
@@ -396,12 +393,12 @@ def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
 
 def _float_accel(rhs):
     """rhs on one orbit's array state, its components read as plain floats."""
-    return lambda k, theta, x, v: np.array(rhs(k, theta, x.tolist(), v.tolist()))
+    return lambda x, v: np.array(rhs(x.tolist(), v.tolist()))
 
 
 def _cloud_accel(rhs):
     """rhs on the (4, m) state of m orbits, each component one contiguous column."""
-    return lambda k, theta, x, v: np.array(rhs(k, theta, x, v))
+    return lambda x, v: np.array(rhs(x, v))
 
 
 def _frozen_slots(moments: MomentSet, velocity):
@@ -587,7 +584,7 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     D1, D3 = _frozen_slots(moments, launch.v)
     slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
-    def accel(k, theta, x, v):
+    def accel(x, v):
         X, V, xi, dxi = x[:4], v[:4], x[4:], v[4:]
         lookup = _lookup_xi(X)
         F = field_entries(lattice, X[2], lookup)
@@ -632,7 +629,7 @@ def _channels(initial: JacobiState, t, h, accels):
     return out
 
 
-def _drift(k, theta, u, du):
+def _drift(u, du):
     return 0.0
 
 
@@ -663,7 +660,7 @@ def integrate_transverse_linear(element: Element, rho: float | None,
             f"{r_design}; linearization is suspect", RuntimeWarning)
     _, h, t = _grid(initial.t, l_end, config.step)
     neg_k = [-float(K) for K in (0.0, kh, 0.0, kv)]  # -0.0 on the free components, as -K
-    return _channels(initial, t, h, [(i, lambda k, theta, u, du, c=c: c * u)
+    return _channels(initial, t, h, [(i, lambda u, du, c=c: c * u)
                                      for i, c in enumerate(neg_k)])
 
 
@@ -676,7 +673,7 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     xi2, the linearized dynamics at the zero-crossing phase of the
     cavity.  Transverse components propagate freely.  gamma_of_t is a
     scalar or a series on the output grid; the RF coefficient 2 gamma e2_0
-    is tabulated once at every RK4 stage (_stage_tables).
+    is computed once per RK4 stage and streamed in call order (_stage_stream).
 
     Each component runs alone through the kernel as a plain float.  xi2
     depends only on itself; xi0 is driven by xi2 alone, its acceleration
@@ -697,24 +694,24 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     if isinstance(element, ConstantE):
         neg_e2, sign = -element.e2, 1.0
 
-        def accel2(k, theta, u, du):
+        def accel2(u, du):
             return neg_e2 * du
     else:
         e2_0, sign = element.e2_0, -1.0
         # (2 gamma) e2_0, grouped as 2.0 * gamma * e2_0 * u; overflow silent as in floats
         with np.errstate(over="ignore", invalid="ignore"):
-            focus = _stage_tables(np.broadcast_to(gamma_of_t, (n + 1,)), lambda g: 2.0 * g * e2_0)
+            focus = _stage_stream(np.broadcast_to(gamma_of_t, (n + 1,)), lambda g: 2.0 * g * e2_0)
 
-        def accel2(k, theta, u, du):
-            return focus[theta][k] * u
+        def accel2(u, du):
+            return next(focus) * u
 
     stage_acc = array("d")  # xi0's four stage accelerations per step
 
-    def recorded(k, theta, u, du):
-        a = accel2(k, theta, u, du)
+    def recorded(u, du):
+        a = accel2(u, du)
         stage_acc.append(sign * a)
         return a
 
     replay = iter(stage_acc)
-    return _channels(initial, t, h, ((2, recorded), (0, lambda k, theta, u, du: next(replay)),
+    return _channels(initial, t, h, ((2, recorded), (0, lambda u, du: next(replay)),
                                      (1, _drift), (3, _drift)))

@@ -47,8 +47,6 @@ from .minkowski import _SORTED_TRIPLES, check_on_shell, velocity_monomials3
 
 def _sequential_sum(values: np.ndarray) -> float:
     """Left-to-right sum over the leading axis (documented reduction order)."""
-    if len(values) == 1:
-        return float(values[0])
     return float(np.cumsum(values)[-1])
 
 

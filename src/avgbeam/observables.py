@@ -26,7 +26,7 @@ from .dynamics import (
     _rk4_rows,
     _series_columns,
     _slot3,
-    _stage_tables,
+    _stage_stream,
     _uniform_step,
 )
 from .errors import (
@@ -105,7 +105,7 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid.
 
-    K is sampled on the same grid; -K is tabulated once at the RK4 stages,
+    K is sampled on the same grid; each run streams -K in stage order,
     blending adjacent samples evenly at the midpoints.  Raises WronskianDrift
     if the pair loses its unit Wronskian beyond 1e-9 anywhere on the grid.
     """
@@ -118,13 +118,9 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     h = _uniform_step(t)
     # C and S run as plain floats, each stage seeing the same coefficient
     # in both runs, which is what keeps the Wronskian pinned.
-    neg_k = _stage_tables(K, np.negative)
-
-    def accel(k, theta, u, du):
-        return neg_k[theta][k] * u
-
-    C, Cp = _rk4_rows(accel, 1.0, 0.0, h, len(t) - 1)
-    S, Sp = _rk4_rows(accel, 0.0, 1.0, h, len(t) - 1)
+    neg_c, neg_s = _stage_stream(K, np.negative), _stage_stream(K, np.negative)
+    C, Cp = _rk4_rows(lambda u, du: next(neg_c) * u, 1.0, 0.0, h, len(t) - 1)
+    S, Sp = _rk4_rows(lambda u, du: next(neg_s) * u, 0.0, 1.0, h, len(t) - 1)
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 

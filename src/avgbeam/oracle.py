@@ -234,15 +234,15 @@ def gaussian_beam_family(mean_spatial, n: int, seed: int):
 
 
 def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
-                  config: IntegratorConfig,
-                  comparison: str = "lab-time") -> ScalingReport:
+                  config: IntegratorConfig) -> ScalingReport:
     """Measure how the averaged geodesic degrades with bunch size alpha.
 
     For each alpha, the family's ensemble is tracked sample-by-sample
     and its weighted mean compared against the geodesic of the averaged
     connection launched from the on-shell projection of the mean spatial
-    velocity; the endpoint distance over a lab path length s is fitted
-    as deviation ~ prefactor * alpha^exponent by least squares on logs.
+    velocity; the endpoint distance over a lab path length s, at the last
+    lab time both runs reach ("lab-time"), is fitted as deviation ~
+    prefactor * alpha^exponent by least squares on logs.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
@@ -264,7 +264,7 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
             lattice, moments, TrajectoryState(t=0.0, x=x0, v=u_c), t_end, config
         )
         track = ensemble_track(lattice, ens, x0, t_end, config)
-        deviations.append(endpoint_deviation(avg, track.mean, comparison))
+        deviations.append(endpoint_deviation(avg, track.mean))
 
     dev = np.asarray(deviations)
     if np.any(~np.isfinite(dev)) or np.any(dev <= 0.0):

@@ -264,8 +264,13 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
      "momentum spread must be nonnegative"),
     (1, ["dispersion", "--lattice", "EDGED", "--step", "0.2", "--delta", "1e-3"],
      "element boundary at 0.3 is not aligned to step 0.2"),
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT, *_DEVIATION, "--rho", "5.0"],
+     "--rho"),
+    (2, ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,0.01,0.005", "--span", "1.0",
+         "--seed", "3", "--comparison", "proper-time"], "--comparison"),
 ], ids=["longitudinal-gamma-below-one", "longitudinal-gamma-negative", "xi0-three-values",
-        "alphas-empty", "delta-negative", "step-misses-inner-edge"])
+        "alphas-empty", "delta-negative", "step-misses-inner-edge", "rho-without-arc",
+        "scan-comparison"])
 def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
     tmp, lat, _, gauss = files
     rf, edged = tmp / "rf.lat", tmp / "edged.lat"
@@ -281,6 +286,23 @@ def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if needle in line] == [err[-1]]
     assert code == 2 or (len(err) == 1 and err[0].startswith("avgbeam: "))
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", ["1e308", "1e300", "1e200"])
+def test_overflowing_run_writes_no_csv(files, capsys, gamma):
+    # 2 gamma e2_0 stays finite below gamma = 9e307, yet the RF channel
+    # still overflows within the first step
+    tmp = files[0]
+    rf, out = tmp / "rf.lat", tmp / "long.csv"
+    rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    rc = main(["longitudinal", "--lattice", str(rf), "--step", "1e-3", "--span", "1",
+               "--xi0", "0,0,1e-3,0", "--dxi0", "0,0,0,0", "--gamma", gamma, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("avgbeam: column xi") and err[0].endswith("at row 1; no CSV written")
     assert not out.exists()
 
 

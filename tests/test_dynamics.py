@@ -368,6 +368,38 @@ def test_csv_readers_check_their_header(circle_lattice, circle_state, tmp_path):
         assert err.value.line == 1
 
 
+_TRAJ_HEADER = "t,x0,x1,x2,x3,v0,v1,v2,v3"
+_JAC_HEADER = "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
+_GOOD = "0.0,0.0,1e-3,0.5,0.0,1.0,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("read, header", [(read_trajectory_csv, _TRAJ_HEADER),
+                                          (read_jacobi_csv, _JAC_HEADER)],
+                         ids=["trajectory", "jacobi"])
+@pytest.mark.parametrize("bad, reason", [
+    ("0,1,2,3", "expected 9 comma-separated values, got 4"),
+    ("0.1,0.0,1e-3,0.5,0.0,1.0,0.0,x,0.0", "non-numeric"),
+    ("0.1,0.0,1e-3,0.5,0.0,1.0,0.0,inf,0.0", "non-finite"),
+    ("0.1,0.0,1e-3,0.5,0.0,1.0,0.0,nan,0.0", "non-finite"),
+], ids=["short-row", "non-numeric", "inf", "nan"])
+def test_csv_readers_name_the_line_of_a_bad_row(tmp_path, read, header, bad, reason):
+    p = tmp_path / "run.csv"
+    p.write_text(f"{header}\n{_GOOD}\n\n{bad}\n{_GOOD}\n")
+    with pytest.raises(ParseError, match=reason) as err:
+        read(p)
+    assert err.value.line == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_readers_give_no_rows_for_a_header_only_file(tmp_path):
+    traj, jac = tmp_path / "traj.csv", tmp_path / "jac.csv"
+    traj.write_text(_TRAJ_HEADER + "\n")
+    jac.write_text(_JAC_HEADER + "\n")
+    ser, dev = read_trajectory_csv(traj), read_jacobi_csv(jac)
+    assert (ser.t.shape, ser.x.shape, ser.v.shape) == ((0,), (0, 4), (0, 4))
+    assert (dev.t.shape, dev.xi.shape, dev.dxi.shape) == ((0,), (0, 4), (0, 4))
+
+
 # ------------------------------------------------------- linear channel maps
 
 

@@ -11,7 +11,7 @@ adding exact zeros.  The property tests pin the closed-form rank-3 slot
 against the tensor form of the connection and the promised batch
 invariance of the right-hand sides.  The per-row CSV writer and the
 branching stage coefficient the linear channels first used are kept as
-references for the block writer and the per-step stage tables.
+references for the block writer and the stage streams.
 """
 
 import numpy as np
@@ -73,7 +73,7 @@ from avgbeam.dynamics import (
     _rhs_geodesic,
     _rk4_rows,
     _series_derivative,
-    _stage_tables,
+    _stage_stream,
     _write_rows,
 )
 from avgbeam.minkowski import METRIC_SIGNATURE
@@ -352,20 +352,37 @@ def _bits(values):
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=2, max_size=40),
        e2_0=st.floats(-2.0, 2.0))
-def test_stage_tables_equal_branching_stage_coefficient(values, e2_0):
-    # the Hill table stores -K, the RF table (2 gamma) e2_0: elementwise on
-    # the tables as on each stage's float; huge values overflow to the same
-    # inf, and inf * 0 to the same nan
+def test_stage_stream_equals_branching_stage_coefficient(values, e2_0):
+    # the Hill stream carries -K, the RF stream (2 gamma) e2_0: elementwise
+    # on the arrays as on each stage's float, in the kernel's call order;
+    # huge values overflow to the same inf, and inf * 0 to the same nan
     for coefficient in (lambda c: -c, lambda g: 2.0 * g * e2_0):
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = _stage_tables(np.array(values), coefficient)
-        assert sorted(tables) == [0.0, 0.5, 1.0]
-        for theta, table in tables.items():
-            want = [coefficient(reference_at_stage(values, k, theta))
-                    for k in range(len(values) - 1)]
-            got = table[:len(want)]
-            assert all(type(c) is float for c in got)
-            assert np.array_equal(_bits(got), _bits(want))
+            got = list(_stage_stream(np.array(values), coefficient))
+        want = [coefficient(reference_at_stage(values, k, theta))
+                for k in range(len(values) - 1) for theta in (0.0, 0.5, 0.5, 1.0)]
+        assert all(type(c) is float for c in got)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("x0", [2.0, np.arange(4.0), np.arange(12.0).reshape(4, 3)],
+                         ids=["float", "orbit", "cloud"])
+def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
+    # x' = v = 1 from x0, so each call's position is x0 + t exactly
+    # (h = 0.375 keeps h/2 and h/6 exact); the stage streams and the
+    # longitudinal replay rely on this order
+    seen = []
+
+    def accel(x, v):
+        seen.append(np.array(x, dtype=float))
+        return 0.0 * v
+
+    h, n = 0.375, 5
+    _rk4_rows(accel, x0, np.ones_like(x0) if np.ndim(x0) else 1.0, h, n)
+    want = [k * h + d for k in range(n) for d in (0.0, 0.5 * h, 0.5 * h, h)]
+    assert len(seen) == 4 * n
+    for got, t in zip(seen, want):
+        assert np.array_equal(got, x0 + t)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,10 +1,12 @@
-"""The benchmark's tracer hooks into the package by module and function name.
+"""The benchmark's hooks into the package: traced names and artifact formats.
 
 ``perfbench/spans.py`` patches the functions it names and reads the
-results of some of them.  A function moved or renamed in the package
-would break a traced benchmark run without failing any other test, so
-this test resolves every name the tracer uses.  The file is only loaded,
-never patched in or edited.
+results of some of them, and ``perfbench/checks.py`` fails every job
+whose CSV header is not the one it expects.  A function moved or renamed
+in the package, or a header changed, would break a benchmark run without
+failing any other test, so these tests resolve every name the tracer
+uses and compare the expected headers with what the CLI writes.  The
+benchmark files are only loaded, never patched in or edited.
 """
 
 import importlib
@@ -21,19 +23,20 @@ from avgbeam import (
     ensemble_track,
     project_to_hyperboloid,
 )
+from avgbeam.cli import main
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_functions_resolve_in_the_package():
-    spans = _load_spans()
+    spans = _load("spans")
     for module, function, _, _ in spans.TRACED:
         assert callable(getattr(importlib.import_module(f"avgbeam.{module}"), function))
     assert callable(importlib.import_module("avgbeam.ensemble").BeamEnsemble.__init__)
@@ -41,10 +44,29 @@ def test_traced_functions_resolve_in_the_package():
 
 
 def test_ensemble_track_result_has_what_the_tracer_reads():
-    spans = _load_spans()
+    spans = _load("spans")
     lattice = Lattice.from_elements([Dipole(length=2.0, b0=0.5)])
     ens = BeamEnsemble(project_to_hyperboloid(np.array([[0.0, 1.0, 0.0], [0.0, 1.01, 0.0]])))
     args = (lattice, ens, np.array([0.0, 0.0, 0.5, 0.0]), 0.05, IntegratorConfig(step=0.01))
     result = ensemble_track(*args)
     assert len(result.mean.t) == 6
     assert spans._sample_steps(args, {}, result) == 2 * 5
+
+
+def test_benchmark_csv_headers_are_the_cli_headers(tmp_path):
+    checks = _load("checks")
+    lat, beam = tmp_path / "one.lat", tmp_path / "delta.beam"
+    lat.write_text("element dipole length=1.0 b0=0.05\n")
+    beam.write_text("distribution=delta\nmean=0,1,0\n")
+    orbit = ["--lattice", str(lat), "--beam", str(beam), "--step", "0.01", "--span", "0.05"]
+    runs = {
+        "trajectory": ["track", *orbit],
+        "jacobi": ["jacobi", *orbit, "--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"],
+        "offset": ["offset", *orbit],
+        "dispersion": ["dispersion", "--lattice", str(lat), "--step", "0.01", "--delta", "1e-3"],
+    }
+    assert sorted(checks.HEADERS) == sorted(runs)
+    for kind, argv in runs.items():
+        out = tmp_path / f"{kind}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text().partition("\n")[0] == checks.HEADERS[kind]
