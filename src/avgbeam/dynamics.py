@@ -9,6 +9,10 @@ one classical fixed-step RK4 kernel that calls accel at t_k, twice at
 t_k + h/2 and at t_k + h in every step, in that order, which is all a
 right-hand side knows of its stage; an observer sees every grid point.
 No adaptive control, so identical inputs give identical output bytes.
+The linear transverse and longitudinal channels have constant
+coefficients inside one element and are evaluated in closed form, as
+the element's transfer map on the output grid; only an RF channel whose
+gamma varies along the grid still runs through the kernel.
 
 Moment transport
 ----------------
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -246,7 +249,8 @@ def _rk4(accel, x, v, h, n, observe):
     in that order; observe(k, x, v) sees every grid point k = 0..n.  All
     updates are elementwise: an orbit's state is a (4,) array (eight
     entries for Jacobi) whose accel reads it as floats, a batch's a (4, m)
-    array of columns, and the linear channels run plain floats.
+    array of columns, and the Hill solutions and a varying-gamma RF
+    channel run plain floats.
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -620,37 +624,63 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
-def _channels(initial: JacobiState, t, h, accels):
-    """Run each (component i, accel) of accels alone through the kernel as a plain float."""
-    xi, dxi = (np.asarray(a, dtype=float).tolist() for a in (initial.xi, initial.dxi))
+def _hill_map(K, tau):
+    """(C, C', S, S') of u'' + K u = 0 at offsets tau for a constant K.
+
+    C and S are the cosine-like and sine-like solutions, C(0) = S'(0) = 1
+    and C'(0) = S(0) = 0: cos/sin for K > 0, cosh/sinh for K < 0, the
+    drift for K == 0, and rows of nan for a non-finite K.
+    """
+    if not math.isfinite(K):
+        nan = np.full(np.shape(tau), math.nan)
+        return nan, nan, nan, nan
+    if K == 0.0:
+        one = np.ones(np.shape(tau))
+        return one, np.zeros(np.shape(tau)), tau, one
+    w = math.sqrt(abs(K))
+    if K > 0.0:
+        c, s = np.cos(w * tau), np.sin(w * tau)
+        return c, -w * s, s / w, c
+    c, s = np.cosh(w * tau), np.sinh(w * tau)
+    return c, w * s, s / w, c
+
+
+def _hill_rows(K, tau, u0, du0):
+    """u and u' from the launch (u0, du0) through the map of constant K."""
+    C, Cp, S, Sp = _hill_map(K, tau)
+    return C * u0 + S * du0, Cp * u0 + Sp * du0
+
+
+def _launched(initial: JacobiState, t):
+    """(launch xi, launch dxi, a series on t with only row 0, the launch, filled)."""
+    xi, dxi = (np.asarray(a, dtype=float).reshape(4) for a in (initial.xi, initial.dxi))
     out = JacobiSeries(t=t, xi=np.empty((len(t), 4)), dxi=np.empty((len(t), 4)))
-    for i, accel in accels:
-        out.xi[:, i], out.dxi[:, i] = _rk4_rows(accel, xi[i], dxi[i], h, len(t) - 1)
-    return out
-
-
-def _drift(u, du):
-    return 0.0
+    out.xi[0], out.dxi[0] = xi, dxi
+    return xi.tolist(), dxi.tolist(), out
 
 
 def integrate_transverse_linear(element: Element, rho: float | None,
                                 initial: JacobiState, l_end: float,
                                 config: IntegratorConfig) -> JacobiSeries:
-    """Linear transverse deviation channels in path length l.
+    """Linear transverse deviation channels in path length l, in closed form.
 
-    Horizontal and vertical obey u'' + K u = 0 with (K_h, K_v) =
-    element.focusing(rho): (1/rho^2, 0) for a dipole, (1/rho^2 - b1, b1)
-    for a normal gradient and (1/rho^2 + b1, -b1) for a skew gradient;
-    temporal and longitudinal components drift freely.  rho = None takes
-    the design curvature, 1/rho^2 = b0^2.
+    Every component obeys u'' + K u = 0 with constant K inside the
+    element, (0, K_h, 0, K_v) with (K_h, K_v) = element.focusing(rho):
+    (1/rho^2, 0) for a dipole, (1/rho^2 - b1, b1) for a normal gradient
+    and (1/rho^2 + b1, -b1) for a skew gradient, so temporal and
+    longitudinal components drift freely.  rho = None takes the design
+    curvature, 1/rho^2 = b0^2.  Each grid row is the element's transfer
+    map (_hill_map) applied to the launch, which row 0 holds bit for bit;
+    a grid that ends past the element raises OutOfLattice.
     """
     kh, kv = element.focusing(rho)
     r_design = curvature_radius(element) if rho is None else rho
     if l_end < initial.t:
         raise ValueError("path length must advance forward through the element")
-    if initial.t < -1e-9 or l_end > element.length + 1e-9:
+    n, h, t = _grid(initial.t, l_end, config.step)
+    if initial.t < -1e-9 or t[-1] > element.length + 1e-9:
         raise OutOfLattice(
-            f"span [{initial.t}, {l_end}] leaves element of length {element.length}"
+            f"grid [{initial.t}, {t[-1]}] leaves element of length {element.length}"
         )
     _check_step(element.length, config.step)
     amp = float(np.sqrt(initial.xi[1] ** 2 + initial.xi[3] ** 2))
@@ -658,28 +688,32 @@ def integrate_transverse_linear(element: Element, rho: float | None,
         warnings.warn(
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
-    _, h, t = _grid(initial.t, l_end, config.step)
-    neg_k = [-float(K) for K in (0.0, kh, 0.0, kv)]  # -0.0 on the free components, as -K
-    return _channels(initial, t, h, [(i, lambda u, du, c=c: c * u)
-                                     for i, c in enumerate(neg_k)])
+    xi, dxi, out = _launched(initial, t)
+    tau = np.arange(1, n + 1) * h
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        for i, K in enumerate((0.0, kh, 0.0, kv)):
+            out.xi[1:, i], out.dxi[1:, i] = _hill_rows(K, tau, xi[i], dxi[i])
+    return out
 
 
 def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
                            t_end: float, config: IntegratorConfig) -> JacobiSeries:
     """Longitudinal deviation dynamics for accelerating elements.
 
-    ConstantE: ddxi0 = ddxi2 = -e2 dxi2 (uniform field, no gradient).
-    RFCavity: ddxi2 = +2 gamma(t) e2_0 xi2 and ddxi0 = -2 gamma(t) e2_0
-    xi2, the linearized dynamics at the zero-crossing phase of the
-    cavity.  Transverse components propagate freely.  gamma_of_t is a
-    scalar or a series on the output grid; the RF coefficient 2 gamma e2_0
-    is computed once per RK4 stage and streamed in call order (_stage_stream).
+    ConstantE: ddxi0 = ddxi2 = -e2 dxi2 (uniform field, no gradient),
+    solved in closed form: xi2 = xi2(0) + xi2'(0) (1 - e^(-e2 tau))/e2
+    and xi2' = xi2'(0) e^(-e2 tau).  RFCavity: ddxi2 = +2 gamma(t) e2_0
+    xi2 and ddxi0 = -2 gamma(t) e2_0 xi2, the linearized dynamics at the
+    zero-crossing phase of the cavity.  gamma_of_t is a scalar or a
+    series on the output grid; a constant one gives the Hill map of
+    K = -(2 gamma) e2_0, a varying one has no closed form and xi2 runs
+    through the RK4 kernel as a plain float, the coefficient 2 gamma e2_0
+    streamed in call order (_stage_stream).  Transverse components
+    propagate freely.
 
-    Each component runs alone through the kernel as a plain float.  xi2
-    depends only on itself; xi0 is driven by xi2 alone, its acceleration
-    being exactly xi2's (ConstantE) or its negation (RFCavity) at every
-    stage, so xi2's run records its stage accelerations and xi0's run
-    replays them with that sign.
+    xi0 follows from xi2 algebraically, since ddxi0 = +-ddxi2 (+ for
+    ConstantE, - for RFCavity): xi0 = xi0(0) + xi0'(0) tau
+    +- (xi2 - xi2(0) - xi2'(0) tau).  Row 0 is the launch bit for bit.
     """
     if not isinstance(element, (ConstantE, RFCavity)):
         raise UnsupportedElement(
@@ -691,27 +725,27 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
     if gamma_of_t.ndim and len(gamma_of_t) != n + 1:
         raise MismatchedSampling(f"gamma series has {len(gamma_of_t)} points, "
                                  f"run grid has {n + 1}")
-    if isinstance(element, ConstantE):
-        neg_e2, sign = -element.e2, 1.0
-
-        def accel2(u, du):
-            return neg_e2 * du
-    else:
-        e2_0, sign = element.e2_0, -1.0
-        # (2 gamma) e2_0, grouped as 2.0 * gamma * e2_0 * u; overflow silent as in floats
-        with np.errstate(over="ignore", invalid="ignore"):
-            focus = _stage_stream(np.broadcast_to(gamma_of_t, (n + 1,)), lambda g: 2.0 * g * e2_0)
-
-        def accel2(u, du):
-            return next(focus) * u
-
-    stage_acc = array("d")  # xi0's four stage accelerations per step
-
-    def recorded(u, du):
-        a = accel2(u, du)
-        stage_acc.append(sign * a)
-        return a
-
-    replay = iter(stage_acc)
-    return _channels(initial, t, h, ((2, recorded), (0, lambda u, du: next(replay)),
-                                     (1, _drift), (3, _drift)))
+    xi, dxi, out = _launched(initial, t)
+    tau = np.arange(1, n + 1) * h
+    u0, du0 = xi[2], dxi[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        for i in (1, 3):
+            out.xi[1:, i], out.dxi[1:, i] = _hill_rows(0.0, tau, xi[i], dxi[i])
+        if isinstance(element, ConstantE):
+            sign, x = 1.0, element.e2 * tau
+            # (1 - e^(-x))/x, 1 where x is 0 (e2 == 0, or an e2 tau that underflows)
+            lag = np.divide(np.expm1(-x), -x, out=np.ones_like(x), where=x != 0.0)
+            xi2, dxi2 = u0 + du0 * (tau * lag), du0 * np.exp(-x)
+        else:
+            sign, e2_0 = -1.0, element.e2_0
+            if not gamma_of_t.ndim or (gamma_of_t == gamma_of_t[0]).all():
+                K = -((2.0 * float(gamma_of_t.flat[0])) * e2_0)
+                xi2, dxi2 = _hill_rows(K, tau, u0, du0)
+            else:
+                focus = _stage_stream(gamma_of_t, lambda g: 2.0 * g * e2_0)
+                xi2, dxi2 = _rk4_rows(lambda u, du: next(focus) * u, u0, du0, h, n)
+                xi2, dxi2 = xi2[1:], dxi2[1:]
+        out.xi[1:, 2], out.dxi[1:, 2] = xi2, dxi2
+        out.xi[1:, 0] = xi[0] + dxi[0] * tau + sign * (xi2 - u0 - du0 * tau)
+        out.dxi[1:, 0] = dxi[0] + sign * (dxi2 - du0)
+    return out

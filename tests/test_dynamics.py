@@ -43,6 +43,8 @@ from avgbeam import (
     write_trajectory_csv,
 )
 from avgbeam.connections import ArcAdapted
+from avgbeam.dynamics import _hill_map
+from avgbeam.observables import principal_solutions
 
 SQRT2 = np.sqrt(2.0)
 
@@ -460,6 +462,27 @@ def test_transverse_bounds_and_kinds():
     integrate_transverse_linear(Dipole(length=2.0, b0=0.0), 1.0, init, 1.0, IntegratorConfig(step=1e-3))
 
 
+def test_transverse_grid_must_end_inside_the_element():
+    # l_end = 1.0 lies inside, but whole steps of 0.24 end the grid at 1.2
+    init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
+    elem = Dipole(length=1.0, b0=1.0)
+    with pytest.raises(OutOfLattice, match="1.2"):
+        integrate_transverse_linear(elem, None, init, 1.0, IntegratorConfig(step=0.24))
+    run = integrate_transverse_linear(elem, None, init, 1.0, IntegratorConfig(step=0.25))
+    assert run.t[-1] == 1.0 and len(run) == 5
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0, 0.0], ids=["focusing", "defocusing", "drift"])
+def test_hill_map_equals_hill_solver_on_constant_k(K):
+    t = np.arange(2001) * 1e-3
+    got = _hill_map(K, t)
+    ps = principal_solutions(t, np.full_like(t, K))
+    for mapped, solved in zip(got, (ps.C, ps.Cp, ps.S, ps.Sp)):
+        assert np.abs(mapped - solved).max() < 1e-11  # RK4 error, h = 1e-3
+    C, Cp, S, Sp = got
+    assert np.abs(C * Sp - Cp * S - 1.0).max() <= 1e-14
+
+
 def test_longitudinal_constant_field_closed_form():
     elem = ConstantE(length=20.0, e2=0.1)
     init = JacobiState(0.0, np.zeros(4), np.array([0.0, 0.0, 1e-3, 0.0]))
@@ -468,6 +491,17 @@ def test_longitudinal_constant_field_closed_form():
     assert np.abs(run.xi[:, 2] - want).max() < 1e-12
     # temporal channel shares the acceleration but starts from zero slope
     assert np.abs(run.xi[:, 0] - (want - 1e-3 * run.t)).max() < 1e-12
+
+
+@pytest.mark.parametrize("e2", [0.0, -0.0, 5e-324, -1e-310, 1e-300])
+def test_longitudinal_constant_field_without_decay_drifts(e2):
+    # e2 tau is 0 or subnormal here, yet the lag (1 - e^(-e2 tau))/e2 is tau
+    init = JacobiState(0.0, np.array([1e-4, 0.0, 1e-3, 0.0]), np.array([2e-4, 0.0, 3e-3, 0.0]))
+    run = integrate_longitudinal(ConstantE(length=20.0, e2=e2), 1.0, init, 1.0,
+                                 IntegratorConfig(step=1e-2))
+    drift = init.xi + run.t[:, None] * init.dxi
+    assert np.abs(run.xi - drift).max() <= 1e-18
+    assert np.array_equal(run.dxi, np.broadcast_to(init.dxi, run.dxi.shape))
 
 
 def test_longitudinal_rf_exponential_growth():

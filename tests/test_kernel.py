@@ -11,8 +11,13 @@ adding exact zeros.  The property tests pin the closed-form rank-3 slot
 against the tensor form of the connection and the promised batch
 invariance of the right-hand sides.  The per-row CSV writer and the
 branching stage coefficient the linear channels first used are kept as
-references for the block writer and the stage streams.
+references for the block writer and the stage streams.  The linear
+channels are closed form: they are checked row by row against the exact
+solutions written with math functions, and against the RK4 reference at
+its truncation error.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,7 +67,7 @@ from avgbeam import (
     velocity_monomials3,
     write_ensemble_csv,
 )
-from avgbeam import lattice as lattice_module
+from avgbeam import dynamics, lattice as lattice_module
 from avgbeam.dynamics import (
     _BLOCK_ROWS,
     _cloud_accel,
@@ -121,6 +126,82 @@ def reference_at_stage(values, k, theta):
     if theta >= 1.0:
         return values[k + 1]
     return values[k] * (1.0 - theta) + values[k + 1] * theta
+
+
+# ---------------------------------------------------------------------------
+# exact linear channels, one row at a time with math functions; a row's
+# scale is the sum of the magnitudes of the terms its closed form adds
+
+def exact_hill(K, tau, u, du):
+    """((u, u'), (scale u, scale u')) of u'' + K u = 0 at tau from (u, du)."""
+    if K > 0.0:
+        w = math.sqrt(K)
+        c, s = math.cos(w * tau), math.sin(w * tau)
+        C, Cp, S, Sp = c, -w * s, s / w, c
+    elif K < 0.0:
+        w = math.sqrt(-K)
+        c, s = math.cosh(w * tau), math.sinh(w * tau)
+        C, Cp, S, Sp = c, w * s, s / w, c
+    else:
+        C, Cp, S, Sp = 1.0, 0.0, tau, 1.0
+    return ((C * u + S * du, Cp * u + Sp * du),
+            (abs(C * u) + abs(S * du), abs(Cp * u) + abs(Sp * du)))
+
+
+def exact_decay(e2, tau, u, du):
+    """The same for u'' = -e2 u': u + du (1 - e^(-x))/e2 and du e^(-x), x = e2 tau."""
+    x = e2 * tau
+    lag = tau * (math.expm1(-x) / -x if x else 1.0)
+    v, dv = u + du * lag, du * math.exp(-x)
+    return (v, dv), (abs(u) + abs(du * lag), abs(dv))
+
+
+def transverse_row(K):
+    """Row function of the transverse channel with strengths K per component."""
+    return lambda k, tau, xi, dxi: [exact_hill(K[i], tau, xi[i], dxi[i]) for i in range(4)]
+
+
+def longitudinal_row(sign, xi2_row):
+    """Row function of a longitudinal channel: xi2 from xi2_row(k, tau, u, du),
+    xi0 = xi0(0) + xi0'(0) tau + sign (xi2 - xi2(0) - xi2'(0) tau), xi1 and xi3 drifting."""
+
+    def row(k, tau, xi, dxi):
+        (u2, du2), (s2, sd2) = xi2_row(k, tau, xi[2], dxi[2])
+        u0 = xi[0] + dxi[0] * tau + sign * (u2 - xi[2] - dxi[2] * tau)
+        du0 = dxi[0] + sign * (du2 - dxi[2])
+        scale0 = (abs(xi[0]) + abs(dxi[0] * tau) + s2 + abs(xi[2]) + abs(dxi[2] * tau),
+                  abs(dxi[0]) + sd2 + abs(dxi[2]))
+        return [((u0, du0), scale0), exact_hill(0.0, tau, xi[1], dxi[1]),
+                ((u2, du2), (s2, sd2)), exact_hill(0.0, tau, xi[3], dxi[3])]
+
+    return row
+
+
+def exact_series(row, init, h, n):
+    """(xi, dxi) rows k = 1..n of row(k, k h, ...) below the launch, and each
+    column's scale, the largest of its rows'."""
+    xi, dxi = init.xi.tolist(), init.dxi.tolist()
+    xs, vs, sx, sv = (np.empty((n + 1, 4)) for _ in range(4))
+    xs[0], vs[0] = xi, dxi
+    sx[0], sv[0] = np.abs(xs[0]), np.abs(vs[0])
+    for k in range(1, n + 1):
+        for i, ((u, du), (su, sdu)) in enumerate(row(k, k * h, xi, dxi)):
+            xs[k, i], vs[k, i], sx[k, i], sv[k, i] = u, du, su, sdu
+    return xs, vs, sx.max(axis=0), sv.max(axis=0)
+
+
+def assert_channel(ser, init, exact, rk4, truncation):
+    """Row 0 is the launch bit for bit; every row is within 1e-14 of its column's
+    scale of the exact rows, with their sign on every exact zero, and within
+    truncation of that scale of the classical RK4 rows."""
+    xs, vs, sx, sv = exact
+    for got, launch in ((ser.xi[0], init.xi), (ser.dxi[0], init.dxi)):
+        assert np.array_equal(_bits(got), _bits(launch))
+    for got, want, scale, rk in ((ser.xi, xs, sx, rk4[0]), (ser.dxi, vs, sv, rk4[1])):
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        zero = want == 0.0
+        assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+        assert np.all(np.abs(got - rk) <= truncation * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +327,32 @@ def test_lorentz_equals_reference_across_fodo_edges(fodo_lattice):
     assert np.array_equal(ser.v, vs[:, 0, :])
 
 
-def test_transverse_equals_reference(cfg_fine):
+def test_transverse_equals_reference(cfg_fine, monkeypatch):
     # b0 = 0.05: b0 * b0 = 0.0025000000000000005, while 1/(r*r) with
-    # r = 1/b0 gives 0.0025; a small b1 keeps that last bit in K_h
+    # r = 1/b0 gives 0.0025; a small b1 keeps that last bit in K_h, and
+    # the map must be handed element.focusing's K exactly
     el = NormalQuadDipole(length=2.0, b0=0.05, b1=1e-3)
     init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 2e-3]), np.array([0.0, 0.0, 0.0, 1e-4]))
+    seen, hill_map = [], dynamics._hill_map
+
+    def spy(K, tau):
+        seen.append(K)
+        return hill_map(K, tau)
+
+    monkeypatch.setattr(dynamics, "_hill_map", spy)
     ser = integrate_transverse_linear(el, None, init, 1.5, cfg_fine)
-    freq = np.array([0.0, el.b0 * el.b0 - el.b1, 0.0, el.b1])
-    xs, vs = reference_rk4(lambda k, theta, xi, dxi: -freq * xi, init.xi, init.dxi, 1e-3, 1500)
-    assert np.array_equal(ser.xi, xs)
-    assert np.array_equal(ser.dxi, vs)
+    kh, kv = el.focusing(None)
+    K = [0.0, kh, 0.0, kv]
+    assert K[1] != 1.0 / ((1.0 / el.b0) * (1.0 / el.b0)) - el.b1
+    assert all(type(k) is float for k in seen) and np.array_equal(_bits(seen), _bits(K))
+    freq = np.array(K)
+    rk4 = reference_rk4(lambda k, theta, xi, dxi: -freq * xi, init.xi, init.dxi, 1e-3, 1500)
+    assert_channel(ser, init, exact_series(transverse_row(K), init, 1e-3, 1500), rk4, 1e-12)
 
 
 def test_longitudinal_equals_reference(cfg_fine):
+    # a varying gamma has no closed form: xi2 stays the RK4 run bit for
+    # bit, and xi0 follows from it by the algebra
     el = RFCavity(length=20.0, e2_0=1.0, w_rf=3.0)
     gammas = np.linspace(1.0, 2.0, 2001)
     init = JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
@@ -277,8 +371,11 @@ def test_longitudinal_equals_reference(cfg_fine):
         return acc
 
     xs, vs = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
-    assert np.array_equal(ser.xi, xs)
-    assert np.array_equal(ser.dxi, vs)
+    assert np.array_equal(ser.xi[:, 2], xs[:, 2])
+    assert np.array_equal(ser.dxi[:, 2], vs[:, 2])
+    row = longitudinal_row(-1.0, lambda k, tau, u, du: ((xs[k, 2], vs[k, 2]),
+                                                        (abs(xs[k, 2]), abs(vs[k, 2]))))
+    assert_channel(ser, init, exact_series(row, init, 1e-3, 2000), (xs, vs), 1e-12)
 
 
 def test_longitudinal_constant_field_equals_reference(cfg_fine):
@@ -292,9 +389,9 @@ def test_longitudinal_constant_field_equals_reference(cfg_fine):
         acc[0] = acc[2] = -el.e2 * dxi[2]
         return acc
 
-    xs, vs = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
-    assert np.array_equal(ser.xi, xs)
-    assert np.array_equal(ser.dxi, vs)
+    rk4 = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
+    row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du))
+    assert_channel(ser, init, exact_series(row, init, 1e-3, 2000), rk4, 1e-12)
 
 
 def test_principal_solutions_equal_reference(fodo_lattice):
@@ -369,8 +466,8 @@ def test_stage_stream_equals_branching_stage_coefficient(values, e2_0):
                          ids=["float", "orbit", "cloud"])
 def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
     # x' = v = 1 from x0, so each call's position is x0 + t exactly
-    # (h = 0.375 keeps h/2 and h/6 exact); the stage streams and the
-    # longitudinal replay rely on this order
+    # (h = 0.375 keeps h/2 and h/6 exact); the stage streams rely on
+    # this order
     seen = []
 
     def accel(x, v):
@@ -393,6 +490,18 @@ def test_rf_coefficient_overflow_is_silent_like_float_arithmetic(e2_0):
                                  JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4)),
                                  0.03, IntegratorConfig(step=0.01))
     assert not np.isfinite(ser.dxi[-1, 2])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e2_0", [1.0, 0.0])  # 2 gamma e2_0 overflows to inf, or inf * 0 = nan
+def test_rf_scalar_gamma_overflow_is_silent_like_float_arithmetic(e2_0):
+    # the CLI passes a scalar gamma, which takes the closed form
+    init = JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
+    ser = integrate_longitudinal(RFCavity(length=1.0, e2_0=e2_0, w_rf=1.0), 1e308, init,
+                                 0.03, IntegratorConfig(step=0.01))
+    assert np.array_equal(ser.xi[0], init.xi) and np.array_equal(ser.dxi[0], init.dxi)
+    assert not np.isfinite(ser.xi[1:, [0, 2]]).any()
+    assert not np.isfinite(ser.dxi[1:, [0, 2]]).any()
 
 
 def _shifted_mean(q, ws):
@@ -654,11 +763,13 @@ def test_batched_cloud_rows_equal_single_row_runs(n, sigma, seed, b0):
 _COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
 _LAUNCH = st.lists(_COMPONENT, min_size=4, max_size=4).map(np.array)
 _H = 0.01
+_TRUNCATION = 1e-6  # RK4 global error, about (h w)^4 w t / 120 for |K| = w^2 <= 40, t <= 0.4
 
 
 @st.composite
 def _linear_channel(draw):
-    """(run(initial), vector reference rhs, steps) of a random linear channel."""
+    """(run(initial), vector reference rhs, exact row function or None, steps) of a
+    random linear channel; None marks a varying gamma, whose xi2 has no closed form."""
     n = draw(st.integers(4, 40))
     cfg = IntegratorConfig(step=_H)
     if draw(st.booleans()):
@@ -668,7 +779,7 @@ def _linear_channel(draw):
         kh, kv = el.focusing(rho)
         freq = np.array([0.0, kh, 0.0, kv])
         return (lambda init: integrate_transverse_linear(el, rho, init, n * _H, cfg),
-                lambda k, theta, xi, dxi: -freq * xi, n)
+                lambda k, theta, xi, dxi: -freq * xi, transverse_row([0.0, kh, 0.0, kv]), n)
     if draw(st.booleans()):
         el = ConstantE(length=1.0, e2=draw(st.floats(-2.0, 2.0)))
 
@@ -677,7 +788,8 @@ def _linear_channel(draw):
             acc[0] = acc[2] = -el.e2 * dxi[2]
             return acc
 
-        return lambda init: integrate_longitudinal(el, 1.0, init, n * _H, cfg), rhs, n
+        row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du))
+        return lambda init: integrate_longitudinal(el, 1.0, init, n * _H, cfg), rhs, row, n
     el = RFCavity(length=1.0, e2_0=draw(st.floats(-2.0, 2.0)), w_rf=1.0)
     gamma = draw(st.one_of(
         st.floats(1.0, 10.0),
@@ -696,17 +808,26 @@ def _linear_channel(draw):
         acc[2] = 2.0 * g * el.e2_0 * xi[2]
         return acc
 
-    return lambda init: integrate_longitudinal(el, gamma, init, n * _H, cfg), rhs, n
+    row = None
+    if (gammas == gammas[0]).all():
+        K = -((2.0 * float(gammas[0])) * el.e2_0)
+        row = longitudinal_row(-1.0, lambda k, tau, u, du: exact_hill(K, tau, u, du))
+    return lambda init: integrate_longitudinal(el, gamma, init, n * _H, cfg), rhs, row, n
 
 
 @settings(max_examples=300, deadline=None)
 @given(channel=_linear_channel(), xi=_LAUNCH, dxi=_LAUNCH)
 def test_linear_channel_components_equal_vector_reference(channel, xi, dxi):
     # every component of the launch is random, so a wrong coupling of
-    # xi0 to xi2, or a lost sign of zero, shows in some column
-    run, rhs, n = channel
-    ser = run(JacobiState(0.0, xi, dxi))
+    # xi0 to xi2, or a lost sign of zero, shows in some column; a constant
+    # gamma takes the closed form, a varying one keeps xi2's RK4 bits
+    run, rhs, row, n = channel
+    init = JacobiState(0.0, xi, dxi)
+    ser = run(init)
     xs, vs = reference_rk4(rhs, xi, dxi, _H, n)
-    for got, want in ((ser.xi, xs), (ser.dxi, vs)):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    if row is None:
+        assert np.array_equal(_bits(ser.xi[:, 2]), _bits(xs[:, 2]))
+        assert np.array_equal(_bits(ser.dxi[:, 2]), _bits(vs[:, 2]))
+        row = longitudinal_row(-1.0, lambda k, tau, u, du: ((xs[k, 2], vs[k, 2]),
+                                                            (abs(xs[k, 2]), abs(vs[k, 2]))))
+    assert_channel(ser, init, exact_series(row, init, _H, n), (xs, vs), _TRUNCATION)

@@ -17,10 +17,15 @@ import numpy as np
 
 from avgbeam import (
     BeamEnsemble,
+    ConstantE,
     Dipole,
     IntegratorConfig,
+    JacobiState,
     Lattice,
+    RFCavity,
     ensemble_track,
+    integrate_longitudinal,
+    integrate_transverse_linear,
     project_to_hyperboloid,
 )
 from avgbeam.cli import main
@@ -51,6 +56,20 @@ def test_ensemble_track_result_has_what_the_tracer_reads():
     result = ensemble_track(*args)
     assert len(result.mean.t) == 6
     assert spans._sample_steps(args, {}, result) == 2 * 5
+
+
+def test_linear_channel_results_have_what_the_tracer_reads():
+    # the channels are closed form, yet dynamics.steps still counts their grid steps
+    spans = _load("spans")
+    init = JacobiState(0.0, np.array([0.0, 1e-3, 1e-3, 0.0]), np.zeros(4))
+    cfg = IntegratorConfig(step=0.01)
+    runs = [(integrate_transverse_linear, (Dipole(length=1.0, b0=0.5), None, init, 0.5, cfg), 50),
+            (integrate_longitudinal, (RFCavity(length=1.0, e2_0=1.0, w_rf=3.0), 2.0, init, 0.3, cfg), 30),
+            (integrate_longitudinal, (ConstantE(length=1.0, e2=0.1), 1.0, init, 0.2, cfg), 20)]
+    for channel, args, steps in runs:
+        result = channel(*args)
+        assert len(result.t) == steps + 1
+        assert spans._series_steps(args, {}, result) == steps
 
 
 def test_benchmark_csv_headers_are_the_cli_headers(tmp_path):
