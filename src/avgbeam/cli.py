@@ -11,6 +11,7 @@ lengths in meters, dipole and electric strengths in 1/m, gradients in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,6 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _averaged_launch(args):
     """The beam's moments, the launch on their projected mean velocity, the config."""
     moments = compute_moments(realize_beam(_load_beam(args.beam)))
@@ -285,7 +292,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "jacobi" and (args.frame == "arc") != (args.rho is not None):
         parser.error("jacobi --frame arc needs --rho, and --rho needs --frame arc")

@@ -624,6 +624,12 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
+def _check_on_element(element: Element, start, end):
+    """OutOfLattice when the grid from start to end leaves [0, element.length]."""
+    if min(start, end) < -1e-9 or max(start, end) > element.length + 1e-9:
+        raise OutOfLattice(f"grid [{start}, {end}] leaves element of length {element.length}")
+
+
 def _hill_map(K, tau):
     """(C, C', S, S') of u'' + K u = 0 at offsets tau for a constant K.
 
@@ -678,10 +684,7 @@ def integrate_transverse_linear(element: Element, rho: float | None,
     if l_end < initial.t:
         raise ValueError("path length must advance forward through the element")
     n, h, t = _grid(initial.t, l_end, config.step)
-    if initial.t < -1e-9 or t[-1] > element.length + 1e-9:
-        raise OutOfLattice(
-            f"grid [{initial.t}, {t[-1]}] leaves element of length {element.length}"
-        )
+    _check_on_element(element, initial.t, t[-1])
     _check_step(element.length, config.step)
     amp = float(np.sqrt(initial.xi[1] ** 2 + initial.xi[3] ** 2))
     if amp > 0.1 * abs(r_design):
@@ -713,14 +716,16 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
 
     xi0 follows from xi2 algebraically, since ddxi0 = +-ddxi2 (+ for
     ConstantE, - for RFCavity): xi0 = xi0(0) + xi0'(0) tau
-    +- (xi2 - xi2(0) - xi2'(0) tau).  Row 0 is the launch bit for bit.
+    +- (xi2 - xi2(0) - xi2'(0) tau).  Row 0 is the launch bit for bit;
+    a grid that leaves the element raises OutOfLattice.
     """
     if not isinstance(element, (ConstantE, RFCavity)):
         raise UnsupportedElement(
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
-    _check_step(element.length, config.step)
     n, h, t = _grid(initial.t, t_end, config.step)
+    _check_on_element(element, initial.t, t[-1])
+    _check_step(element.length, config.step)
     gamma_of_t = np.asarray(gamma_of_t, dtype=float)
     if gamma_of_t.ndim and len(gamma_of_t) != n + 1:
         raise MismatchedSampling(f"gamma series has {len(gamma_of_t)} points, "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from avgbeam import read_jacobi_csv, read_trajectory_csv
-from avgbeam.cli import main
+from avgbeam.cli import build_parser, main
 
 DIPOLE = "element dipole length=25.0 b0=0.05\n"
 DELTA_BEAM = "distribution=delta\nmean=0,10,0\n"
@@ -268,9 +268,11 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
      "--rho"),
     (2, ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,0.01,0.005", "--span", "1.0",
          "--seed", "3", "--comparison", "proper-time"], "--comparison"),
+    (1, ["longitudinal", "--lattice", "RF", "--step", "0.1", "--span", "30", *_DEVIATION],
+     "leaves element of length 20.0"),
 ], ids=["longitudinal-gamma-below-one", "longitudinal-gamma-negative", "xi0-three-values",
         "alphas-empty", "delta-negative", "step-misses-inner-edge", "rho-without-arc",
-        "scan-comparison"])
+        "scan-comparison", "longitudinal-past-element"])
 def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
     tmp, lat, _, gauss = files
     rf, edged = tmp / "rf.lat", tmp / "edged.lat"
@@ -304,6 +306,27 @@ def test_overflowing_run_writes_no_csv(files, capsys, gamma):
     assert len(err) == 1
     assert err[0].startswith("avgbeam: column xi") and err[0].endswith("at row 1; no CSV written")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_successive_calls_share_no_state(files, capsys):
+    tmp, lat, delta, gauss = files
+    track = ["track", "--lattice", str(lat), "--beam", str(delta), "--step", "1e-3",
+             "--span", "0.5", "--out"]
+    conn, force, plain = tmp / "conn.csv", tmp / "force.csv", tmp / "plain.csv"
+    assert main(track + [str(conn), "--form", "connection"]) == 0
+    assert main(track + [str(force), "--form", "force"]) == 0
+    assert main(track + [str(plain)]) == 0
+    assert plain.read_bytes() == conn.read_bytes() != force.read_bytes()
+
+    jacobi = ["jacobi", "--lattice", str(lat), "--beam", str(gauss), *_ORBIT, *_DEVIATION,
+              "--frame", "arc", "--out", str(tmp / "jac.csv")]
+    assert main(jacobi + ["--rho", "20"]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(jacobi)
+    assert e.value.code == 2
+    assert "--frame arc needs --rho" in capsys.readouterr().err
+    assert build_parser() is not build_parser()
 
 
 def test_bad_usage_exits_two(files):

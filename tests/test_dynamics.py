@@ -527,6 +527,30 @@ def test_longitudinal_gamma_series_matches_constant():
         integrate_longitudinal(elem, np.full(50, 2.0), init, 1.0, cfg)
 
 
+@pytest.mark.parametrize("elem", [RFCavity(length=2.0, e2_0=1.0, w_rf=3.0),
+                                  ConstantE(length=2.0, e2=0.1)], ids=["rf", "const_e"])
+@pytest.mark.parametrize("start, t_end, step", [
+    (0.0, 30.0, 0.1),   # 28 m past the exit
+    (0.0, 30.0, 1.0),   # past the exit with a step too large: the grid is named first
+    (0.0, 2.0, 0.24),   # whole steps of 0.24 end the grid at 2.16 > 2
+    (-0.5, 1.0, 0.1),   # starts before the entry
+    (1.0, -1.0, 0.1),   # runs backwards out of the entry
+], ids=["past-exit", "past-exit-coarse", "last-step-past-exit", "before-entry", "backwards"])
+def test_longitudinal_grid_must_stay_inside_the_element(elem, start, t_end, step):
+    init = JacobiState(start, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
+    with pytest.raises(OutOfLattice, match=r"grid \[.*\] leaves element of length 2\.0"):
+        integrate_longitudinal(elem, 1.0, init, t_end, IntegratorConfig(step=step))
+
+
+def test_longitudinal_grid_may_end_at_the_exit():
+    init = JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
+    elem = RFCavity(length=2.0, e2_0=1.0, w_rf=3.0)
+    run = integrate_longitudinal(elem, 1.0, init, 2.0, IntegratorConfig(step=0.1))
+    assert run.t[-1] == 2.0 and len(run) == 21
+    run = integrate_longitudinal(elem, 1.0, init, 2.0, IntegratorConfig(step=0.5))
+    assert run.t[-1] == 2.0 and len(run) == 5
+
+
 def test_longitudinal_rejects_magnetic_elements():
     init = JacobiState(0.0, np.zeros(4), np.zeros(4))
     with pytest.raises(UnsupportedElement):

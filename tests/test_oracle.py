@@ -1,33 +1,41 @@
 """Independent-check machinery: ensemble tracking, scaling scans, reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgbeam import (
     BeamEnsemble,
     DegenerateFit,
     Dipole,
+    Drift,
     IntegratorConfig,
     InvalidCount,
     JacobiState,
     Lattice,
     LinearizationReport,
+    OutOfLattice,
     OutOfSpan,
     ScalingReport,
     TrajectoryState,
+    compute_moments,
     delta_moments,
     endpoint_deviation,
     ensemble_track,
     gaussian_beam_family,
+    integrate_averaged_geodesic,
     integrate_lorentz,
     jacobi_vs_two_geodesics,
     position_at_lab_time,
+    project_to_hyperboloid,
     theorem1_scan,
     validate_field_gradients,
 )
 from avgbeam import ConstantE, NormalQuadDipole, RFCavity
+from avgbeam import oracle
 
 SQRT2 = np.sqrt(2.0)
 
@@ -154,3 +162,139 @@ def test_field_gradient_validation_windows():
     assert validate_field_gradients(lat_rf, probes) < 1e-6
     lat_e = Lattice.from_elements([ConstantE(length=2.0, e2=0.1)])
     assert validate_field_gradients(lat_e, probes) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# clouds tracked as one batch
+
+def reference_theorem1_scan(lattice, beam_family, alphas, s, config):
+    """theorem1_scan as one loop over alpha, each cloud tracked on its own."""
+    deviations = []
+    for alpha in alphas:
+        ens = beam_family(alpha)
+        moments = compute_moments(ens)
+        u_c = project_to_hyperboloid(moments.first[1:4])
+        t_end = s / math.sqrt(u_c[1] ** 2 + u_c[2] ** 2 + u_c[3] ** 2)
+        x0 = np.zeros(4)
+        avg = integrate_averaged_geodesic(
+            lattice, moments, TrajectoryState(t=0.0, x=x0, v=u_c), t_end, config)
+        track = ensemble_track(lattice, ens, x0, t_end, config)
+        deviations.append(endpoint_deviation(avg, track.mean))
+    slope, intercept = np.polyfit(np.log(alphas), np.log(deviations), 1)
+    return ScalingReport(alphas=list(alphas), deviations=deviations,
+                         fitted_exponent=float(slope), fitted_prefactor=float(math.exp(intercept)))
+
+
+def _edged_line():
+    cell = [NormalQuadDipole(length=0.5, b0=0.2, b1=1.5), Drift(length=0.5),
+            NormalQuadDipole(length=0.5, b0=0.2, b1=-1.5), Drift(length=0.5)]
+    return Lattice.from_elements(cell * 2)
+
+
+# (lattice, launch event, span, step): every cloud stays on one dipole, or
+# crosses the edge at x2 = 0.5 of the line at step counts that differ by sample
+_BATCH_CASES = {
+    "dipole": (Lattice.from_elements([Dipole(length=2.0, b0=0.5)]),
+               np.array([0.0, 0.0, 0.5, 0.0]), 0.4, 0.04),
+    "edged-line": (_edged_line(), np.array([0.0, 0.0, 0.45, 0.0]), 0.2, 0.02),
+}
+
+
+@st.composite
+def _equal_clouds(draw):
+    """1-4 clouds of one size (1-40 samples) about spatial velocity (0, 1, 0)."""
+    g, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    spread = st.floats(-0.2, 0.2)
+    clouds = []
+    for _ in range(g):
+        spatial = np.reshape(draw(st.lists(spread, min_size=3 * m, max_size=3 * m)), (m, 3))
+        ws = draw(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m).filter(
+            lambda w: sum(w) > 0.0))
+        clouds.append(BeamEnsemble(project_to_hyperboloid(spatial + [0.0, 1.0, 0.0]), ws))
+    return clouds
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow, divide, invalid
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+@settings(max_examples=40, deadline=None)
+@given(clouds=_equal_clouds())
+def test_batched_cloud_means_equal_separate_runs(case, clouds):
+    lattice, x0, span, step = _BATCH_CASES[case]
+    cfg = IntegratorConfig(step=step)
+    batch = oracle._track_means(lattice, clouds, x0, span, cfg)
+    assert len(batch) == len(clouds)
+    for ens, mean in zip(clouds, batch):
+        alone = ensemble_track(lattice, ens, x0, span, cfg).mean
+        assert np.array_equal(mean.t, alone.t)
+        assert _same_bits(mean.x, alone.x) and _same_bits(mean.v, alone.v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow, divide, invalid
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+@settings(max_examples=20, deadline=None)
+@given(spatial=st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
+       clouds=_equal_clouds())
+def test_batched_delta_cloud_is_the_single_particle_run(case, spatial, clouds):
+    # criterion 05 under batching: a point bunch next to a spread one
+    lattice, x0, span, step = _BATCH_CASES[case]
+    cfg = IntegratorConfig(step=step)
+    v = project_to_hyperboloid(np.add(spatial, [0.0, 1.0, 0.0]))
+    spread = clouds[0]
+    point = BeamEnsemble(np.tile(v, (len(spread), 1)), spread.ws)
+    mean = oracle._track_means(lattice, [point, spread], x0, span, cfg)[0]
+    single = integrate_lorentz(lattice, TrajectoryState(0.0, x0, v), span, cfg)
+    assert np.array_equal(mean.x, single.x) and np.array_equal(mean.v, single.v)
+
+
+def _uneven_family(alpha):
+    """Clouds whose mean speed (so their step count) and size depend on alpha."""
+    speed, n = {0.02: (1.0, 30), 0.01: (1.0, 30), 0.005: (1.5, 20), 0.0025: (1.0, 20)}[alpha]
+    rng = np.random.default_rng([7, int(alpha * 1e6)])
+    draws = alpha * rng.standard_normal((n, 3))
+    draws += [0.0, speed, 0.0] - draws.mean(axis=0)
+    return BeamEnsemble(project_to_hyperboloid(draws), rng.uniform(0.5, 1.5, n))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_groups_clouds_by_step_count_and_size(monkeypatch):
+    lattice, cfg = _edged_line(), IntegratorConfig(step=0.01)
+    alphas = [0.02, 0.01, 0.005, 0.0025]
+    want = reference_theorem1_scan(lattice, _uneven_family, alphas, 0.505, cfg)
+
+    groups = []
+    track = oracle._track_means
+
+    def spy(lattice, ensembles, x0, t_end, config):
+        means = track(lattice, ensembles, x0, t_end, config)
+        groups.append((len(means[0].t) - 1, [len(e.ys) for e in ensembles]))
+        return means
+
+    monkeypatch.setattr(oracle, "_track_means", spy)
+    got = theorem1_scan(lattice, _uneven_family, alphas, 0.505, cfg)
+    assert got == want and got.to_json() == want.to_json()
+    # 0.505 m at speed 1 takes 51 steps, at speed 1.5 34
+    assert sorted(groups) == [(34, [20]), (51, [20]), (51, [30, 30])]
+
+
+def _leaving_family(alpha):
+    """Ten samples at spatial speed about 0.85; the 0.01 cloud has one running backwards."""
+    rng = np.random.default_rng([3, int(alpha * 1e6)])
+    draws = alpha * rng.standard_normal((10, 3))
+    draws += [0.0, 0.85, 0.0] - draws.mean(axis=0)
+    if alpha == 0.01:
+        draws[:9, 1] = 1.0
+        draws[9] = [0.0, -0.5, 0.0]
+    return BeamEnsemble(project_to_hyperboloid(draws))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_with_a_cloud_that_leaves_the_lattice_raises():
+    lattice, cfg = Lattice.from_elements([Drift(length=1.0)]), IntegratorConfig(step=0.01)
+    alphas = [0.02, 0.01, 0.005]
+    for scan in (reference_theorem1_scan, theorem1_scan):
+        with pytest.raises(OutOfLattice):
+            scan(lattice, _leaving_family, alphas, 0.5, cfg)
