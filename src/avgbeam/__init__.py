@@ -117,6 +117,7 @@ from .observables import (
     born_offset,
     dispersion,
     green_function,
+    lattice_principal_solutions,
     momentum_spread,
     particular_solution,
     principal_solutions,

@@ -43,8 +43,8 @@ from .ensemble import (
     realize_beam,
 )
 from .errors import AvgBeamError, NonFiniteValue
-from .lattice import load_lattice, inverse_rho_profile, transverse_k_profile
-from .observables import averaged_offset, dispersion, principal_solutions
+from .lattice import load_lattice, inverse_rho_profile
+from .observables import averaged_offset, dispersion, lattice_principal_solutions
 from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
 
 
@@ -259,11 +259,10 @@ def _run(args) -> int:
         _write_rows(args.out, header, columns)
 
     elif args.command == "dispersion":
-        l, K = transverse_k_profile(lattice, "horizontal", args.step)
+        ps = lattice_principal_solutions(lattice, "horizontal", args.step)
         _, inv_rho = inverse_rho_profile(lattice, args.step)
-        ps = principal_solutions(l, K)
         result = dispersion(ps, inv_rho, args.delta)
-        header, columns = "t,C,S,D,off", [l, ps.C, ps.S, result.D, result.offset]
+        header, columns = "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset]
         _check_finite(header, *columns)
         _write_rows(args.out, header, columns)
 

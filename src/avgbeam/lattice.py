@@ -405,6 +405,14 @@ def _aligned_grid(lattice: Lattice, step: float) -> np.ndarray:
     return np.arange(n + 1) * step
 
 
+def _element_k(lattice: Lattice, plane: str) -> list:
+    """Each element's constant K for the plane: focusing() of a bending element, else 0."""
+    if plane not in ("horizontal", "vertical"):
+        raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
+    axis = 0 if plane == "horizontal" else 1
+    return [e.focusing()[axis] if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
+
+
 def transverse_k_profile(lattice: Lattice, plane: str, step: float):
     """Piecewise-constant focusing function K(l) sampled on a step grid.
 
@@ -414,11 +422,8 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
     Boundary samples take the downstream value (right continuity); the
     grid must align with element boundaries.
     """
-    if plane not in ("horizontal", "vertical"):
-        raise ValueError(f"plane must be 'horizontal' or 'vertical', got '{plane}'")
+    k = _element_k(lattice, plane)
     grid = _aligned_grid(lattice, step)
-    axis = 0 if plane == "horizontal" else 1
-    k = [e.focusing()[axis] if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
     return grid, np.array(k)[lattice.element_index(grid)]
 
 

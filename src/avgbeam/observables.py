@@ -5,6 +5,11 @@ equations u'' + K(t) u = 0; this module builds their principal
 solutions, the associated Green function and particular solutions, the
 dispersion response to a momentum error, and the transverse offset
 integrals driven by the ensemble moments along a reference run.
+
+Principal solutions come two ways.  On a lattice K is constant inside
+each hard-edged element, so lattice_principal_solutions chains the
+elements' closed-form transfer maps and is exact at element edges;
+principal_solutions integrates an arbitrary sampled K(t) by RK4.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .dynamics import (
     TrajectorySeries,
     _check_common_grid,
     _directional,
+    _hill_rows,
     _lookup_xi,
     _matvec,
     _mdot,
@@ -35,7 +41,7 @@ from .errors import (
     ResidualTooLarge,
     WronskianDrift,
 )
-from .lattice import Lattice, field_entries, gradient_entries
+from .lattice import Lattice, _element_k, field_entries, gradient_entries, transverse_k_profile
 
 
 @dataclass
@@ -59,7 +65,7 @@ class PrincipalSolutions:
                 and self.S[0] == 0.0 and self.Sp[0] == 1.0):
             raise ValueError("principal solutions must start from the unit initial data")
         drift = self.wronskian_drift()
-        if drift > 1e-9:
+        if not drift <= 1e-9:  # NaN fails too
             raise WronskianDrift(f"Wronskian deviates from 1 by {drift}")
 
     def wronskian_drift(self) -> float:
@@ -102,19 +108,26 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
 
 
-def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
-    """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid.
+def _check_finite_k(K):
+    if not np.all(np.isfinite(K)):
+        raise ValueError("K must be finite on the grid")
 
-    K is sampled on the same grid; each run streams -K in stage order,
-    blending adjacent samples evenly at the midpoints.  Raises WronskianDrift
-    if the pair loses its unit Wronskian beyond 1e-9 anywhere on the grid.
+
+def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
+    """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid by RK4.
+
+    For an arbitrary sampled K; a lattice's piecewise-constant K has the
+    exact lattice_principal_solutions.  K is sampled on the same grid;
+    each run streams -K in stage order, blending adjacent samples evenly
+    at the midpoints, so a jump in K costs an order at that step.
+    Raises WronskianDrift if the pair loses its unit Wronskian beyond
+    1e-9 anywhere on the grid.
     """
     t = np.asarray(t, dtype=float)
     K = np.asarray(K, dtype=float)
     if len(K) != len(t):
         raise MismatchedGrid(f"K has {len(K)} samples, grid has {len(t)}")
-    if not np.all(np.isfinite(K)):
-        raise ValueError("K must be finite on the grid")
+    _check_finite_k(K)
     h = _uniform_step(t)
     # C and S run as plain floats, each stage seeing the same coefficient
     # in both runs, which is what keeps the Wronskian pinned.
@@ -122,6 +135,34 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     C, Cp = _rk4_rows(lambda u, du: next(neg_c) * u, 1.0, 0.0, h, len(t) - 1)
     S, Sp = _rk4_rows(lambda u, du: next(neg_s) * u, 0.0, 1.0, h, len(t) - 1)
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
+
+
+def lattice_principal_solutions(lattice: Lattice, plane: str, step: float) -> PrincipalSolutions:
+    """The fundamental pair of the plane's Hill equation along the lattice, exact at edges.
+
+    On the aligned grid of transverse_k_profile each element's rows are
+    its transfer map for constant K (dynamics._hill_map, at offsets
+    1..n_e steps from the element's entry, as the transverse channel
+    evaluates it) applied to the entry states (C, C') and (S, S').
+    Each element's K comes from the rule the profile samples, read per
+    element: the profile's sample at an element's first grid point can
+    round into the upstream element.  The result carries the profile.
+    Raises MismatchedSampling for a step that misses an element
+    boundary and ValueError for a non-finite K.
+    """
+    ks = _element_k(lattice, plane)
+    t, K = transverse_k_profile(lattice, plane, step)
+    _check_finite_k(ks)
+    C, Cp, S, Sp = rows = np.empty((4, len(t)))
+    rows[:, 0] = 1.0, 0.0, 0.0, 1.0
+    start = 0
+    for k, end in zip(ks, lattice.boundaries):
+        stop = round(float(end) / step)
+        tau = np.arange(1, stop - start + 1) * step
+        for u, du in ((C, Cp), (S, Sp)):
+            u[start + 1:stop + 1], du[start + 1:stop + 1] = _hill_rows(k, tau, u[start], du[start])
+        start = stop
+    return PrincipalSolutions(t=t, C=C, Cp=Cp, S=S, Sp=Sp, K=K)
 
 
 def _interp_checked(ps: PrincipalSolutions, value: float):
@@ -158,7 +199,7 @@ def particular_solution(ps: PrincipalSolutions, p: np.ndarray) -> np.ndarray:
         resid = p[1:-1] - (dd + ps.K[1:-1] * P[1:-1])
         bound = 1e-6 * float(np.max(np.abs(p)))
         worst = float(np.max(np.abs(resid)))
-        if worst > bound:
+        if not worst <= bound:  # NaN fails too
             raise ResidualTooLarge(
                 f"particular-solution residual {worst} exceeds {bound}"
             )

@@ -10,17 +10,23 @@ import pytest
 import avgbeam
 
 from avgbeam import (
+    ConstantE,
     Dipole,
+    Drift,
     IntegratorConfig,
     JacobiSeries,
     JacobiState,
     Lattice,
     MismatchedGrid,
+    MismatchedSampling,
     MomentsSeries,
+    NormalQuadDipole,
     OffsetSeries,
     OutOfSpan,
     PrincipalSolutions,
+    RFCavity,
     ResidualTooLarge,
+    SkewQuadDipole,
     TrajectorySeries,
     TrajectoryState,
     WronskianDrift,
@@ -35,6 +41,7 @@ from avgbeam import (
     integrate_averaged_geodesic,
     integrate_jacobi_full,
     inverse_rho_profile,
+    lattice_principal_solutions,
     mean_field_defect,
     momentum_spread,
     particular_solution,
@@ -91,12 +98,107 @@ def test_principal_solutions_container_checks():
         PrincipalSolutions(t, z + 0.5, z, z + t, z + 1.0, z + 1.0)
     with pytest.raises(WronskianDrift):
         PrincipalSolutions(t, np.cos(2 * t), -2 * np.sin(2 * t), np.sin(t), np.cos(t), z + 1.0)
+    with_nan = np.cos(t)
+    with_nan[5] = np.nan
+    with pytest.raises(WronskianDrift):
+        PrincipalSolutions(t, with_nan, -np.sin(t), np.sin(t), np.cos(t), z + 1.0)
 
 
 def test_wronskian_on_fodo_profile(fodo_lattice):
     grid, k = transverse_k_profile(fodo_lattice, "horizontal", 1e-3)
     ps = principal_solutions(grid, k)
     assert ps.wronskian_drift() < 1e-9
+
+
+def _transfer(K, L):
+    """2x2 transfer matrix of u'' + K u = 0 over a length L of constant K."""
+    if K == 0.0:
+        return np.array([[1.0, L], [0.0, 1.0]])
+    w = np.sqrt(abs(K))
+    if K > 0.0:
+        return np.array([[np.cos(w * L), np.sin(w * L) / w], [-w * np.sin(w * L), np.cos(w * L)]])
+    return np.array([[np.cosh(w * L), np.sinh(w * L) / w], [w * np.sinh(w * L), np.cosh(w * L)]])
+
+
+def _agrees_with_matrix_products(lattice, plane, step, ks):
+    """Compare (C, S; C', S') at every element end with the product of the elements' matrices."""
+    ps = lattice_principal_solutions(lattice, plane, step)
+    M = np.eye(2)
+    for K, element, end in zip(ks, lattice.elements, lattice.boundaries):
+        M = _transfer(K, element.length) @ M
+        i = round(end / step)
+        assert np.abs([[ps.C[i], ps.S[i]], [ps.Cp[i], ps.Sp[i]]] - M).max() <= 1e-13
+    assert np.array_equal(ps.K, transverse_k_profile(lattice, plane, step)[1])
+    return ps
+
+
+@pytest.mark.parametrize("step", [1e-2, 1.25e-3])
+@pytest.mark.parametrize("plane, sign", [("horizontal", -1.0), ("vertical", 1.0)])
+def test_lattice_principal_solutions_exact_on_fodo(plane, sign, step):
+    # b0 = 0, so K = -b1 horizontally and +b1 vertically; RK4 errs by
+    # 2.5e-2 (h = 1e-2) and 3.1e-3 (h = 1.25e-3) at these element ends
+    cell = [NormalQuadDipole(length=0.5, b0=0.0, b1=0.8), Drift(length=0.5),
+            NormalQuadDipole(length=0.5, b0=0.0, b1=-0.8), Drift(length=0.5)]
+    ks = [sign * 0.8, 0.0, -sign * 0.8, 0.0] * 4
+    _agrees_with_matrix_products(Lattice.from_elements(cell * 4), plane, step, ks)
+
+
+@pytest.mark.parametrize("plane, ks", [
+    ("horizontal", [0.0, 2.25, 0.09 + 2.0, 0.0, 0.09 - 2.0, 0.0]),
+    ("vertical", [0.0, 0.0, -2.0, 0.0, 2.0, 0.0]),
+])
+def test_lattice_principal_solutions_mixed_elements(plane, ks):
+    # drift, rf and const_e carry K = 0; the skew gradient focuses one plane
+    # and defocuses the other
+    lattice = Lattice.from_elements([
+        Drift(length=0.4), Dipole(length=0.6, b0=1.5),
+        SkewQuadDipole(length=0.5, b0=0.3, b1=2.0), RFCavity(length=0.5, e2_0=1.0, w_rf=3.0),
+        SkewQuadDipole(length=0.5, b0=0.3, b1=-2.0), ConstantE(length=0.3, e2=0.5),
+    ])
+    ps = _agrees_with_matrix_products(lattice, plane, 1e-2, ks)
+    assert ps.wronskian_drift() <= 1e-13
+
+
+def test_lattice_principal_solutions_read_k_per_element():
+    # the edge at 0.01 + 0.05 = 0.060000000000000005 lies above the grid
+    # point 6 * 0.01 = 0.06, so the profile gives that point the dipole's K
+    # and the drift keeps no sample of its own but the clamped last one
+    lattice = Lattice.from_elements([Dipole(length=0.01, b0=1.0), Dipole(length=0.05, b0=2.0),
+                                     Drift(length=0.01)])
+    assert transverse_k_profile(lattice, "horizontal", 0.01)[1][6] == 4.0
+    _agrees_with_matrix_products(lattice, "horizontal", 0.01, [1.0, 4.0, 0.0])
+
+
+def test_lattice_principal_solutions_one_dipole_is_cos_sin():
+    lattice = Lattice.from_elements([Dipole(length=6.4, b0=1.0)])
+    ps = lattice_principal_solutions(lattice, "horizontal", 1e-2)
+    # RK4 on the same grid errs by 4e-10
+    assert np.abs(ps.C - np.cos(ps.t)).max() <= 1e-13
+    assert np.abs(ps.S - np.sin(ps.t)).max() <= 1e-13
+    assert np.abs(ps.Cp + np.sin(ps.t)).max() <= 1e-13
+    assert np.abs(ps.Sp - np.cos(ps.t)).max() <= 1e-13
+
+
+def test_lattice_principal_solutions_wronskian_on_ring():
+    cell = [NormalQuadDipole(length=0.5, b0=0.02, b1=0.8), Drift(length=0.5),
+            NormalQuadDipole(length=0.5, b0=0.02, b1=-0.8), Drift(length=0.5)]
+    ring = Lattice.from_elements(cell * 32)
+    for plane in ("horizontal", "vertical"):
+        assert lattice_principal_solutions(ring, plane, 4e-3).wronskian_drift() <= 1e-13
+
+
+def test_lattice_principal_solutions_rejections():
+    overflow = Lattice.from_elements([Dipole(length=1.0, b0=1e200)])  # K = b0^2 = inf
+    with pytest.raises(ValueError) as from_maps:
+        lattice_principal_solutions(overflow, "horizontal", 1e-2)
+    with pytest.raises(ValueError) as from_rk4:
+        principal_solutions(*transverse_k_profile(overflow, "horizontal", 1e-2))
+    assert str(from_maps.value) == str(from_rk4.value)
+    edged = Lattice.from_elements([Dipole(length=0.3, b0=0.1), Drift(length=0.7)])
+    with pytest.raises(MismatchedSampling):
+        lattice_principal_solutions(edged, "horizontal", 0.2)
+    with pytest.raises(ValueError, match="plane"):
+        lattice_principal_solutions(edged, "diagonal", 0.1)
 
 
 def test_green_function_is_shift_invariant_sine():
@@ -133,6 +235,10 @@ def test_particular_solution_rejects_rough_drive():
     noisy[::2] += 0.5  # alternating drive the quadrature cannot represent
     with pytest.raises(ResidualTooLarge):
         particular_solution(ps, noisy)
+    with_nan = np.ones_like(t)
+    with_nan[7] = np.nan
+    with pytest.raises(ResidualTooLarge):
+        particular_solution(ps, with_nan)
 
 
 def test_dispersion_constant_dipole():
