@@ -8,6 +8,10 @@ here, and the ensemble oracle, advances x' = v, v' = accel(x, v) through
 one classical fixed-step RK4 kernel that calls accel at t_k, twice at
 t_k + h/2 and at t_k + h in every step, in that order, which is all a
 right-hand side knows of its stage; an observer sees every grid point.
+A state is a list of parts, each advanced elementwise by the same
+expressions: one orbit's parts are its components as plain floats, and
+a cloud's single part is its (4, m) array, one contiguous column of m
+entries per component.
 No adaptive control, so identical inputs give identical output bytes.
 The linear transverse and longitudinal channels have constant
 coefficients inside one element and are evaluated in closed form, as
@@ -39,9 +43,10 @@ integrate_lorentz).
 
 The force algebra is written once, over 4-sequences of components (the
 field as its nonzero entries (i, j, F^i_j)), with every sum in a fixed
-index order.  One orbit runs it on plain floats; a batch (a cloud, a
-stored series) on contiguous (n,) columns, one per component.  A float
-rounds as one element of a column, so batching does not change the bits.
+index order.  One orbit runs it on plain floats, which its right-hand
+side receives and returns as lists; a batch (a cloud, a stored series)
+on contiguous (n,) columns, one per component.  A float rounds as one
+element of a column, so batching does not change the bits.
 """
 
 from __future__ import annotations
@@ -245,31 +250,32 @@ def read_ensemble_csv(path) -> BeamEnsemble:
 def _rk4(accel, x, v, h, n, observe):
     """Classical RK4 for x' = v, v' = accel(x, v) over n steps of h.
 
-    Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and t_k + h
-    in that order; observe(k, x, v) sees every grid point k = 0..n.  All
-    updates are elementwise: an orbit's state is a (4,) array (eight
-    entries for Jacobi) whose accel reads it as floats, a batch's a (4, m)
-    array of columns, and the Hill solutions and a varying-gamma RF
-    channel run plain floats.
+    A state is a list of parts, every update elementwise over the parts
+    in one fixed order: one orbit's parts are its components as plain
+    floats (eight for Jacobi, one for a Hill solution or a varying-gamma
+    RF channel), a cloud's single part its (4, m) array of columns.
+    Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
+    t_k + h in that order, each call returning a list of parts;
+    observe(k, x, v) sees every grid point k = 0..n.
     """
     half = 0.5 * h
     sixth = h / 6.0
     observe(0, x, v)
     for k in range(n):
         a1 = accel(x, v)
-        v2 = v + half * a1
-        a2 = accel(x + half * v, v2)
-        v3 = v + half * a2
-        a3 = accel(x + half * v2, v3)
-        v4 = v + h * a3
-        a4 = accel(x + h * v3, v4)
-        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v2 = [p + half * q for p, q in zip(v, a1)]
+        a2 = accel([p + half * q for p, q in zip(x, v)], v2)
+        v3 = [p + half * q for p, q in zip(v, a2)]
+        a3 = accel([p + half * q for p, q in zip(x, v2)], v3)
+        v4 = [p + h * q for p, q in zip(v, a3)]
+        a4 = accel([p + h * q for p, q in zip(x, v3)], v4)
+        x = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(x, v, v2, v3, v4)]
+        v = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(v, a1, a2, a3, a4)]
         observe(k + 1, x, v)
 
 
 def _rk4_rows(accel, x0, v0, h, n):
-    """Run the kernel and keep every grid point: arrays of shape (n+1,) + x0.shape."""
+    """Run the kernel and keep every grid point: arrays of shape (n+1, parts, ...)."""
     xs = np.empty((n + 1,) + np.shape(x0))
     vs = np.empty_like(xs)
 
@@ -380,7 +386,7 @@ def _rhs_force(lattice: Lattice):
     """Direct force form: a = -F v sqrt(eta(v, v))."""
 
     def rhs(x, v):
-        r = np.sqrt(_mdot(v, v))
+        r = float(np.sqrt(_mdot(v, v)))  # nan, as numpy gives it, off the shell
         return [-f * r for f in _matvec(field_entries(lattice, x[2], _lookup_xi(x)), v)]
 
     return rhs
@@ -395,14 +401,9 @@ def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
     return rhs
 
 
-def _float_accel(rhs):
-    """rhs on one orbit's array state, its components read as plain floats."""
-    return lambda x, v: np.array(rhs(x.tolist(), v.tolist()))
-
-
 def _cloud_accel(rhs):
-    """rhs on the (4, m) state of m orbits, each component one contiguous column."""
-    return lambda x, v: np.array(rhs(x, v))
+    """rhs on the one-part state of m orbits, a (4, m) array of contiguous columns."""
+    return lambda x, v: [np.array(rhs(x[0], v[0]))]
 
 
 def _frozen_slots(moments: MomentSet, velocity):
@@ -451,8 +452,8 @@ def _check_step(min_len: float, step: float):
 
 def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> TrajectorySeries:
     n, h, t = _grid(initial.t, t_end, step)
-    xs, vs = _rk4_rows(_float_accel(rhs), np.reshape(initial.x, 4).astype(float),
-                       np.reshape(initial.v, 4).astype(float), h, n)
+    xs, vs = _rk4_rows(rhs, np.reshape(initial.x, 4).astype(float).tolist(),
+                       np.reshape(initial.v, 4).astype(float).tolist(), h, n)
     return TrajectorySeries(t=t, x=xs, v=vs)
 
 
@@ -608,16 +609,15 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     def observe(k, x, v):
         nonlocal worst_coupling
         xis[k] = x[4:]
-        dxis[k] = v[4:]
-        d = v.tolist()
-        V, dxi = d[:4], d[4:]
+        dxis[k] = dxi = v[4:]
+        V = v[:4]
         scale = math.sqrt(dxi[0] * dxi[0] + dxi[1] * dxi[1] + dxi[2] * dxi[2] + dxi[3] * dxi[3])
         if k and scale > 0.0:
             worst_coupling = max(worst_coupling, abs(_mdot(V, dxi)) / scale)
 
     x0 = np.concatenate([np.reshape(launch.x, 4), np.reshape(initial.xi, 4)]).astype(float)
     v0 = np.concatenate([np.reshape(launch.v, 4), np.reshape(initial.dxi, 4)]).astype(float)
-    _rk4(_float_accel(accel), x0, v0, h, n, observe)
+    _rk4(accel, x0.tolist(), v0.tolist(), h, n, observe)
     return JacobiSeries(t=t, xi=xis, dxi=dxis, decoupling_ok=worst_coupling < 1e-2)
 
 
@@ -748,8 +748,8 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
                 xi2, dxi2 = _hill_rows(K, tau, u0, du0)
             else:
                 focus = _stage_stream(gamma_of_t, lambda g: 2.0 * g * e2_0)
-                xi2, dxi2 = _rk4_rows(lambda u, du: next(focus) * u, u0, du0, h, n)
-                xi2, dxi2 = xi2[1:], dxi2[1:]
+                xi2, dxi2 = _rk4_rows(lambda u, du: [next(focus) * u[0]], [u0], [du0], h, n)
+                xi2, dxi2 = xi2[1:, 0], dxi2[1:, 0]
         out.xi[1:, 2], out.dxi[1:, 2] = xi2, dxi2
         out.xi[1:, 0] = xi[0] + dxi[0] * tau + sign * (xi2 - u0 - du0 * tau)
         out.dxi[1:, 0] = dxi[0] + sign * (dxi2 - du0)

@@ -197,12 +197,19 @@ class RFCavity(Element):
     w_rf: float
 
     def field_entries(self, x2, xi):
-        amp = self.e2_0 * np.sin(self.w_rf * (x2 + xi[2]))
+        amp = self.e2_0 * _numpy_float(np.sin, self.w_rf * (x2 + xi[2]))
         return ((0, 2, amp), (2, 0, amp))
 
     def gradient_entries(self, x2, xi):
-        damp = self.e2_0 * self.w_rf * np.cos(self.w_rf * (x2 + xi[2]))
+        damp = self.e2_0 * self.w_rf * _numpy_float(np.cos, self.w_rf * (x2 + xi[2]))
         return ((2, 0, 2, damp), (2, 2, 0, damp))
+
+
+def _numpy_float(ufunc, phase):
+    """ufunc(phase) from numpy, a column for a column and a plain float for a float:
+    one point keeps the bits a column entry gets, which math's functions may not."""
+    out = ufunc(phase)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 _BENDING_KINDS = (Dipole, NormalQuadDipole, SkewQuadDipole)
@@ -388,7 +395,10 @@ def load_lattice(path) -> Lattice:
 # ---------------------------------------------------------------------------
 # piecewise profiles along the beamline (for linear optics)
 
-def _aligned_grid(lattice: Lattice, step: float) -> np.ndarray:
+def _aligned_grid(lattice: Lattice, step: float):
+    """The grid k * step over the lattice and each sample's element, assigned by
+    the rounded boundary index round(b / step) the alignment check accepts, so
+    a boundary sample belongs downstream however k * step rounds against b."""
     if step <= 0.0:
         raise ValueError(f"profile step must be positive, got {step}")
     n = int(round(lattice.total_length / step))
@@ -396,13 +406,16 @@ def _aligned_grid(lattice: Lattice, step: float) -> np.ndarray:
         raise MismatchedSampling(
             f"step {step} does not divide the lattice length {lattice.total_length}"
         )
-    for b in lattice.boundaries[:-1]:
-        k = round(float(b) / step)
+    starts = []
+    for b in lattice.inner_edges:
+        k = round(b / step)
         if abs(k * step - b) > 1e-9:
             raise MismatchedSampling(
                 f"element boundary at {b} is not aligned to step {step}"
             )
-    return np.arange(n + 1) * step
+        starts.append(k)
+    samples = np.arange(n + 1)
+    return samples * step, np.searchsorted(starts, samples, side="right")
 
 
 def _element_k(lattice: Lattice, plane: str) -> list:
@@ -422,13 +435,12 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
     Boundary samples take the downstream value (right continuity); the
     grid must align with element boundaries.
     """
-    k = _element_k(lattice, plane)
-    grid = _aligned_grid(lattice, step)
-    return grid, np.array(k)[lattice.element_index(grid)]
+    grid, owner = _aligned_grid(lattice, step)
+    return grid, np.array(_element_k(lattice, plane))[owner]
 
 
 def inverse_rho_profile(lattice: Lattice, step: float):
     """Piecewise 1/rho(l) = b0 of bending elements, 0 elsewhere."""
-    grid = _aligned_grid(lattice, step)
+    grid, owner = _aligned_grid(lattice, step)
     inv = [e.b0 if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
-    return grid, np.array(inv)[lattice.element_index(grid)]
+    return grid, np.array(inv)[owner]

@@ -129,11 +129,15 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
         raise MismatchedGrid(f"K has {len(K)} samples, grid has {len(t)}")
     _check_finite_k(K)
     h = _uniform_step(t)
-    # C and S run as plain floats, each stage seeing the same coefficient
-    # in both runs, which is what keeps the Wronskian pinned.
-    neg_c, neg_s = _stage_stream(K, np.negative), _stage_stream(K, np.negative)
-    C, Cp = _rk4_rows(lambda u, du: next(neg_c) * u, 1.0, 0.0, h, len(t) - 1)
-    S, Sp = _rk4_rows(lambda u, du: next(neg_s) * u, 0.0, 1.0, h, len(t) - 1)
+    # C and S advance as the two float parts of one state, each stage
+    # applying one coefficient to both, which is what keeps the Wronskian pinned.
+    neg_k = _stage_stream(K, np.negative)
+
+    def accel(u, du):
+        c = next(neg_k)
+        return [c * u[0], c * u[1]]
+
+    (C, S), (Cp, Sp) = (r.T.copy() for r in _rk4_rows(accel, [1.0, 0.0], [0.0, 1.0], h, len(t) - 1))
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 
@@ -145,8 +149,7 @@ def lattice_principal_solutions(lattice: Lattice, plane: str, step: float) -> Pr
     1..n_e steps from the element's entry, as the transverse channel
     evaluates it) applied to the entry states (C, C') and (S, S').
     Each element's K comes from the rule the profile samples, read per
-    element: the profile's sample at an element's first grid point can
-    round into the upstream element.  The result carries the profile.
+    element.  The result carries the profile.
     Raises MismatchedSampling for a step that misses an element
     boundary and ValueError for a non-finite K.
     """

@@ -141,13 +141,13 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
     mean_v = np.empty((G, n + 1, 4))
 
     def observe(k, x, v):
-        mean_x[:, k] = _shifted_mean(x.reshape(4, G, m), ws, vol).T
-        mean_v[:, k] = _shifted_mean(v.reshape(4, G, m), ws, vol).T
+        mean_x[:, k] = _shifted_mean(x[0].reshape(4, G, m), ws, vol).T
+        mean_v[:, k] = _shifted_mean(v[0].reshape(4, G, m), ws, vol).T
 
     # one contiguous column per component, one entry per sample, cloud after cloud
     x = np.repeat(np.reshape(np.asarray(x0, dtype=float), (4, 1)), G * m, axis=1)
     v = np.concatenate([ens.ys.T for ens in ensembles], axis=1)
-    _rk4(_cloud_accel(_rhs_geodesic(lattice)), x, v, h, n, observe)
+    _rk4(_cloud_accel(_rhs_geodesic(lattice)), [x], [v], h, n, observe)
     return [TrajectorySeries(t=t, x=mx, v=mv) for mx, mv in zip(mean_x, mean_v)]
 
 
@@ -344,7 +344,7 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, launch: TrajectoryState,
     vs = np.column_stack([v0] + [v0 + sigma * dxi for sigma in scales])
     rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
     n, h, _ = _grid(xi0.t, t_end, config.step)
-    end = _rk4_rows(_cloud_accel(rhs), xs, vs, h, n)[0][-1].T
+    end = _rk4_rows(_cloud_accel(rhs), [xs], [vs], h, n)[0][-1, 0].T
 
     errors = []
     for sigma, px in zip(scales, end[1:]):

@@ -1,9 +1,12 @@
 """Geodesic integration, averaged transport, deviation dynamics, linear maps."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from avgbeam import (
     ConstantE,
@@ -170,6 +173,69 @@ def test_norm_conserved_in_every_element_kind(cfg_fine):
         lat = Lattice.from_elements([elem])
         ser = integrate_lorentz(lat, TrajectoryState(0.0, np.array(x0), v0), 1.0, cfg_fine)
         assert ser.norm_drift() < 1e-12, kind
+
+
+_STRENGTH = st.floats(-1.0, 1.0)
+_ELEMENT = st.one_of(
+    st.builds(Drift, length=st.sampled_from([0.25, 0.5, 1.0])),
+    st.builds(Dipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH),
+    st.builds(NormalQuadDipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH,
+              b1=_STRENGTH),
+    st.builds(SkewQuadDipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH,
+              b1=_STRENGTH),
+    st.builds(ConstantE, length=st.sampled_from([0.25, 0.5, 1.0]), e2=_STRENGTH),
+    st.builds(RFCavity, length=st.sampled_from([0.25, 0.5, 1.0]), e2_0=_STRENGTH,
+              w_rf=st.floats(0.0, 3.0)),
+)
+
+
+def _shell_drift_bound(lattice, series, step):
+    """gamma^2 (eps (n + 1) + n (h w)^5 + edges (h w)^2) for a run of n steps of h.
+
+    eta(v, v) cancels terms of size gamma^2, so every term carries gamma^2,
+    the run's largest v0: rounding per step, RK4's fifth-order local error
+    inside an element, and the second-order error of a step whose stages
+    straddle an edge, one per grid interval that crosses one.  w bounds the
+    rates of the flow in proper time: the field strength, the betatron rate
+    sqrt(|b1| gamma) and the RF phase rate w_rf gamma.
+    """
+    gamma = float(np.max(series.v[:, 0]))
+    attr = lambda e, name: abs(getattr(e, name, 0.0))  # noqa: E731
+    field = max(attr(e, "b0") + attr(e, "b1") + attr(e, "e2") + attr(e, "e2_0")
+                for e in lattice.elements)
+    rate = (field + math.sqrt(max(attr(e, "b1") for e in lattice.elements) * gamma)
+            + max(attr(e, "w_rf") for e in lattice.elements) * gamma)
+    x2 = series.x[:, 2]
+    edges = sum(np.count_nonzero((x2[:-1] < b) != (x2[1:] < b)) for b in lattice.inner_edges)
+    n, hw = len(series) - 1, step * rate
+    return gamma * gamma * (np.finfo(float).eps * (n + 1) + n * hw ** 5 + edges * hw ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements=st.lists(_ELEMENT, min_size=1, max_size=6),
+       log_gamma=st.floats(0.02, 3.0),
+       tilt=st.lists(st.floats(-0.01, 0.01), min_size=4, max_size=4),
+       steps=st.integers(8, 200))
+def test_shell_norm_drift_is_bounded_by_step_and_gamma(elements, log_gamma, tilt, steps):
+    # random edged lattices crossed from a quarter of their length, gamma
+    # up to 1e3; the averaged geodesic runs on the launch's point moments,
+    # since a spread cloud's comoving slots move it off the shell by
+    # physics, not by integration error
+    lattice = Lattice.from_elements(elements)
+    speed = math.sqrt(10.0 ** (2.0 * log_gamma) - 1.0)
+    v0 = project_to_hyperboloid(speed * np.array([tilt[0], 1.0, tilt[1]]))
+    x0 = np.array([0.0, tilt[2], 0.25 * lattice.total_length, tilt[3]])
+    span = 0.5 * lattice.total_length / speed
+    step = span / max(steps, math.ceil(4.0 * span / lattice.min_length()) + 1)
+    launch, cfg = TrajectoryState(0.0, x0, v0), IntegratorConfig(step=step)
+    try:
+        runs = [integrate_lorentz(lattice, launch, span, cfg),
+                integrate_lorentz(lattice, launch, span, cfg, form="force"),
+                integrate_averaged_geodesic(lattice, delta_moments(v0), launch, span, cfg)]
+    except OutOfLattice:  # an electric field turned the orbit back out of the line
+        reject()
+    for series in runs:
+        assert series.norm_drift() <= _shell_drift_bound(lattice, series, step)
 
 
 def test_electric_elements_change_energy(cfg_fine):

@@ -462,24 +462,68 @@ def test_stage_stream_equals_branching_stage_coefficient(values, e2_0):
         assert np.array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("x0", [2.0, np.arange(4.0), np.arange(12.0).reshape(4, 3)],
+@pytest.mark.parametrize("x0", [[2.0], [0.0, 1.0, 2.0, 3.0], [np.arange(12.0).reshape(4, 3)]],
                          ids=["float", "orbit", "cloud"])
 def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
     # x' = v = 1 from x0, so each call's position is x0 + t exactly
     # (h = 0.375 keeps h/2 and h/6 exact); the stage streams rely on
-    # this order
+    # this order.  A state is a list of parts: floats, or one (4, m) array.
     seen = []
 
     def accel(x, v):
         seen.append(np.array(x, dtype=float))
-        return 0.0 * v
+        return [0.0 * q for q in v]
 
     h, n = 0.375, 5
-    _rk4_rows(accel, x0, np.ones_like(x0) if np.ndim(x0) else 1.0, h, n)
+    _rk4_rows(accel, x0, [np.ones_like(p) if np.ndim(p) else 1.0 for p in x0], h, n)
     want = [k * h + d for k in range(n) for d in (0.0, 0.5 * h, 0.5 * h, h)]
     assert len(seen) == 4 * n
     for got, t in zip(seen, want):
-        assert np.array_equal(got, x0 + t)
+        assert np.array_equal(got, np.array(x0) + t)
+
+
+_FLOAT_ORBIT_LATTICES = {
+    "dipole": [Dipole(length=2.0, b0=0.5)],
+    "fodo": [NormalQuadDipole(length=0.5, b0=0.2, b1=1.5), Drift(length=0.5),
+             SkewQuadDipole(length=0.5, b0=0.2, b1=-1.5), Drift(length=0.5)],
+    "rf": [RFCavity(length=2.0, e2_0=0.5, w_rf=3.0)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FLOAT_ORBIT_LATTICES))
+def test_orbit_rhs_receives_and_returns_only_python_floats(kind, monkeypatch):
+    # one orbit's state is its components as plain floats, at every stage
+    # of the trajectory and Jacobi runs; a numpy scalar anywhere in the
+    # force algebra would leak into the state through the updates
+    lattice = Lattice.from_elements(_FLOAT_ORBIT_LATTICES[kind])
+    kernel, seen = dynamics._rk4, []
+
+    def checked(accel, x, v, h, n, observe):
+        def typed(x, v):
+            a = accel(x, v)
+            seen.append((x, v, a))
+            return a
+        return kernel(typed, x, v, h, n, observe)
+
+    monkeypatch.setattr(dynamics, "_rk4", checked)
+    launch = TrajectoryState(0.0, np.array([0.0, 2e-3, 0.3, -1e-3]),
+                             project_to_hyperboloid([0.01, 1.0, -0.01]))
+    ens = sample_gaussian_beam([0.0, 1.0, 0.0], [0.01] * 3, n=50, seed=4)
+    cfg = IntegratorConfig(step=0.01)
+    dev = JacobiState(0.0, np.array([0.0, 1e-3, 2e-3, -1e-3]), np.array([0.0, 0.0, 1e-3, 1e-3]))
+    runs = [
+        lambda: integrate_lorentz(lattice, launch, 1.2, cfg),
+        lambda: integrate_lorentz(lattice, launch, 1.2, cfg, form="force"),
+        lambda: integrate_averaged_geodesic(lattice, compute_moments(ens), launch, 1.2, cfg),
+        lambda: integrate_jacobi_full(lattice, compute_moments(ens), launch, dev, 1.2, cfg),
+    ]
+    for run in runs:
+        seen.clear()
+        run()
+        assert len(seen) == 4 * 120
+        for x, v, a in seen:
+            assert type(x) is list and type(v) is list and type(a) is list
+            assert {type(c) for part in (x, v, a) for c in part} == {float}
 
 
 @pytest.mark.filterwarnings("error")
@@ -751,16 +795,50 @@ def test_batched_cloud_rows_equal_single_row_runs(n, sigma, seed, b0):
         (_rhs_geodesic(lattice), lambda st0: integrate_lorentz(lattice, st0, 0.3, cfg)),
         (pinned, lambda st0: _orbit(pinned, st0, 0.3, cfg.step)),
     ):
-        # the column path: one contiguous column per component, one entry per row
-        xs, vs = _rk4_rows(_cloud_accel(rhs), np.repeat(x0[:, None], n, axis=1),
-                           np.ascontiguousarray(ens.ys.T), 1e-2, 30)
+        # the column path: one part, a contiguous column per component, one entry per row
+        xs, vs = (r[:, 0] for r in _rk4_rows(_cloud_accel(rhs), [np.repeat(x0[:, None], n, axis=1)],
+                                             [np.ascontiguousarray(ens.ys.T)], 1e-2, 30))
         for a in range(n):
             row = single(TrajectoryState(0.0, x0, ens.ys[a]))
             assert np.array_equal(xs[:, :, a], row.x)
             assert np.array_equal(vs[:, :, a], row.v)
 
 
-_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
+def _every_kind_line(scale):
+    """0.1 m of each element kind but drift, then a drift."""
+    return Lattice.from_elements([
+        SkewQuadDipole(length=0.1, b0=scale, b1=1.5), RFCavity(length=0.1, e2_0=scale, w_rf=3.0),
+        ConstantE(length=0.1, e2=0.5 * scale), Dipole(length=0.1, b0=scale),
+        NormalQuadDipole(length=0.1, b0=scale, b1=-1.5), Drift(length=0.1)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    sigma=st.floats(1e-3, 0.05),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(0.2, 2.0),
+)
+def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma, seed, scale):
+    # the float path against the one-part cloud path, every bit compared,
+    # zero signs included; rows launched 1 cm apart straddle an edge at
+    # nearly every stage, so the cloud takes the masked per-element lookup
+    lattice = _every_kind_line(scale)
+    ens = sample_gaussian_beam([0.0, 1.0, 0.0], [sigma] * 3, n=n, seed=seed)
+    x0 = np.array([[0.0, 2e-3, 0.08 + 0.01 * a, -1e-3] for a in range(n)])
+    cfg = IntegratorConfig(step=1e-2)
+    vref = project_to_hyperboloid([0.0, 1.0, 0.0])
+    pinned = _rhs_geodesic(lattice, *_frozen_slots(compute_moments(ens), vref))
+    for rhs in (_rhs_geodesic(lattice), pinned):
+        xs, vs = (r[:, 0] for r in _rk4_rows(_cloud_accel(rhs), [np.ascontiguousarray(x0.T)],
+                                             [np.ascontiguousarray(ens.ys.T)], 1e-2, 30))
+        for a in range(n):
+            row = _orbit(rhs, TrajectoryState(0.0, x0[a], ens.ys[a]), 0.3, cfg.step)
+            assert np.array_equal(_bits(xs[:, :, a]), _bits(row.x))
+            assert np.array_equal(_bits(vs[:, :, a]), _bits(row.v))
+
+
+_COMPONENT =st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
 _LAUNCH = st.lists(_COMPONENT, min_size=4, max_size=4).map(np.array)
 _H = 0.01
 _TRUNCATION = 1e-6  # RK4 global error, about (h w)^4 w t / 120 for |K| = w^2 <= 40, t <= 0.4

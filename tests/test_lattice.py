@@ -449,3 +449,37 @@ def test_inverse_rho_profile():
     lat = Lattice.from_elements([Dipole(length=1.0, b0=0.5), Drift(length=1.0)])
     grid, inv = inverse_rho_profile(lat, 0.5)
     assert np.array_equal(inv, [0.5, 0.5, 0.0, 0.0, 0.0])
+
+
+def test_profiles_give_a_boundary_sample_the_downstream_element():
+    # the edge at 0.01 + 0.05 = 0.060000000000000005 lies above the grid
+    # point 6 * 0.01 = 0.06, which still belongs to the element downstream
+    lat = Lattice.from_elements([Dipole(length=0.01, b0=1.0),
+                                 NormalQuadDipole(length=0.05, b0=2.0, b1=0.5),
+                                 SkewQuadDipole(length=0.01, b0=3.0, b1=0.25)])
+    assert lat.inner_edges[1] > 6 * 0.01
+    owner = [0, 1, 1, 1, 1, 1, 2, 2]
+    grid, kh = transverse_k_profile(lat, "horizontal", 0.01)
+    _, kv = transverse_k_profile(lat, "vertical", 0.01)
+    _, inv = inverse_rho_profile(lat, 0.01)
+    assert np.array_equal(grid, np.arange(8) * 0.01)
+    for axis, k in enumerate((kh, kv)):
+        assert np.array_equal(k, [lat.elements[e].focusing()[axis] for e in owner])
+    assert np.array_equal(inv, [lat.elements[e].b0 for e in owner])
+
+
+@settings(max_examples=100, deadline=None)
+@given(step=st.sampled_from([1e-3, 3e-3, 0.01, 0.07, 0.1]),
+       cells=st.lists(st.tuples(st.integers(1, 8), st.floats(0.1, 3.0)), min_size=1, max_size=8))
+def test_profiles_hold_each_element_value_from_its_first_sample(step, cells):
+    # element e holds the samples from its boundary index on, whichever
+    # side of its edge the product k * step rounds to
+    lat = Lattice.from_elements([Dipole(length=c * step, b0=b0) for c, b0 in cells])
+    counts = [c for c, _ in cells]
+
+    def per_sample(values):
+        return np.append(np.repeat(values, counts), values[-1])
+
+    assert np.array_equal(inverse_rho_profile(lat, step)[1], per_sample([b0 for _, b0 in cells]))
+    assert np.array_equal(transverse_k_profile(lat, "horizontal", step)[1],
+                          per_sample([e.focusing()[0] for e in lat.elements]))

