@@ -175,17 +175,14 @@ def test_norm_conserved_in_every_element_kind(cfg_fine):
         assert ser.norm_drift() < 1e-12, kind
 
 
-_STRENGTH = st.floats(-1.0, 1.0)
+_LENGTH, _STRENGTH = st.sampled_from([0.25, 0.5, 1.0]), st.floats(-1.0, 1.0)
 _ELEMENT = st.one_of(
-    st.builds(Drift, length=st.sampled_from([0.25, 0.5, 1.0])),
-    st.builds(Dipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH),
-    st.builds(NormalQuadDipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH,
-              b1=_STRENGTH),
-    st.builds(SkewQuadDipole, length=st.sampled_from([0.25, 0.5, 1.0]), b0=_STRENGTH,
-              b1=_STRENGTH),
-    st.builds(ConstantE, length=st.sampled_from([0.25, 0.5, 1.0]), e2=_STRENGTH),
-    st.builds(RFCavity, length=st.sampled_from([0.25, 0.5, 1.0]), e2_0=_STRENGTH,
-              w_rf=st.floats(0.0, 3.0)),
+    st.builds(Drift, length=_LENGTH),
+    st.builds(Dipole, length=_LENGTH, b0=_STRENGTH),
+    st.builds(NormalQuadDipole, length=_LENGTH, b0=_STRENGTH, b1=_STRENGTH),
+    st.builds(SkewQuadDipole, length=_LENGTH, b0=_STRENGTH, b1=_STRENGTH),
+    st.builds(ConstantE, length=_LENGTH, e2=_STRENGTH),
+    st.builds(RFCavity, length=_LENGTH, e2_0=_STRENGTH, w_rf=st.floats(0.0, 3.0)),
 )
 
 
@@ -199,12 +196,12 @@ def _shell_drift_bound(lattice, series, step):
     rates of the flow in proper time: the field strength, the betatron rate
     sqrt(|b1| gamma) and the RF phase rate w_rf gamma.
     """
+    def largest(*names):
+        return max(sum(abs(getattr(e, name, 0.0)) for name in names) for e in lattice.elements)
+
     gamma = float(np.max(series.v[:, 0]))
-    attr = lambda e, name: abs(getattr(e, name, 0.0))  # noqa: E731
-    field = max(attr(e, "b0") + attr(e, "b1") + attr(e, "e2") + attr(e, "e2_0")
-                for e in lattice.elements)
-    rate = (field + math.sqrt(max(attr(e, "b1") for e in lattice.elements) * gamma)
-            + max(attr(e, "w_rf") for e in lattice.elements) * gamma)
+    rate = (largest("b0", "b1", "e2", "e2_0") + math.sqrt(largest("b1") * gamma)
+            + largest("w_rf") * gamma)
     x2 = series.x[:, 2]
     edges = sum(np.count_nonzero((x2[:-1] < b) != (x2[1:] < b)) for b in lattice.inner_edges)
     n, hw = len(series) - 1, step * rate

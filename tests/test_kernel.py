@@ -838,7 +838,7 @@ def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma,
             assert np.array_equal(_bits(vs[:, :, a]), _bits(row.v))
 
 
-_COMPONENT =st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))
 _LAUNCH = st.lists(_COMPONENT, min_size=4, max_size=4).map(np.array)
 _H = 0.01
 _TRUNCATION = 1e-6  # RK4 global error, about (h w)^4 w t / 120 for |K| = w^2 <= 40, t <= 0.4
