@@ -45,7 +45,6 @@ from .ensemble import (
     BeamEnsemble,
     EnergyStats,
     MomentSet,
-    VelocitySample,
     compute_moments,
     delta_moments,
     energy_stats,

@@ -297,6 +297,8 @@ def main(argv=None) -> int:
         parser.error("jacobi --frame arc needs --rho, and --rho needs --frame arc")
     if args.command in ("scan-alpha", "longitudinal") and not args.gamma >= 1.0:
         parser.error(f"{args.command} --gamma must be at least 1, got {args.gamma!r}")
+    if args.command == "scan-alpha" and args.seed < 0:
+        parser.error(f"scan-alpha --seed must be nonnegative, got {args.seed}")
     try:
         return _run(args)
     except (AvgBeamError, OSError, ValueError) as exc:

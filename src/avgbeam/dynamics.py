@@ -26,20 +26,22 @@ launch velocity,
 
     D1 = first - v(0),      D3 = third - v(0) x v(0) x v(0),
 
-are frozen, and at every right-hand-side evaluation the moment slots are
-rebuilt around the current velocity as first = v + D1 and
-third = v x v x v + D3.  The rank-3 slot only ever enters contracted
-with two vectors, so inside the integrators it is evaluated in closed
-form, without building the monomial tensor,
+are frozen, and the moment slots are rebuilt around the current velocity
+as first = v + D1 and third = v x v x v + D3, at every right-hand-side
+evaluation and at every point of a stored run (comoving_moments_along).
+The rank-3 slot only ever enters contracted with two vectors, so it is
+evaluated in closed form, without building the monomial tensor,
 
-    third(a, b) = v eta(v, a) eta(v, b) + D3(a, b).
+    third(a, b) = v eta(v, a) eta(v, b) + D3(a, b),
 
-Every moment-slot force (orbit, deviation transport, transport defect,
-offset integrands) is evaluated by one function for Gamma(a, b) and its
-moment part.  A point (delta) ensemble has D identically zero, so an
-averaged run collapses onto the single-particle geodesic bit for bit
-(the zero-deviation case takes the same monomial code path as
-integrate_lorentz).
+in the integrators, the offset integrands and the transport defect
+alike; only the connections module builds the rank-3 tensor, as the
+independent check.  Every moment-slot force (orbit, deviation transport,
+transport defect, offset integrands) is evaluated by one function for
+Gamma(a, b) and its moment part.  A point (delta) ensemble has D
+identically zero, so an averaged run collapses onto the single-particle
+geodesic bit for bit (the zero-deviation case takes the same monomial
+code path as integrate_lorentz).
 
 The force algebra is written once, over 4-sequences of components (the
 field as its nonzero entries (i, j, F^i_j)), with every sum in a fixed
@@ -159,11 +161,18 @@ class JacobiSeries:
 
 @dataclass
 class MomentsSeries:
-    """Ensemble moments sampled along a trajectory grid."""
+    """Ensemble moments along a run's grid, in the comoving form.
+
+    first = v + D1 at every grid point.  The third moment
+    v x v x v + D3 is kept as the frozen D3 alone, four rows of sixteen
+    as _frozen_slots gives it (None for a point ensemble); a consumer
+    contracts it around the velocity of the run the series was built
+    along (_comoving_third).
+    """
 
     t: np.ndarray
     first: np.ndarray
-    third: np.ndarray
+    D3: list | None
 
     def __len__(self):
         return len(self.t)
@@ -497,10 +506,23 @@ def integrate_averaged_geodesic(lattice: Lattice, moments: MomentSet,
 
 def comoving_moments_along(series: TrajectorySeries, moments: MomentSet) -> MomentsSeries:
     """Moment series along a run, its deviations frozen at the run's first velocity."""
-    D1, D3 = moment_deviations(moments, series.v[0])
-    first = series.v + D1
-    third = velocity_monomials3(series.v) + D3
-    return MomentsSeries(t=series.t.copy(), first=first, third=third)
+    D1, D3 = _frozen_slots(moments, series.v[0])
+    first = series.v + (0.0 if D1 is None else D1)
+    return MomentsSeries(t=series.t.copy(), first=first, D3=D3)
+
+
+def _along_run(lattice: Lattice, curve: TrajectorySeries, moments_along: MomentsSeries):
+    """Step, lookup arguments, field entries, v and first along a run, as columns.
+
+    The moment series must share the curve's grid (MismatchedGrid
+    otherwise), and the grid must be uniform (ValueError otherwise).
+    """
+    _check_common_grid(curve, moments_along)
+    h = _uniform_step(curve.t)
+    x = _series_columns(curve.x)
+    lookup = (lattice, x[2], _lookup_xi(x))
+    return (h, lookup, field_entries(*lookup), _series_columns(curve.v),
+            _series_columns(moments_along.first))
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +558,11 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
     uses fourth-order finite differences.  For a point ensemble riding
     its own geodesic this vanishes to integrator tolerance, and its
     magnitude scales with the squared support diameter of the ensemble.
-    The moment series must share the curve's grid (MismatchedGrid
-    otherwise), and the grid must be uniform (ValueError otherwise).
+    The moment series must be built along the curve (see _along_run for
+    the grid checks); its third slot is contracted around the curve's v.
     """
-    _check_common_grid(curve, moments_along)
-    h = _uniform_step(curve.t)
-    x = _series_columns(curve.x)
-    V = _series_columns(moments_along.first)
-    T = _series_columns(moments_along.third.reshape(-1, 4, 16))
-    gam = _gamma(field_entries(lattice, x[2], _lookup_xi(x)), V, _slot3(T, V, V), V, V)
+    h, _, F, v, V = _along_run(lattice, curve, moments_along)
+    gam = _gamma(F, V, _comoving_third(v, moments_along.D3, V, V), V, V)
     dV = _series_columns(_series_derivative(moments_along.first, h))
     d = [dV[c] + gam[c] for c in range(4)]
     return curve.t.copy(), np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
@@ -595,12 +613,15 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
         F = field_entries(lattice, X[2], lookup)
         dF = _directional(gradient_entries(lattice, X[2], lookup), xi)
         first = V if slot_D1 is None else [V[m] + slot_D1[m] for m in range(4)]
+        th = _comoving_third(V, slot_D3, V, V)
         g_dev = _gamma(F, first, _comoving_third(V, slot_D3, dxi, V), dxi, V)
-        g_grad = _gamma(dF, first, _comoving_third(V, slot_D3, V, V), V, V)
+        g_grad = _gamma(dF, first, th, V, V)
         A = inertial_acceleration(frame, xi, dxi, V)
+        # in mode "full" with a spread beam the reference's slots are the deviation's
+        ref = ([-g for g in _gamma(F, first, th, V, V)] if slot_D1 is not None
+               else _geodesic_accel(F, V, D1, D3))
         # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot)) - A
-        return _geodesic_accel(F, V, D1, D3) + [-(2.0 * g_dev[i] + g_grad[i]) - A[i]
-                                                for i in range(4)]
+        return ref + [-(2.0 * g_dev[i] + g_grad[i]) - A[i] for i in range(4)]
 
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))

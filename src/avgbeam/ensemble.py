@@ -86,23 +86,6 @@ def _check_samples(ys: np.ndarray, ws: np.ndarray):
         raise ValueError(f"sample {a} weight must be nonnegative, got {ws[a]}")
 
 
-@dataclass(frozen=True)
-class VelocitySample:
-    """One weighted support point of the velocity distribution."""
-
-    y: np.ndarray
-    w: float = 1.0
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (4,):
-            raise ValueError(f"4-velocity must have shape (4,), got {y.shape}")
-        _check_samples(y[None, :], np.array([float(self.w)]))
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", float(self.w))
-
-
 class BeamEnsemble:
     """Immutable weighted collection of on-shell velocity samples.
 
@@ -131,9 +114,6 @@ class BeamEnsemble:
 
     def __len__(self) -> int:
         return len(self.ys)
-
-    def sample(self, a: int) -> VelocitySample:
-        return VelocitySample(self.ys[a].copy(), float(self.ws[a]))
 
 
 @dataclass(frozen=True)

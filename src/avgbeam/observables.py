@@ -4,7 +4,10 @@ The linear channels of the deviation dynamics all reduce to Hill
 equations u'' + K(t) u = 0; this module builds their principal
 solutions, the associated Green function and particular solutions, the
 dispersion response to a momentum error, and the transverse offset
-integrals driven by the ensemble moments along a reference run.
+integrals driven by the ensemble moments along a reference run.  The
+offsets take the moments in the integrators' comoving form: first along
+the run and the rank-3 slot contracted in closed form around the
+reference velocity (dynamics._comoving_third), never a tensor series.
 
 Principal solutions come two ways.  On a lattice K is constant inside
 each hard-edged element, so lattice_principal_solutions chains the
@@ -22,16 +25,16 @@ from .dynamics import (
     JacobiSeries,
     MomentsSeries,
     TrajectorySeries,
+    _along_run,
     _check_common_grid,
+    _comoving_third,
     _directional,
     _hill_rows,
-    _lookup_xi,
     _matvec,
     _mdot,
     _moment_slot,
     _rk4_rows,
     _series_columns,
-    _slot3,
     _stage_stream,
     _uniform_step,
 )
@@ -41,7 +44,7 @@ from .errors import (
     ResidualTooLarge,
     WronskianDrift,
 )
-from .lattice import Lattice, _element_k, field_entries, gradient_entries, transverse_k_profile
+from .lattice import Lattice, _element_k, gradient_entries, transverse_k_profile
 
 
 @dataclass
@@ -238,16 +241,6 @@ def momentum_spread(xi_run: JacobiSeries, p0: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # collective offset integrals
 
-def _along_run(lattice: Lattice, reference: TrajectorySeries, moments_along: MomentsSeries):
-    """Lookup arguments, field entries, V, <y> and <yyy>(V, V) along the run, as columns."""
-    x = _series_columns(reference.x)
-    lookup = (lattice, x[2], _lookup_xi(x))
-    V = _series_columns(reference.v)
-    first = _series_columns(moments_along.first)
-    third = _series_columns(moments_along.third.reshape(-1, 4, 16))
-    return lookup, field_entries(*lookup), V, first, _slot3(third, V, V)
-
-
 def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
                     moments_along: MomentsSeries) -> OffsetSeries:
     """Ensemble-averaged transverse offsets along the reference run.
@@ -259,9 +252,8 @@ def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
     idealization.  Depends only on the reference, the field along it,
     and the first and third moments.
     """
-    _check_common_grid(reference, moments_along)
-    h = _uniform_step(reference.t)
-    _, F, V, first, th = _along_run(lattice, reference, moments_along)
+    h, _, F, V, first = _along_run(lattice, reference, moments_along)
+    th = _comoving_third(V, moments_along.D3, V, V)
     integ = _moment_slot(F, first, th, V, V)  # F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV))
     avg1 = _cumtrapz(integ[1], h)
     avg3 = _cumtrapz(integ[3], h)
@@ -279,10 +271,9 @@ def born_offset(lattice: Lattice, reference: TrajectorySeries,
     over a sign-symmetric family of deviation runs recovers
     averaged_offset.
     """
-    _check_common_grid(reference, moments_along)
     _check_common_grid(reference, xi_run, "deviation run")
-    h = _uniform_step(reference.t)
-    lookup, F, V, first, th = _along_run(lattice, reference, moments_along)
+    h, lookup, F, V, first = _along_run(lattice, reference, moments_along)
+    th = _comoving_third(V, moments_along.D3, V, V)
     xi = _series_columns(xi_run.xi)
     dxi = _series_columns(xi_run.dxi)
     eps = [first[c] - V[c] for c in range(4)]

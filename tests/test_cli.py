@@ -239,7 +239,8 @@ def test_bad_numeric_input_is_a_one_line_error(files, capsys, code, argv):
 @pytest.mark.parametrize("code, flags, needle", [
     (2, ["--gamma", "0.5"], "--gamma"),
     (1, ["--n", "0"], "sample count"),
-], ids=["gamma-below-one", "no-samples"])
+    (2, ["--seed", "-1"], "--seed"),
+], ids=["gamma-below-one", "no-samples", "seed-negative"])
 def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, needle):
     tmp, lat, _, _ = files
     out = tmp / "scan.json"

@@ -18,7 +18,6 @@ from avgbeam import (
     NonFiniteValue,
     OffShell,
     ParseError,
-    VelocitySample,
     ZeroWeight,
     compute_moments,
     delta_moments,
@@ -35,11 +34,6 @@ from avgbeam import (
 
 SQRT2 = np.sqrt(2.0)
 TWO_SAMPLES = np.array([[SQRT2, 1.0, 0.0, 0.0], [SQRT2, -1.0, 0.0, 0.0]])
-
-
-def test_sample_default_weight():
-    s = VelocitySample(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert s.w == 1.0
 
 
 def test_ensemble_rejects_off_shell_rows():
@@ -308,8 +302,6 @@ def test_ensemble_rejects_non_finite_weights(bad):
     ws[2] = bad
     with pytest.raises(NonFiniteValue, match="sample 2 weight must be finite"):
         BeamEnsemble(np.tile(TWO_SAMPLES[0], (6, 1)), ws=ws)
-    with pytest.raises(NonFiniteValue, match="sample 0 "):
-        VelocitySample(TWO_SAMPLES[0], w=bad)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

@@ -633,10 +633,11 @@ def test_offsets_and_defect_equal_dense_reference(edged):
     xi_run = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG)
     h = float(ref.t[1] - ref.t[0])
     V, first = ref.v, along.first
+    _, D3 = d_slots(mom, launch.v)
     fxi = d_field_xi(ref.x)
     F = field_mixed(lattice, ref.x[:, 2], fxi)
     dF = d_along(field_gradient(lattice, ref.x[:, 2], fxi), xi_run.xi)
-    th = d_slot3(along.third, V, V)
+    th = d_comoving_third(V, D3, V, V)
     base = d_moment_slot(F, first, th, V, V)
     eps = first - V
     cross = (d_matvec(F, xi_run.dxi) * d_mdot(eps, V)[:, None]
@@ -652,7 +653,7 @@ def test_offsets_and_defect_equal_dense_reference(edged):
 
     F_curve = field_mixed(lattice, ref.x[:, 2], fxi)
     defect = _series_derivative(first, h) + d_gamma(
-        F_curve, first, d_slot3(along.third, first, first), first, first)
+        F_curve, first, d_comoving_third(V, D3, first, first), first, first)
     _, got = mean_field_defect(lattice, along, ref)
     assert np.array_equal(got, np.sqrt(np.sum(defect * defect, axis=-1)))
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ from avgbeam import (
     project_to_hyperboloid,
     transverse_k_profile,
 )
+from avgbeam import observables
+from avgbeam.dynamics import _frozen_slots
 from avgbeam.observables import _cumtrapz
 
 GAMMA = 100.0
@@ -283,7 +286,7 @@ def test_series_consumers_share_one_grid_check(circle_lattice, circle_state, cfg
 
     def consumers(t_ref, t_series):
         r = TrajectorySeries(t_ref, ref.x, ref.v)
-        a = MomentsSeries(t_series, along.first, along.third)
+        a = MomentsSeries(t_series, along.first, along.D3)
         d = JacobiSeries(t_series, xi_run.xi, xi_run.dxi)
         return (lambda: averaged_offset(circle_lattice, r, a),
                 lambda: born_offset(circle_lattice, r, a, d),
@@ -299,9 +302,9 @@ def test_series_consumers_share_one_grid_check(circle_lattice, circle_state, cfg
             run()
 
 
-def _dipole_reference(alpha, span, n=2000, seed=11, step=1e-3):
+def _dipole_reference(alpha, span, n=2000, seed=11, step=1e-3, speed=SPEED):
     lat = Lattice.from_elements([Dipole(length=25.0, b0=0.05)])
-    fam = gaussian_beam_family(np.array([0.0, SPEED, 0.0]), n=n, seed=seed)
+    fam = gaussian_beam_family(np.array([0.0, speed, 0.0]), n=n, seed=seed)
     mom = compute_moments(fam(alpha))
     v0 = project_to_hyperboloid(mom.first[1:4])
     ref = integrate_averaged_geodesic(
@@ -327,6 +330,43 @@ def test_averaged_offset_scales_quadratically_in_spread():
         off = averaged_offset(lat, ref, along)
         ends[alpha] = abs(off.avg1[-1])
     assert 3.0 < ends[0.02] / ends[0.01] < 5.0
+
+
+def _exact_offset_integrand(F, V, D1, D3):
+    """F(first eta(V,V) - third(V,V)) in rationals, first = V + D1, third = V x V x V + D3."""
+    sign = (1, -1, -1, -1)
+    V = [Fraction(c) for c in V]
+    s = sum(g * c * c for g, c in zip(sign, V))
+    slot = [(V[m] + Fraction(D1[m])) * s - V[m] * s * s
+            - sum(Fraction(D3[m][4 * a + b]) * (sign[a] * sign[b]) * V[a] * V[b]
+                  for a in range(4) for b in range(4))
+            for m in range(4)]
+    out = [Fraction(0)] * 4
+    for i, j, f in F:
+        out[i] += Fraction(f) * slot[j]
+    return out
+
+
+@pytest.mark.parametrize("gamma", [100.0, 1e3])
+def test_offset_integrand_matches_exact_slot_contraction(monkeypatch, gamma):
+    # F(first eta(V,V) - third(V,V)) cancels O(gamma^3) terms down to O(alpha^2); a
+    # rank-3 tensor series loses that to rounding, the comoving slots keep 1e-5.  What
+    # they still lose is eta(V,V) rounded near 1 (gamma^2 eps) times |V|.  Beam of
+    # criterion 12 (seed 7); rows compared in rationals on the program's D1, D3.
+    speed = np.sqrt(gamma * gamma - 1.0)
+    lat, mom, ref, along = _dipole_reference(0.01, span=10.0 / speed, seed=7, speed=speed)
+    integrands = []
+    monkeypatch.setattr(observables, "_cumtrapz",
+                        lambda y, h: integrands.append(y) or _cumtrapz(y, h))
+    averaged_offset(lat, ref, along)
+    D1, D3 = _frozen_slots(mom, ref.v[0])
+    F = lat.elements[0].field_entries(0.0, None)  # a uniform dipole
+    rows = np.unique(np.linspace(0, len(ref) - 1, 12).astype(int))
+    exact = {k: _exact_offset_integrand(F, ref.v[k].tolist(), D1, D3) for k in rows}
+    scale = max(abs(row[c]) for row in exact.values() for c in (1, 3))
+    err = max(abs(Fraction(float(got[k])) - exact[k][c]) / scale
+              for c, got in zip((1, 3), integrands) for k in rows)
+    assert len(rows) >= 11 and err < 1e-5
 
 
 def test_born_offset_with_zero_deviation_matches_averaged():
