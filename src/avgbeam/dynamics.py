@@ -181,16 +181,68 @@ class MomentsSeries:
 TRAJECTORY_HEADER = "t,x0,x1,x2,x3,v0,v1,v2,v3"
 JACOBI_HEADER = "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
 ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
-_BLOCK_ROWS = 1024  # rows per write, which bounds the strings held at once
+_BLOCK_ROWS = 1024  # rows per write, which bounds the bytes held at once
+_UNLOADED = object()
+_orjson = _UNLOADED  # imported by the first write, so that importing avgbeam does not pay for it
+# repr pads the one-digit exponents orjson writes bare (e-7 -> e-07); an
+# e-5 never reaches them, its rows are written by repr
+_PADDED = [(f"e-{d}{end}".encode(), f"e-0{d}{end}".encode()) for d in "6789" for end in ",\n"]
+
+
+def _formatter():
+    """The orjson module, or None where it is not installed."""
+    global _orjson
+    if _orjson is _UNLOADED:
+        try:
+            import orjson
+        except ImportError:
+            orjson = None
+        _orjson = orjson
+    return _orjson
+
+
+def _repr_lines(rows):
+    """CSV lines of a (rows, columns) float64 array, each value its float repr."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]).encode()
+
+
+def _block_lines(block, orjson):
+    """The CSV lines of a block, byte for byte those of _repr_lines.
+
+    repr (Gay's dtoa) and orjson (Ryu) both write the shortest digits that
+    round-trip, so only the layout differs: orjson omits the exponent's
+    '+' and zero padding, writes 1e-5 <= |x| < 1e-4 positionally, where
+    repr switches to exponents at 1e-4, and writes non-finite values as
+    null.  The exponents are mended by bytes.replace, the rows holding
+    such a small value are written by repr, and so is a block with a
+    non-finite value, or every block when orjson is not installed.
+    """
+    if orjson is None or not np.isfinite(block).all():
+        return _repr_lines(block)
+    body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    body += b"\n"
+    if b"e" in body:
+        body = body.replace(b"e-", b"E").replace(b"e", b"e+").replace(b"E", b"e-")
+        for bare, padded in _PADDED:
+            body = body.replace(bare, padded)
+    size = np.abs(block)
+    small = np.flatnonzero(((size >= 1e-5) & (size < 1e-4)).any(axis=1))
+    if len(small):
+        lines = body.splitlines(keepends=True)
+        for k, line in zip(small.tolist(), _repr_lines(block[small]).splitlines(keepends=True)):
+            lines[k] = line
+        body = b"".join(lines)
+    return body
 
 
 def _write_rows(path, header, columns):
-    """CSV of float64 columns, a block of rows per write, each value one float repr."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    """CSV of float64 columns, a block of rows per write, each value as its float repr."""
+    orjson = _formatter()
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [map(repr, c[lo:lo + _BLOCK_ROWS].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(_block_lines(np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns]),
+                                 orjson))
 
 
 def _read_rows(path, header):
@@ -672,6 +724,44 @@ def _hill_map(K, tau):
     return c, w * s, s / w, c
 
 
+# Taylor coefficients of (sinh x - x)/x^3 in z = x^2 and of
+# (e^-x - 1 + x)/x^2 in x: 1/(2j+3)! and (-1)^j/(j+2)!; for |z|, |x| < 1
+# the terms left out are below 1e-18 of the sum
+_SINH_EXCESS = [1.0 / math.factorial(2 * j + 3) for j in range(9)]
+_EXP_EXCESS = [(-1.0) ** j / math.factorial(j + 2) for j in range(18)]
+
+
+def _series_near_zero(direct, z, coefficients):
+    """direct, its entries where |z| < 1 replaced by z sum_j coefficients[j] z^j."""
+    near = np.abs(z) < 1.0
+    z = z[near]
+    acc = np.full_like(z, coefficients[-1])
+    for c in reversed(coefficients[:-1]):
+        acc = acc * z + c
+    direct[near] = z * acc
+    return direct
+
+
+def _hill_excess(K, tau):
+    """(C - 1, C', S - tau) of _hill_map(K, tau), each kept relatively accurate.
+
+    C - 1 is -2 sin^2 or 2 sinh^2 of w tau / 2, and S - tau where
+    |z| < 1, z = -K tau^2, is the series tau z sum_j z^j / (2j+3)!, so
+    neither is a difference of nearly equal numbers.
+    """
+    if not math.isfinite(K) or K == 0.0:
+        C, Cp, S, _ = _hill_map(K, tau)
+        return C - 1.0, Cp, S - tau
+    w = math.sqrt(abs(K))
+    if K > 0.0:
+        half, s = np.sin(0.5 * w * tau), np.sin(w * tau)
+        cm1, cp = -2.0 * half * half, -w * s
+    else:
+        half, s = np.sinh(0.5 * w * tau), np.sinh(w * tau)
+        cm1, cp = 2.0 * half * half, w * s
+    return cm1, cp, tau * _series_near_zero(s / (w * tau) - 1.0, -K * tau * tau, _SINH_EXCESS)
+
+
 def _hill_rows(K, tau, u0, du0):
     """u and u' from the launch (u0, du0) through the map of constant K."""
     C, Cp, S, Sp = _hill_map(K, tau)
@@ -737,8 +827,12 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
 
     xi0 follows from xi2 algebraically, since ddxi0 = +-ddxi2 (+ for
     ConstantE, - for RFCavity): xi0 = xi0(0) + xi0'(0) tau
-    +- (xi2 - xi2(0) - xi2'(0) tau).  Row 0 is the launch bit for bit;
-    a grid that leaves the element raises OutOfLattice.
+    +- (xi2 - xi2(0) - xi2'(0) tau).  In closed form the bracket and its
+    derivative are formed from the map's own differences, xi2(0) (C - 1)
+    + xi2'(0) (S - tau) (_hill_excess) or -xi2'(0) tau (e^(-x) - 1 + x)/x,
+    not by subtracting from the rounded xi2, so xi0 stays relatively
+    accurate where it is small against xi2(0).  Row 0 is the launch bit
+    for bit; a grid that leaves the element raises OutOfLattice.
     """
     if not isinstance(element, (ConstantE, RFCavity)):
         raise UnsupportedElement(
@@ -760,18 +854,24 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
         if isinstance(element, ConstantE):
             sign, x = 1.0, element.e2 * tau
             # (1 - e^(-x))/x, 1 where x is 0 (e2 == 0, or an e2 tau that underflows)
-            lag = np.divide(np.expm1(-x), -x, out=np.ones_like(x), where=x != 0.0)
+            em1 = np.expm1(-x)
+            lag = np.divide(em1, -x, out=np.ones_like(x), where=x != 0.0)
             xi2, dxi2 = u0 + du0 * (tau * lag), du0 * np.exp(-x)
+            bend = _series_near_zero((em1 + x) / x, x, _EXP_EXCESS)  # (e^-x - 1 + x)/x
+            rise, drise = -du0 * (tau * bend), du0 * em1
         else:
             sign, e2_0 = -1.0, element.e2_0
             if not gamma_of_t.ndim or (gamma_of_t == gamma_of_t[0]).all():
                 K = -((2.0 * float(gamma_of_t.flat[0])) * e2_0)
                 xi2, dxi2 = _hill_rows(K, tau, u0, du0)
+                cm1, cp, excess = _hill_excess(K, tau)
+                rise, drise = cm1 * u0 + excess * du0, cp * u0 + cm1 * du0
             else:
                 focus = _stage_stream(gamma_of_t, lambda g: 2.0 * g * e2_0)
                 xi2, dxi2 = _rk4_rows(lambda u, du: [next(focus) * u[0]], [u0], [du0], h, n)
                 xi2, dxi2 = xi2[1:, 0], dxi2[1:, 0]
+                rise, drise = xi2 - u0 - du0 * tau, dxi2 - du0
         out.xi[1:, 2], out.dxi[1:, 2] = xi2, dxi2
-        out.xi[1:, 0] = xi[0] + dxi[0] * tau + sign * (xi2 - u0 - du0 * tau)
-        out.dxi[1:, 0] = dxi[0] + sign * (dxi2 - du0)
+        out.xi[1:, 0] = xi[0] + dxi[0] * tau + sign * rise
+        out.dxi[1:, 0] = dxi[0] + sign * drise
     return out

@@ -18,6 +18,8 @@ its truncation error.
 """
 
 import math
+import os
+import subprocess
 
 import numpy as np
 from hypothesis import given, settings
@@ -161,14 +163,53 @@ def transverse_row(K):
     return lambda k, tau, xi, dxi: [exact_hill(K[i], tau, xi[i], dxi[i]) for i in range(4)]
 
 
-def longitudinal_row(sign, xi2_row):
+def exact_hill_rise(K, tau, u, du):
+    """xi2 - u - du tau and xi2' - du of u'' + K u = 0, as (C - 1) u + (S - tau) du
+    and C' u + (C - 1) du: C - 1 = -+2 sin^2 or sinh^2 of w tau / 2, and S - tau
+    summed from its Taylor series while |K| tau^2 < 1."""
+    if K == 0.0:
+        cm1 = cp = smt = 0.0
+    else:
+        w = math.sqrt(abs(K))
+        if K > 0.0:
+            half, s = math.sin(0.5 * w * tau), math.sin(w * tau)
+            cm1, cp = -2.0 * half * half, -w * s
+        else:
+            half, s = math.sinh(0.5 * w * tau), math.sinh(w * tau)
+            cm1, cp = 2.0 * half * half, w * s
+        z = -K * tau * tau
+        if abs(z) < 1.0:
+            smt = tau * z * math.fsum(z ** j / math.factorial(2 * j + 3) for j in range(12))
+        else:
+            smt = s / w - tau
+    return cm1 * u + smt * du, cp * u + cm1 * du
+
+
+def exact_decay_rise(e2, tau, u, du):
+    """The same for u'' = -e2 u': -du tau (e^(-x) - 1 + x)/x and du (e^(-x) - 1),
+    x = e2 tau, the first summed from its Taylor series while |x| < 1."""
+    x = e2 * tau
+    if abs(x) < 1.0:
+        bend = x * math.fsum((-x) ** j / math.factorial(j + 2) for j in range(20))
+    else:
+        bend = (math.expm1(-x) + x) / x
+    return -du * (tau * bend), du * math.expm1(-x)
+
+
+def longitudinal_row(sign, xi2_row, rise_row=None):
     """Row function of a longitudinal channel: xi2 from xi2_row(k, tau, u, du),
-    xi0 = xi0(0) + xi0'(0) tau + sign (xi2 - xi2(0) - xi2'(0) tau), xi1 and xi3 drifting."""
+    xi0 = xi0(0) + xi0'(0) tau + sign (xi2 - xi2(0) - xi2'(0) tau), xi1 and xi3
+    drifting.  A closed form's bracket and its derivative are rise_row(tau, u, du),
+    formed without cancellation; a run replayed from RK4 subtracts."""
 
     def row(k, tau, xi, dxi):
         (u2, du2), (s2, sd2) = xi2_row(k, tau, xi[2], dxi[2])
-        u0 = xi[0] + dxi[0] * tau + sign * (u2 - xi[2] - dxi[2] * tau)
-        du0 = dxi[0] + sign * (du2 - dxi[2])
+        if rise_row is None:
+            rise, drise = u2 - xi[2] - dxi[2] * tau, du2 - dxi[2]
+        else:
+            rise, drise = rise_row(tau, xi[2], dxi[2])
+        u0 = xi[0] + dxi[0] * tau + sign * rise
+        du0 = dxi[0] + sign * drise
         scale0 = (abs(xi[0]) + abs(dxi[0] * tau) + s2 + abs(xi[2]) + abs(dxi[2] * tau),
                   abs(dxi[0]) + sd2 + abs(dxi[2]))
         return [((u0, du0), scale0), exact_hill(0.0, tau, xi[1], dxi[1]),
@@ -390,8 +431,41 @@ def test_longitudinal_constant_field_equals_reference(cfg_fine):
         return acc
 
     rk4 = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
-    row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du))
+    row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du),
+                           lambda tau, u, du: exact_decay_rise(el.e2, tau, u, du))
     assert_channel(ser, init, exact_series(row, init, 1e-3, 2000), rk4, 1e-12)
+
+
+@pytest.mark.parametrize("element, gamma, du0", [
+    (RFCavity(length=20.0, e2_0=1.0, w_rf=3.0), 1.0, 0.0),
+    (RFCavity(length=20.0, e2_0=1.0, w_rf=3.0), 2.0, 2e-4),
+    (ConstantE(length=20.0, e2=0.7), 1.0, 2e-3),
+])
+def test_longitudinal_rows_match_mpmath(element, gamma, du0, cfg_fine):
+    # a reference that shares none of the closed form's float expressions:
+    # xi0 - xi0(0) - xi0'(0) tau = +-(xi2 - xi2(0) - xi2'(0) tau) is small
+    # against xi2(0) on the first rows, and must stay relatively accurate
+    mpmath = pytest.importorskip("mpmath")
+    u0 = 1e-3
+    init = JacobiState(0.0, np.array([0.0, 0.0, u0, 0.0]), np.array([0.0, 0.0, du0, 0.0]))
+    ser = integrate_longitudinal(element, gamma, init, 2.0, cfg_fine)
+    got = np.stack([ser.xi[1:, 0], ser.dxi[1:, 0], ser.xi[1:, 2], ser.dxi[1:, 2]], axis=1)
+    want = np.empty_like(got)
+    mpf = mpmath.mpf
+    with mpmath.workdps(50):
+        for k, t in enumerate(ser.t[1:].tolist()):
+            tau = mpf(t)
+            if isinstance(element, RFCavity):
+                w = mpmath.sqrt(2 * mpf(gamma) * mpf(element.e2_0))
+                xi2 = u0 * mpmath.cosh(w * tau) + du0 * mpmath.sinh(w * tau) / w
+                dxi2 = u0 * w * mpmath.sinh(w * tau) + du0 * mpmath.cosh(w * tau)
+                sign = -1
+            else:
+                decay = mpmath.exp(-mpf(element.e2) * tau)
+                xi2, dxi2, sign = u0 + du0 * (1 - decay) / mpf(element.e2), du0 * decay, 1
+            row = (sign * (xi2 - u0 - du0 * tau), sign * (dxi2 - du0), xi2, dxi2)
+            want[k] = [float(v) for v in row]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_principal_solutions_equal_reference(fodo_lattice):
@@ -410,27 +484,67 @@ def test_principal_solutions_equal_reference(fodo_lattice):
     assert np.array_equal(ps.Cp, dus[:, 0]) and np.array_equal(ps.Sp, dus[:, 1])
 
 
-# repr switches to exponent form below 1e-4 and from 1e16 on
+# repr switches to exponent form below 1e-4 and from 1e16 on, and pads
+# one-digit exponents (1e-07); orjson writes [1e-5, 1e-4) positionally
 _REPR_EDGES = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+               1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+               9.999999999999999e-05, np.nextafter(9.999999999999999e-05, 1.0),
+               -1e-5, -9.999999999999999e-05, 1e-7, 1e-9,
                -1e-4, -1e16, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                np.inf, -np.inf, np.nan]
 _ROWS = [0, 1] + [m * _BLOCK_ROWS + d for m in (1, 2) for d in (-2, -1, 0, 1, 2)]
+# every finite float64, each bit pattern equally likely
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))).filter(math.isfinite)
+_TABLES = dict(n_cols=st.integers(1, 9), n_rows=st.sampled_from(_ROWS),
+               pool=st.lists(st.one_of(st.floats(), _BIT_PATTERNS, st.sampled_from(_REPR_EDGES)),
+                             min_size=1, max_size=40),
+               seed=st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n_cols=st.integers(1, 9), n_rows=st.sampled_from(_ROWS),
-       pool=st.lists(st.one_of(st.floats(), st.sampled_from(_REPR_EDGES)),
-                     min_size=1, max_size=40),
-       seed=st.integers(0, 2**32 - 1))
-def test_block_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_rows, pool, seed):
+def assert_block_writer_bytes_equal_row_writer(out, n_cols, n_rows, pool, seed):
     # the columns are strided views of one table, as a series' columns are
     table = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, n_cols))
     columns = [table[:, i] for i in range(n_cols)]
     header = ",".join(f"c{i}" for i in range(n_cols))
-    out = tmp_path_factory.mktemp("csv")
     _write_rows(out / "block.csv", header, columns)
     reference_write_rows(out / "row.csv", header, columns)
     assert (out / "block.csv").read_bytes() == (out / "row.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_TABLES)
+def test_block_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_rows, pool, seed):
+    """Every value is written as its float repr, through orjson where it is installed.
+
+    This is the orjson version contract that the ROADMAP keeps: an orjson
+    release that writes floats in another layout must fail here rather
+    than change the artifacts.
+    """
+    assert_block_writer_bytes_equal_row_writer(tmp_path_factory.mktemp("csv"),
+                                               n_cols, n_rows, pool, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_TABLES)
+def test_repr_only_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_rows, pool, seed):
+    # the path taken without orjson
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_orjson", None)
+        assert_block_writer_bytes_equal_row_writer(tmp_path_factory.mktemp("csv"),
+                                                   n_cols, n_rows, pool, seed)
+
+
+def test_import_does_not_load_orjson():
+    # orjson is imported by the first CSV write, not by import avgbeam
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, avgbeam; print('orjson' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_ensemble_writer_bytes_equal_row_writer(tmp_path):
@@ -867,7 +981,8 @@ def _linear_channel(draw):
             acc[0] = acc[2] = -el.e2 * dxi[2]
             return acc
 
-        row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du))
+        row = longitudinal_row(1.0, lambda k, tau, u, du: exact_decay(el.e2, tau, u, du),
+                           lambda tau, u, du: exact_decay_rise(el.e2, tau, u, du))
         return lambda init: integrate_longitudinal(el, 1.0, init, n * _H, cfg), rhs, row, n
     el = RFCavity(length=1.0, e2_0=draw(st.floats(-2.0, 2.0)), w_rf=1.0)
     gamma = draw(st.one_of(
@@ -890,7 +1005,8 @@ def _linear_channel(draw):
     row = None
     if (gammas == gammas[0]).all():
         K = -((2.0 * float(gammas[0])) * el.e2_0)
-        row = longitudinal_row(-1.0, lambda k, tau, u, du: exact_hill(K, tau, u, du))
+        row = longitudinal_row(-1.0, lambda k, tau, u, du: exact_hill(K, tau, u, du),
+                               lambda tau, u, du: exact_hill_rise(K, tau, u, du))
     return lambda init: integrate_longitudinal(el, gamma, init, n * _H, cfg), rhs, row, n
 
 
