@@ -185,7 +185,7 @@ _BLOCK_ROWS = 1024  # rows per write, which bounds the bytes held at once
 _UNLOADED = object()
 _orjson = _UNLOADED  # imported by the first write, so that importing avgbeam does not pay for it
 # repr pads the one-digit exponents orjson writes bare (e-7 -> e-07); an
-# e-5 never reaches them, its rows are written by repr
+# e-5 never reaches them, its cells are rewritten by repr
 _PADDED = [(f"e-{d}{end}".encode(), f"e-0{d}{end}".encode()) for d in "6789" for end in ",\n"]
 
 
@@ -213,9 +213,9 @@ def _block_lines(block, orjson):
     round-trip, so only the layout differs: orjson omits the exponent's
     '+' and zero padding, writes 1e-5 <= |x| < 1e-4 positionally, where
     repr switches to exponents at 1e-4, and writes non-finite values as
-    null.  The exponents are mended by bytes.replace, the rows holding
-    such a small value are written by repr, and so is a block with a
-    non-finite value, or every block when orjson is not installed.
+    null.  The exponents are mended by bytes.replace and each such small
+    value's cell is rewritten by repr; a block with a non-finite value,
+    or every block when orjson is not installed, is written by repr.
     """
     if orjson is None or not np.isfinite(block).all():
         return _repr_lines(block)
@@ -226,12 +226,16 @@ def _block_lines(block, orjson):
         for bare, padded in _PADDED:
             body = body.replace(bare, padded)
     size = np.abs(block)
-    small = np.flatnonzero(((size >= 1e-5) & (size < 1e-4)).any(axis=1))
-    if len(small):
-        lines = body.splitlines(keepends=True)
-        for k, line in zip(small.tolist(), _repr_lines(block[small]).splitlines(keepends=True)):
-            lines[k] = line
-        body = b"".join(lines)
+    rows, cols = np.nonzero((size >= 1e-5) & (size < 1e-4))
+    if len(rows):
+        lines, cells = body.split(b"\n"), {}
+        for k, i, value in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+            if k not in cells:
+                cells[k] = lines[k].split(b",")
+            cells[k][i] = repr(value).encode()
+        for k, row in cells.items():
+            lines[k] = b",".join(row)
+        body = b"\n".join(lines)
     return body
 
 
