@@ -730,7 +730,7 @@ def _hill_map(K, tau):
 
 # Taylor coefficients of (sinh x - x)/x^3 in z = x^2 and of
 # (e^-x - 1 + x)/x^2 in x: 1/(2j+3)! and (-1)^j/(j+2)!; for |z|, |x| < 1
-# the terms left out are below 1e-18 of the sum
+# the terms left out are below 2e-18 of the sum
 _SINH_EXCESS = [1.0 / math.factorial(2 * j + 3) for j in range(9)]
 _EXP_EXCESS = [(-1.0) ** j / math.factorial(j + 2) for j in range(18)]
 
