@@ -295,10 +295,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "jacobi" and (args.frame == "arc") != (args.rho is not None):
         parser.error("jacobi --frame arc needs --rho, and --rho needs --frame arc")
-    if args.command in ("scan-alpha", "longitudinal") and not args.gamma >= 1.0:
-        parser.error(f"{args.command} --gamma must be at least 1, got {args.gamma!r}")
-    if args.command == "scan-alpha" and args.seed < 0:
-        parser.error(f"scan-alpha --seed must be nonnegative, got {args.seed}")
+    if args.command == "longitudinal" and not args.gamma >= 1.0:
+        parser.error(f"longitudinal --gamma must be at least 1, got {args.gamma!r}")
+    if args.command == "scan-alpha":
+        # gamma 1 is a beam at rest, which never covers the lab path
+        if not args.gamma > 1.0:
+            parser.error(f"scan-alpha --gamma must be greater than 1, got {args.gamma!r}")
+        if not args.span > 0.0:
+            parser.error(f"scan-alpha --span must be positive, got {args.span!r}")
+        if args.seed < 0:
+            parser.error(f"scan-alpha --seed must be nonnegative, got {args.seed}")
     try:
         return _run(args)
     except (AvgBeamError, OSError, ValueError) as exc:

@@ -10,8 +10,8 @@ t_k + h/2 and at t_k + h in every step, in that order, which is all a
 right-hand side knows of its stage; an observer sees every grid point.
 A state is a list of parts, each advanced elementwise by the same
 expressions: one orbit's parts are its components as plain floats, and
-a cloud's single part is its (4, m) array, one contiguous column of m
-entries per component.
+a cloud's are its four components as contiguous (m,) columns, one entry
+per sample, which the right-hand side takes as they are.
 No adaptive control, so identical inputs give identical output bytes.
 The linear transverse and longitudinal channels have constant
 coefficients inside one element and are evaluated in closed form, as
@@ -318,7 +318,8 @@ def _rk4(accel, x, v, h, n, observe):
     A state is a list of parts, every update elementwise over the parts
     in one fixed order: one orbit's parts are its components as plain
     floats (eight for Jacobi, one for a Hill solution or a varying-gamma
-    RF channel), a cloud's single part its (4, m) array of columns.
+    RF channel), a cloud's its four components as (m,) columns, so a
+    right-hand side written over four components runs on either.
     Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
     t_k + h in that order, each call returning a list of parts;
     observe(k, x, v) sees every grid point k = 0..n.
@@ -464,11 +465,6 @@ def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
         return _geodesic_accel(field_entries(lattice, x[2], _lookup_xi(x)), v, D1, D3)
 
     return rhs
-
-
-def _cloud_accel(rhs):
-    """rhs on the one-part state of m orbits, a (4, m) array of contiguous columns."""
-    return lambda x, v: [np.array(rhs(x[0], v[0]))]
 
 
 def _frozen_slots(moments: MomentSet, velocity):

@@ -8,8 +8,13 @@ linearized transport, finite-difference the field gradients.  Reductions
 follow the ensemble module's fixed-order scheme so results are bit
 reproducible and a point bunch collapses exactly onto the
 single-particle run.  Clouds of equal step count and size advance
-together as one batch, each column rounding and each cloud's mean
-reducing as in a separate run, so batching does not change the bits.
+together as one batch, four columns of one entry per sample, each
+column rounding and each cloud's mean reducing as in a separate run, so
+batching does not change the bits.  The alpha scan reads a cloud's mean
+only where the lab-time comparison does: it reduces the mean lab time at
+every step and the whole mean only at the grid points that bracket its
+comparison time and at the end of the run, each such point bit for bit
+the one ensemble_track reduces.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .dynamics import (
     TrajectorySeries,
     TrajectoryState,
     _check_step,
-    _cloud_accel,
     _frozen_slots,
     _grid,
     _rhs_geodesic,
@@ -53,6 +57,29 @@ class EnsembleTrackResult:
     """Weighted-mean trajectory of a tracked cloud."""
 
     mean: TrajectorySeries
+
+
+@dataclass
+class _LabTimeMeans:
+    """A cloud's mean run, reduced where a lab-time comparison reads it.
+
+    x0 is the mean lab time at every grid point of t; rows maps each grid
+    point at which the whole mean was reduced to its eight components,
+    the mean position and then the mean velocity.
+    """
+
+    t: np.ndarray
+    x0: np.ndarray
+    rows: dict
+
+    def position_at(self, T: float) -> np.ndarray:
+        """position_at_lab_time of the whole mean run, from the reduced rows only."""
+        k = _bracketing_step(self.x0, T)
+        if k not in self.rows or k + 1 not in self.rows:
+            raise ValueError(f"mean not reduced at grid points {k} and {k + 1}, "
+                             f"which lab time {T} reads")
+        pair = np.array([self.rows[k], self.rows[k + 1]])
+        return _crossing(self.t, k, pair[:, :4], pair[:, 4:], T)
 
 
 @dataclass
@@ -120,14 +147,23 @@ def ensemble_track(lattice: Lattice, ensemble: BeamEnsemble, x0,
 
 
 def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
-                 config: IntegratorConfig) -> list:
+                 config: IntegratorConfig, lab_times=None) -> list:
     """Mean trajectory of each of G clouds of equal size m, tracked as one batch.
 
-    The G m samples advance from x0 as one (4, G m) state through the RK4
-    kernel, so the per-step numpy overhead is paid once for all clouds.
-    Every column rounds as in its own run, and each cloud's means are
-    reduced along its own samples in the fixed order, so every series is
-    bit for bit that of a separate run of its cloud.
+    The G m samples advance from x0 as four (G m,) columns through the
+    RK4 kernel, so the per-step numpy overhead is paid once for all
+    clouds.  Every column rounds as in its own run, and each cloud's
+    means are reduced along its own samples in the fixed order, so every
+    series is bit for bit that of a separate run of its cloud.
+
+    With lab_times None every mean is reduced at every grid point, and
+    each cloud gets a TrajectorySeries.  Given the lab times a comparison
+    will read, each step reduces only every cloud's mean x0; the whole
+    mean is reduced at the last two grid points and at each pair k - 1,
+    k with x0[k - 1] <= T < x0[k] for a given T, where
+    position_at_lab_time reads T, and each cloud gets a _LabTimeMeans.
+    A reduced row is the same reduction of the same state, so its bits
+    are those of the full series.
     """
     for ens in ensembles:
         check_on_shell(ens.ys, label="sample")
@@ -137,18 +173,39 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
     ws = np.stack([ens.ws for ens in ensembles])
     vol = np.array([_sequential_sum(w) for w in ws])
 
-    mean_x = np.empty((G, n + 1, 4))
-    mean_v = np.empty((G, n + 1, 4))
+    def means(x, v):
+        """(8, G): every cloud's mean position, then its mean velocity."""
+        return _shifted_mean(np.reshape(x + v, (8, G, m)), ws, vol)
 
-    def observe(k, x, v):
-        mean_x[:, k] = _shifted_mean(x[0].reshape(4, G, m), ws, vol).T
-        mean_v[:, k] = _shifted_mean(v[0].reshape(4, G, m), ws, vol).T
+    if lab_times is None:
+        mean_x = np.empty((G, n + 1, 4))
+        mean_v = np.empty((G, n + 1, 4))
+
+        def observe(k, x, v):
+            r = means(x, v)
+            mean_x[:, k] = r[:4].T
+            mean_v[:, k] = r[4:].T
+    else:
+        T = np.asarray(lab_times, dtype=float)
+        lab = np.empty((G, n + 1))
+        rows, last = {}, None
+
+        def observe(k, x, v):
+            nonlocal last
+            lab[:, k] = _shifted_mean(x[0].reshape(G, m), ws, vol)
+            if k and (k == n or np.any((lab[:, k - 1] <= T) & (T < lab[:, k]))):
+                if k - 1 not in rows:
+                    rows[k - 1] = means(*last)
+                rows[k] = means(x, v)
+            last = x, v
 
     # one contiguous column per component, one entry per sample, cloud after cloud
-    x = np.repeat(np.reshape(np.asarray(x0, dtype=float), (4, 1)), G * m, axis=1)
-    v = np.concatenate([ens.ys.T for ens in ensembles], axis=1)
-    _rk4(_cloud_accel(_rhs_geodesic(lattice)), [x], [v], h, n, observe)
-    return [TrajectorySeries(t=t, x=mx, v=mv) for mx, mv in zip(mean_x, mean_v)]
+    x = [np.full(G * m, c) for c in np.asarray(x0, dtype=float)]
+    v = list(np.concatenate([ens.ys.T for ens in ensembles], axis=1))
+    _rk4(_rhs_geodesic(lattice), x, v, h, n, observe)
+    if lab_times is None:
+        return [TrajectorySeries(t=t, x=mx, v=mv) for mx, mv in zip(mean_x, mean_v)]
+    return [_LabTimeMeans(t, lab[g], {k: r[:, g] for k, r in rows.items()}) for g in range(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +230,23 @@ def position_at_lab_time(series: TrajectorySeries, T: float) -> np.ndarray:
     cubic Hermite model with a fixed eight-iteration Newton solve, which
     is deterministic and accurate to the interpolation order.
     """
-    x0s = series.x[:, 0]
+    k = _bracketing_step(series.x[:, 0], T)
+    return _crossing(series.t, k, series.x[k:k + 2], series.v[k:k + 2], T)
+
+
+def _bracketing_step(x0s, T: float) -> int:
+    """The step k whose lab times x0s[k], x0s[k + 1] bracket T; OutOfSpan off the run."""
     if T < x0s[0] - 1e-12 or T > x0s[-1] + 1e-12:
         raise OutOfSpan(f"lab time {T} outside run range [{x0s[0]}, {x0s[-1]}]")
     k = int(np.searchsorted(x0s, T, side="right") - 1)
-    k = min(max(k, 0), len(x0s) - 2)
-    h = float(series.t[k + 1] - series.t[k])
-    q0, q1 = x0s[k], x0s[k + 1]
-    d0, d1 = series.v[k, 0], series.v[k + 1, 0]
+    return min(max(k, 0), len(x0s) - 2)
+
+
+def _crossing(t, k, x, v, T: float) -> np.ndarray:
+    """Spatial position at lab time T on step k, from the step's end rows x and v (2, 4)."""
+    h = float(t[k + 1] - t[k])
+    q0, q1 = x[0, 0], x[1, 0]
+    d0, d1 = v[0, 0], v[1, 0]
     denom = q1 - q0
     theta = 0.5 if denom == 0.0 else (T - q0) / denom
     for _ in range(8):
@@ -191,8 +257,7 @@ def position_at_lab_time(series: TrajectorySeries, T: float) -> np.ndarray:
         theta = min(max(theta, 0.0), 1.0)
     out = np.empty(3)
     for c in (1, 2, 3):
-        out[c - 1] = _hermite_eval(series.x[k, c], series.x[k + 1, c],
-                                   series.v[k, c], series.v[k + 1, c], h, theta)
+        out[c - 1] = _hermite_eval(x[0, c], x[1, c], v[0, c], v[1, c], h, theta)
     return out
 
 
@@ -214,12 +279,15 @@ def endpoint_deviation(a: TrajectorySeries, b: TrajectorySeries,
     "proper-time" compares at the final common parameter value.
     """
     if comparison == "proper-time":
-        d = a.x[-1, 1:4] - b.x[-1, 1:4]
-        return float(np.sqrt(np.sum(d * d)))
+        return _distance(a.x[-1, 1:4], b.x[-1, 1:4])
     if comparison != "lab-time":
         raise ValueError(f"unknown comparison '{comparison}'")
     T = min(float(a.x[-1, 0]), float(b.x[-1, 0]))
-    d = position_at_lab_time(a, T) - position_at_lab_time(b, T)
+    return _distance(position_at_lab_time(a, T), position_at_lab_time(b, T))
+
+
+def _distance(p, q) -> float:
+    d = p - q
     return float(np.sqrt(np.sum(d * d)))
 
 
@@ -264,8 +332,12 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
     equal step count and size are then tracked together as one batch
     (_track_means); their means are bit for bit those of separate runs,
     and a cloud whose step count differs is tracked in a group of its
-    own, so no cloud takes a step its own run would not take.
+    own, so no cloud takes a step its own run would not take.  Each
+    cloud's mean is reduced only where the comparison reads it, about
+    the end lab time of its averaged geodesic and at its run's end.
     """
+    if not s > 0.0:
+        raise ValueError(f"lab path length s must be positive, got {s}")
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
         raise DegenerateFit("need at least 3 alpha values for a scaling fit")
@@ -282,20 +354,25 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
         if speed <= 0.0:
             raise ValueError("beam family must have a moving mean velocity")
         t_end = s / speed  # spatial speed is conserved in magnetic elements
-        averaged.append(integrate_averaged_geodesic(
+        avg = integrate_averaged_geodesic(
             lattice, moments, TrajectoryState(t=0.0, x=x0, v=u_c), t_end, config
-        ))
+        )
+        averaged.append(avg)
         # clouds on one grid (step count and step) and of one size are
         # tracked together; the grid depends on t_end only through those
         n, h, _ = _grid(0.0, t_end, config.step)
-        groups.setdefault((n, h, len(ens.ys)), []).append((k, ens, t_end))
+        groups.setdefault((n, h, len(ens.ys)), []).append((k, ens, t_end, float(avg.x[-1, 0])))
 
     means = [None] * len(alphas)
     for members in groups.values():
-        ks, clouds, t_ends = zip(*members)
-        for k, mean in zip(ks, _track_means(lattice, clouds, x0, t_ends[0], config)):
+        ks, clouds, t_ends, lab_ends = zip(*members)
+        for k, mean in zip(ks, _track_means(lattice, clouds, x0, t_ends[0], config, lab_ends)):
             means[k] = mean
-    deviations = [endpoint_deviation(avg, mean) for avg, mean in zip(averaged, means)]
+    # endpoint_deviation's lab-time comparison, on the reduced rows of each mean
+    deviations = []
+    for avg, mean in zip(averaged, means):
+        T = min(float(avg.x[-1, 0]), float(mean.x0[-1]))
+        deviations.append(_distance(position_at_lab_time(avg, T), mean.position_at(T)))
 
     dev = np.asarray(deviations)
     if np.any(~np.isfinite(dev)) or np.any(dev <= 0.0):
@@ -344,7 +421,7 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, launch: TrajectoryState,
     vs = np.column_stack([v0] + [v0 + sigma * dxi for sigma in scales])
     rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
     n, h, _ = _grid(xi0.t, t_end, config.step)
-    end = _rk4_rows(_cloud_accel(rhs), [xs], [vs], h, n)[0][-1, 0].T
+    end = _rk4_rows(rhs, list(xs), list(vs), h, n)[0][-1].T
 
     errors = []
     for sigma, px in zip(scales, end[1:]):

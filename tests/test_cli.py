@@ -238,9 +238,11 @@ def test_bad_numeric_input_is_a_one_line_error(files, capsys, code, argv):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("code, flags, needle", [
     (2, ["--gamma", "0.5"], "--gamma"),
+    (2, ["--gamma", "1"], "--gamma"),
+    (2, ["--span", "-1"], "--span"),
     (1, ["--n", "0"], "sample count"),
     (2, ["--seed", "-1"], "--seed"),
-], ids=["gamma-below-one", "no-samples", "seed-negative"])
+], ids=["gamma-below-one", "gamma-one", "span-negative", "no-samples", "seed-negative"])
 def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, needle):
     tmp, lat, _, _ = files
     out = tmp / "scan.json"

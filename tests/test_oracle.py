@@ -130,6 +130,16 @@ def test_scan_needs_three_decreasing_spreads():
         theorem1_scan(lat, fam, [0.02, 0.01], 1.0, IntegratorConfig(step=1e-3))
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+def test_scan_needs_a_positive_path_length(s):
+    def family(alpha):
+        raise AssertionError("drew a cloud for a path length the scan rejects")
+
+    lat = Lattice.from_elements([Dipole(length=25.0, b0=0.05)])
+    with pytest.raises(ValueError, match="path length"):
+        theorem1_scan(lat, family, [0.02, 0.01, 0.005], s, IntegratorConfig(step=1e-3))
+
+
 def test_jacobi_linearization_order_quarters(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
     xi0 = JacobiState(
@@ -256,6 +266,42 @@ def test_batched_delta_cloud_is_the_single_particle_run(case, spatial, clouds):
     assert np.array_equal(mean.x, single.x) and np.array_equal(mean.v, single.v)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow, divide, invalid
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+@settings(max_examples=30, deadline=None)
+@given(clouds=_equal_clouds(), data=st.data())
+def test_lab_time_means_keep_the_bits_of_ensemble_track(case, clouds, data):
+    lattice, x0, span, step = _BATCH_CASES[case]
+    cfg = IntegratorConfig(step=step)
+    full = [ensemble_track(lattice, ens, x0, span, cfg).mean for ens in clouds]
+    n = len(full[0].t) - 1
+    # the first cloud compares mid-run, so its pair lies before row n - 1;
+    # the others anywhere in the run or at its end
+    lab_times = [float(full[0].x[n // 2, 0])] + [
+        data.draw(st.one_of(st.floats(0.0, float(f.x[-1, 0])), st.just(float(f.x[-1, 0]))))
+        for f in full[1:]]
+    kept = oracle._track_means(lattice, clouds, x0, span, cfg, lab_times)
+
+    need = {n - 1, n}
+    for T, f in zip(lab_times, full):
+        x0s = f.x[:, 0]
+        need |= {i for j in range(n) if x0s[j] <= T < x0s[j + 1] for i in (j, j + 1)}
+    assert min(need) < n - 1
+    for f, mean in zip(full, kept):
+        assert np.array_equal(mean.t, f.t) and _same_bits(mean.x0, f.x[:, 0])
+        assert set(mean.rows) == need
+        for j, row in mean.rows.items():
+            assert _same_bits(row, np.concatenate([f.x[j], f.v[j]]))
+        # a comparison gets the full run's bits where its rows were kept, else an error
+        for T in [T for T in lab_times if T <= f.x[-1, 0]] + f.x[:, 0].tolist():
+            k = oracle._bracketing_step(f.x[:, 0], T)
+            if {k, k + 1} <= need:
+                assert _same_bits(mean.position_at(T), position_at_lab_time(f, T))
+            else:
+                with pytest.raises(ValueError, match="not reduced"):
+                    mean.position_at(T)
+
+
 def _uneven_family(alpha):
     """Clouds whose mean speed (so their step count) and size depend on alpha."""
     speed, n = {0.02: (1.0, 30), 0.01: (1.0, 30), 0.005: (1.5, 20), 0.0025: (1.0, 20)}[alpha]
@@ -274,8 +320,8 @@ def test_scan_groups_clouds_by_step_count_and_size(monkeypatch):
     groups = []
     track = oracle._track_means
 
-    def spy(lattice, ensembles, x0, t_end, config):
-        means = track(lattice, ensembles, x0, t_end, config)
+    def spy(lattice, ensembles, x0, t_end, config, lab_times=None):
+        means = track(lattice, ensembles, x0, t_end, config, lab_times)
         groups.append((len(means[0].t) - 1, [len(e.ys) for e in ensembles]))
         return means
 
