@@ -37,18 +37,27 @@ evaluated in closed form, without building the monomial tensor,
 in the integrators, the offset integrands and the transport defect
 alike; only the connections module builds the rank-3 tensor, as the
 independent check.  Every moment-slot force (orbit, deviation transport,
-transport defect, offset integrands) is evaluated by one function for
-Gamma(a, b) and its moment part.  A point (delta) ensemble has D
-identically zero, so an averaged run collapses onto the single-particle
-geodesic bit for bit (the zero-deviation case takes the same monomial
-code path as integrate_lorentz).
+transport defect, offset integrands) is assembled by one function from
+the parts of Gamma(a, b) and by one for its moment part.  A point
+(delta) ensemble has D identically zero, so an averaged run collapses
+onto the single-particle geodesic bit for bit (the zero-deviation case
+takes the same monomial code path as integrate_lorentz).
 
 The force algebra is written once, over 4-sequences of components (the
 field as its nonzero entries (i, j, F^i_j)), with every sum in a fixed
 index order.  One orbit runs it on plain floats, which its right-hand
 side receives and returns as lists; a batch (a cloud, a stored series)
 on contiguous (n,) columns, one per component.  A float rounds as one
-element of a column, so batching does not change the bits.
+element of a column, so batching does not change the bits.  Each
+function unpacks its components into locals once and writes its sums
+out term by term, and a value one evaluation uses twice (eta(v, v),
+F v, eta(first, v), the moment slot the Jacobi terms share) is formed
+once, by the same operations that formed it twice; a product rounds
+alike with its factors swapped (a_s a_l = a_l a_s, eta(a, b) =
+eta(b, a)).  So every value keeps the operations and order of the
+plain written-out algebra and floats and columns keep equal bits; the
+sums are written out because indexing, not arithmetic, was most of the
+interpreter's time.
 """
 
 from __future__ import annotations
@@ -375,39 +384,78 @@ def _matvec(F, v):
 
 
 def _mdot(a, b):
-    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
 
 
 def _slot3(T, a, b):
     """T^{msl} a_s b_l with the metric signs on s, l; T[m] holds row m's sixteen, s-major.
 
     Each sign goes onto a_s b_l, which rounds exactly as onto T^{msl}.
+    For b = a the mirrored products a_s a_l and a_l a_s are one product.
     """
     a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    p = (a0 * b0, -(a0 * b1), -(a0 * b2), -(a0 * b3),
-         -(a1 * b0), a1 * b1, a1 * b2, a1 * b3,
-         -(a2 * b0), a2 * b1, a2 * b2, a2 * b3,
-         -(a3 * b0), a3 * b1, a3 * b2, a3 * b3)
-    return [t[0] * p[0] + t[1] * p[1] + t[2] * p[2] + t[3] * p[3]
-            + t[4] * p[4] + t[5] * p[5] + t[6] * p[6] + t[7] * p[7]
-            + t[8] * p[8] + t[9] * p[9] + t[10] * p[10] + t[11] * p[11]
-            + t[12] * p[12] + t[13] * p[13] + t[14] * p[14] + t[15] * p[15]
-            for t in T]
+    if b is a:
+        p0, p5, p10, p15 = a0 * a0, a1 * a1, a2 * a2, a3 * a3
+        p1 = p4 = -(a0 * a1)
+        p2 = p8 = -(a0 * a2)
+        p3 = p12 = -(a0 * a3)
+        p6 = p9 = a1 * a2
+        p7 = p13 = a1 * a3
+        p11 = p14 = a2 * a3
+    else:
+        b0, b1, b2, b3 = b
+        p0, p1, p2, p3 = a0 * b0, -(a0 * b1), -(a0 * b2), -(a0 * b3)
+        p4, p5, p6, p7 = -(a1 * b0), a1 * b1, a1 * b2, a1 * b3
+        p8, p9, p10, p11 = -(a2 * b0), a2 * b1, a2 * b2, a2 * b3
+        p12, p13, p14, p15 = -(a3 * b0), a3 * b1, a3 * b2, a3 * b3
+    out = []  # a loop, not a comprehension, keeps the products in fast locals
+    for t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 in T:
+        out.append(t0 * p0 + t1 * p1 + t2 * p2 + t3 * p3 + t4 * p4 + t5 * p5 + t6 * p6
+                   + t7 * p7 + t8 * p8 + t9 * p9 + t10 * p10 + t11 * p11 + t12 * p12
+                   + t13 * p13 + t14 * p14 + t15 * p15)
+    return out
+
+
+def _third(v, D3, a, b, c):
+    """third(a, b) for third = v x v x v + D3, given c = eta(v, a) eta(v, b)."""
+    v0, v1, v2, v3 = v
+    if D3 is None:
+        return [v0 * c, v1 * c, v2 * c, v3 * c]
+    d0, d1, d2, d3 = _slot3(D3, a, b)
+    return [v0 * c + d0, v1 * c + d1, v2 * c + d2, v3 * c + d3]
 
 
 def _comoving_third(v, D3, a, b):
     """third(a, b) for third = v x v x v + D3, without building the tensor."""
-    c = _mdot(v, a) * _mdot(v, b)
-    if D3 is None:
-        return [v[m] * c for m in range(4)]
-    return [v[m] * c + d for m, d in enumerate(_slot3(D3, a, b))]
+    va = _mdot(v, a)
+    return _third(v, D3, a, b, va * (va if b is a else _mdot(v, b)))
 
 
-def _moment_slot(F, first, third_ab, a, b):
-    """F^i_m (first^m eta(a, b) - third^m(a, b)), the moment part of 2 Gamma(a, b)."""
-    ab = _mdot(a, b)
-    return _matvec(F, [first[m] * ab - third_ab[m] for m in range(4)])
+def _moment(first, third_ab, ab):
+    """first eta(a, b) - third(a, b) from ab = eta(a, b): the slot F takes in 2 Gamma(a, b)."""
+    f0, f1, f2, f3 = first
+    t0, t1, t2, t3 = third_ab
+    return [f0 * ab - t0, f1 * ab - t1, f2 * ab - t2, f3 * ab - t3]
+
+
+def _gamma_of(Fa, fb, Fb, fa, FM):
+    """Gamma(a, b) = 1/2 (Fa fb + Fb fa + FM) from its parts.
+
+    Fa = F a, fb = eta(first, b), Fb = F b, fa = eta(first, a) and
+    FM = F (first eta(a, b) - third(a, b)), the moment slot.  Fb is Fa
+    (and fa is fb) exactly when b = a; the two products are then one.
+    """
+    a0, a1, a2, a3 = Fa
+    m0, m1, m2, m3 = FM
+    if Fb is Fa:
+        p0, p1, p2, p3 = a0 * fb, a1 * fb, a2 * fb, a3 * fb
+        return [0.5 * (p0 + p0 + m0), 0.5 * (p1 + p1 + m1),
+                0.5 * (p2 + p2 + m2), 0.5 * (p3 + p3 + m3)]
+    b0, b1, b2, b3 = Fb
+    return [0.5 * (a0 * fb + b0 * fa + m0), 0.5 * (a1 * fb + b1 * fa + m1),
+            0.5 * (a2 * fb + b2 * fa + m2), 0.5 * (a3 * fb + b3 * fa + m3)]
 
 
 def _gamma(F, first, third_ab, a, b):
@@ -419,9 +467,10 @@ def _gamma(F, first, third_ab, a, b):
     the hyperboloid with point moments Gamma(v, v) = F v.
     """
     Fa, fb = _matvec(F, a), _mdot(first, b)
-    Fb, fa = (Fa, fb) if b is a else (_matvec(F, b), _mdot(first, a))
-    M = _moment_slot(F, first, third_ab, a, b)
-    return [0.5 * (Fa[i] * fb + Fb[i] * fa + M[i]) for i in range(4)]
+    FM = _matvec(F, _moment(first, third_ab, _mdot(a, b)))
+    if b is a:
+        return _gamma_of(Fa, fb, Fa, fb, FM)
+    return _gamma_of(Fa, fb, _matvec(F, b), _mdot(first, a), FM)
 
 
 def _geodesic_accel(F, v, D1, D3):
@@ -430,12 +479,19 @@ def _geodesic_accel(F, v, D1, D3):
     The point case keeps the monomial connection form -F v s(3 - s)/2,
     s = eta(v, v), which equals the force form on the hyperboloid.
     """
+    v0, v1, v2, v3 = v
+    s = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
+    Fv = _matvec(F, v)
     if D1 is None:
-        s = _mdot(v, v)
         c = s * (3.0 - s) * 0.5
-        return [-f * c for f in _matvec(F, v)]
-    first = [v[m] + D1[m] for m in range(4)]
-    return [-g for g in _gamma(F, first, _comoving_third(v, D3, v, v), v, v)]
+        f0, f1, f2, f3 = Fv
+        return [-f0 * c, -f1 * c, -f2 * c, -f3 * c]
+    e0, e1, e2, e3 = D1
+    first = [v0 + e0, v1 + e1, v2 + e2, v3 + e3]
+    fv = _mdot(first, v)
+    FM = _matvec(F, _moment(first, _third(v, D3, v, v, s * s), s))
+    g0, g1, g2, g3 = _gamma_of(Fv, fv, Fv, fv, FM)
+    return [-g0, -g1, -g2, -g3]
 
 
 def _directional(G, xi):
@@ -452,7 +508,8 @@ def _rhs_force(lattice: Lattice):
     """Direct force form: a = -F v sqrt(eta(v, v))."""
 
     def rhs(x, v):
-        r = float(np.sqrt(_mdot(v, v)))  # nan, as numpy gives it, off the shell
+        s = _mdot(v, v)
+        r = math.sqrt(s) if s >= 0.0 else math.nan  # nan off the shell, without a warning
         return [-f * r for f in _matvec(field_entries(lattice, x[2], _lookup_xi(x)), v)]
 
     return rhs
@@ -660,20 +717,34 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
     def accel(x, v):
-        X, V, xi, dxi = x[:4], v[:4], x[4:], v[4:]
-        lookup = _lookup_xi(X)
-        F = field_entries(lattice, X[2], lookup)
-        dF = _directional(gradient_entries(lattice, X[2], lookup), xi)
-        first = V if slot_D1 is None else [V[m] + slot_D1[m] for m in range(4)]
-        th = _comoving_third(V, slot_D3, V, V)
-        g_dev = _gamma(F, first, _comoving_third(V, slot_D3, dxi, V), dxi, V)
-        g_grad = _gamma(dF, first, th, V, V)
-        A = inertial_acceleration(frame, xi, dxi, V)
-        # in mode "full" with a spread beam the reference's slots are the deviation's
-        ref = ([-g for g in _gamma(F, first, th, V, V)] if slot_D1 is not None
-               else _geodesic_accel(F, V, D1, D3))
+        V, xi, dxi = v[:4], x[4:], v[4:]
+        lookup = _lookup_xi(x)
+        F = field_entries(lattice, x[2], lookup)
+        dF = _directional(gradient_entries(lattice, x[2], lookup), xi)
+        if slot_D1 is None:
+            first = V
+        else:
+            V0, V1, V2, V3 = V
+            e0, e1, e2, e3 = slot_D1
+            first = [V0 + e0, V1 + e1, V2 + e2, V3 + e3]
+        # eta(Xdot, Xdot), eta(Xdot, dxi), F Xdot, eta(first, Xdot) and the
+        # moment slot of (Xdot, Xdot) enter several terms below; each is formed once
+        s, w = _mdot(V, V), _mdot(V, dxi)
+        FV, fV = _matvec(F, V), _mdot(first, V)
+        slot = _moment(first, _third(V, slot_D3, V, V, s * s), s)
+        d0, d1, d2, d3 = _gamma_of(_matvec(F, dxi), fV, FV, _mdot(first, dxi),
+                                   _matvec(F, _moment(first, _third(V, slot_D3, dxi, V, w * s), w)))
+        dFV = _matvec(dF, V)
+        q0, q1, q2, q3 = _gamma_of(dFV, fV, dFV, fV, _matvec(dF, slot))
+        A0, A1, A2, A3 = inertial_acceleration(frame, xi, dxi, V)
+        if slot_D1 is None:
+            r0, r1, r2, r3 = _geodesic_accel(F, V, D1, D3)
+        else:  # in mode "full" with a spread beam the reference's slots are the deviation's
+            g0, g1, g2, g3 = _gamma_of(FV, fV, FV, fV, _matvec(F, slot))
+            r0, r1, r2, r3 = -g0, -g1, -g2, -g3
         # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot)) - A
-        return ref + [-(2.0 * g_dev[i] + g_grad[i]) - A[i] for i in range(4)]
+        return [r0, r1, r2, r3, -(2.0 * d0 + q0) - A0, -(2.0 * d1 + q1) - A1,
+                -(2.0 * d2 + q2) - A2, -(2.0 * d3 + q3) - A3]
 
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))

@@ -32,7 +32,7 @@ from .dynamics import (
     _hill_rows,
     _matvec,
     _mdot,
-    _moment_slot,
+    _moment,
     _rk4_rows,
     _series_columns,
     _stage_stream,
@@ -253,8 +253,8 @@ def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
     and the first and third moments.
     """
     h, _, F, V, first = _along_run(lattice, reference, moments_along)
-    th = _comoving_third(V, moments_along.D3, V, V)
-    integ = _moment_slot(F, first, th, V, V)  # F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV))
+    # F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV))
+    integ = _matvec(F, _moment(first, _comoving_third(V, moments_along.D3, V, V), _mdot(V, V)))
     avg1 = _cumtrapz(integ[1], h)
     avg3 = _cumtrapz(integ[3], h)
     return OffsetSeries(t=reference.t.copy(), off1=avg1.copy(), off3=avg3.copy(),
@@ -273,15 +273,15 @@ def born_offset(lattice: Lattice, reference: TrajectorySeries,
     """
     _check_common_grid(reference, xi_run, "deviation run")
     h, lookup, F, V, first = _along_run(lattice, reference, moments_along)
-    th = _comoving_third(V, moments_along.D3, V, V)
+    slot = _moment(first, _comoving_third(V, moments_along.D3, V, V), _mdot(V, V))
     xi = _series_columns(xi_run.xi)
     dxi = _series_columns(xi_run.dxi)
     eps = [first[c] - V[c] for c in range(4)]
-    base = _moment_slot(F, first, th, V, V)
+    base = _matvec(F, slot)
     # 2 dxi^j X'^k * (1/2)(F_j eps_k + F_k eps_j)
     F_dxi, F_V = _matvec(F, dxi), _matvec(F, V)
     e_V, e_dxi = _mdot(eps, V), _mdot(eps, dxi)
-    grad = _moment_slot(_directional(gradient_entries(*lookup), xi), first, th, V, V)
+    grad = _matvec(_directional(gradient_entries(*lookup), xi), slot)
     integ = [base[c] + (F_dxi[c] * e_V + F_V[c] * e_dxi) + grad[c] for c in range(4)]
     off1 = _cumtrapz(integ[1], h)
     off3 = _cumtrapz(integ[3], h)

@@ -664,6 +664,21 @@ def test_rf_scalar_gamma_overflow_is_silent_like_float_arithmetic(e2_0):
     assert not np.isfinite(ser.dxi[1:, [0, 2]]).any()
 
 
+@pytest.mark.filterwarnings("error")
+def test_force_form_rhs_is_silent_nan_off_the_shell():
+    # sqrt(eta(v, v)) is correctly rounded like numpy's on and inside the
+    # shell, and nan without a warning for a spacelike or nan velocity
+    lattice = Lattice.from_elements([Dipole(length=2.0, b0=0.5)])
+    rhs = dynamics._rhs_force(lattice)
+    x = [0.0, 1e-3, 1.0, 0.0]
+    F = dynamics.field_entries(lattice, x[2], dynamics._lookup_xi(x))
+    for v in ([1.5, 0.3, 1.0, -0.2], [2.0, -0.0, 0.0, 1.7], [1.0, 0.0, 0.0, 0.0]):
+        r = float(np.sqrt(v[0] * v[0] - v[1] * v[1] - v[2] * v[2] - v[3] * v[3]))
+        assert np.array_equal(_bits(rhs(x, v)), _bits([-f * r for f in dynamics._matvec(F, v)]))
+    for v in ([0.5, 1.0, 0.0, 0.0], [math.nan, 1.0, 0.0, 0.0]):
+        assert all(math.isnan(c) for c in rhs(x, v))
+
+
 def _shifted_mean(q, ws):
     vol = np.cumsum(ws)[-1]
     return q[0] + np.cumsum(ws[:, None] * (q - q[0]), axis=0)[-1] / vol
@@ -852,16 +867,29 @@ def _minkowski(a, b):
     return float(np.sum(METRIC_SIGNATURE * a * b))
 
 
-@settings(max_examples=60, deadline=None)
+# a component that is often an exact zero of either sign
+signed = st.one_of(st.sampled_from([0.0, -0.0]), finite)
+vec4z = st.lists(signed, min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     spatial=st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=3, max_size=3),
     d1=st.lists(st.floats(-1e-3, 1e-3, allow_nan=False), min_size=4, max_size=4),
     d3=st.lists(st.floats(-1e-3, 1e-3, allow_nan=False), min_size=64, max_size=64),
-    field=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=6, max_size=6),
-    a=vec4,
-    b=vec4,
+    field=st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False)),
+                   min_size=6, max_size=6),
+    a=vec4z,
+    b=vec4z,
+    aliased=st.booleans(),
 )
-def test_closed_form_force_matches_tensor_connection(spatial, d1, d3, field, a, b):
+def test_closed_form_force_matches_tensor_connection(spatial, d1, d3, field, a, b, aliased):
+    """The closed-form force against the rank-3 tensor form of the connection,
+    and bit for bit against the dense reference and the same call on
+    one-entry columns; aliased passes b as the very object a, which takes
+    the shared-term branches of the b = a case."""
+    if aliased:
+        b = a
     y = project_to_hyperboloid(spatial)
     D1 = np.array(d1)
     D1[0] = abs(D1[0])  # keep the mean Lorentz factor >= 1
@@ -877,10 +905,28 @@ def test_closed_form_force_matches_tensor_connection(spatial, d1, d3, field, a, 
 
     # the force reads the nonzero entries of F and components as floats
     entries = [(i, j, f) for i, row in enumerate(F.tolist()) for j, f in enumerate(row) if f]
-    a_, b_ = a.tolist(), b.tolist()
-    closed = np.array(_gamma(entries, first.tolist(),
-                             _comoving_third(y.tolist(), D3.reshape(4, 16).tolist(), a_, b_),
-                             a_, b_))
+    a_ = a.tolist()
+    b_ = a_ if aliased else b.tolist()
+    D3_rows = D3.reshape(4, 16).tolist()
+    third_ab = _comoving_third(y.tolist(), D3_rows, a_, b_)
+    closed = np.array(_gamma(entries, first.tolist(), third_ab, a_, b_))
+
+    # the dense reference forms every value by the same operations in the
+    # same order; its F v sums also add the exact zeros of F, which can
+    # only flip the sign of a zero result, so _gamma is compared with every
+    # zero taken as +0.0 (x + 0.0), _comoving_third bit for bit
+    dense_third = d_comoving_third(y, D3, a, b)
+    assert np.array_equal(_bits(third_ab), _bits(dense_third))
+    assert np.array_equal(_bits(closed + 0.0),
+                          _bits(d_gamma(F, first, dense_third, a, b) + 0.0))
+    # one-entry columns, as one sample of a batch, keep every bit and sign
+    col = [np.array([c]) for c in a_]
+    col_b = col if aliased else [np.array([c]) for c in b_]
+    col_third = _comoving_third([np.array([c]) for c in y.tolist()], D3_rows, col, col_b)
+    col_gamma = _gamma([(i, j, np.array([f])) for i, j, f in entries],
+                       [np.array([c]) for c in first.tolist()], col_third, col, col_b)
+    assert np.array_equal(_bits(np.concatenate(col_third)), _bits(third_ab))
+    assert np.array_equal(_bits(np.concatenate(col_gamma)), _bits(closed))
     conn = averaged_connection(FieldSample(F), MomentSet(vol=1.0, first=first, third=third))
     tensor = contract_geodesic(conn, a, b)
 
