@@ -444,8 +444,8 @@ def _gamma_of(Fa, fb, Fb, fa, FM):
     """Gamma(a, b) = 1/2 (Fa fb + Fb fa + FM) from its parts.
 
     Fa = F a, fb = eta(first, b), Fb = F b, fa = eta(first, a) and
-    FM = F (first eta(a, b) - third(a, b)), the moment slot.  Fb is Fa
-    (and fa is fb) exactly when b = a; the two products are then one.
+    FM = F (first eta(a, b) - third(a, b)), the moment slot.  Fb is Fa,
+    and fa equals fb, exactly when b = a; the two products are then one.
     """
     a0, a1, a2, a3 = Fa
     m0, m1, m2, m3 = FM

@@ -908,24 +908,28 @@ def test_closed_form_force_matches_tensor_connection(spatial, d1, d3, field, a, 
     a_ = a.tolist()
     b_ = a_ if aliased else b.tolist()
     D3_rows = D3.reshape(4, 16).tolist()
-    third_ab = _comoving_third(y.tolist(), D3_rows, a_, b_)
-    closed = np.array(_gamma(entries, first.tolist(), third_ab, a_, b_))
+    closed_third = _comoving_third(y.tolist(), D3_rows, a_, b_)
+    closed = np.array(_gamma(entries, first.tolist(), closed_third, a_, b_))
 
     # the dense reference forms every value by the same operations in the
     # same order; its F v sums also add the exact zeros of F, which can
     # only flip the sign of a zero result, so _gamma is compared with every
     # zero taken as +0.0 (x + 0.0), _comoving_third bit for bit
     dense_third = d_comoving_third(y, D3, a, b)
-    assert np.array_equal(_bits(third_ab), _bits(dense_third))
+    assert np.array_equal(_bits(closed_third), _bits(dense_third))
     assert np.array_equal(_bits(closed + 0.0),
                           _bits(d_gamma(F, first, dense_third, a, b) + 0.0))
+
     # one-entry columns, as one sample of a batch, keep every bit and sign
-    col = [np.array([c]) for c in a_]
-    col_b = col if aliased else [np.array([c]) for c in b_]
-    col_third = _comoving_third([np.array([c]) for c in y.tolist()], D3_rows, col, col_b)
-    col_gamma = _gamma([(i, j, np.array([f])) for i, j, f in entries],
-                       [np.array([c]) for c in first.tolist()], col_third, col, col_b)
-    assert np.array_equal(_bits(np.concatenate(col_third)), _bits(third_ab))
+    def one_entry(u):
+        return [np.array([c]) for c in u]
+
+    col_a = one_entry(a_)
+    col_b = col_a if aliased else one_entry(b_)
+    col_third = _comoving_third(one_entry(y.tolist()), D3_rows, col_a, col_b)
+    col_gamma = _gamma([(i, j, np.array([f])) for i, j, f in entries], one_entry(first.tolist()),
+                       col_third, col_a, col_b)
+    assert np.array_equal(_bits(np.concatenate(col_third)), _bits(closed_third))
     assert np.array_equal(_bits(np.concatenate(col_gamma)), _bits(closed))
     conn = averaged_connection(FieldSample(F), MomentSet(vol=1.0, first=first, third=third))
     tensor = contract_geodesic(conn, a, b)
