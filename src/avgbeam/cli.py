@@ -20,8 +20,6 @@ import numpy as np
 
 from .connections import ArcAdapted, INERTIAL
 from .dynamics import (
-    JACOBI_HEADER,
-    TRAJECTORY_HEADER,
     IntegratorConfig,
     JacobiState,
     TrajectoryState,
@@ -42,7 +40,7 @@ from .ensemble import (
     project_to_hyperboloid,
     realize_beam,
 )
-from .errors import AvgBeamError, NonFiniteValue
+from .errors import AvgBeamError
 from .lattice import load_lattice, inverse_rho_profile
 from .observables import averaged_offset, dispersion, lattice_principal_solutions
 from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
@@ -176,16 +174,6 @@ def _averaged_launch(args):
     return moments, TrajectoryState(t=0.0, x=np.zeros(4), v=v0), IntegratorConfig(step=args.step)
 
 
-def _check_finite(header, *blocks):
-    """NonFiniteValue naming the first row (from 0), and its column, at which a CSV table
-    of (n,) and (n, k) blocks in header order is not finite; called before writing."""
-    if not all(np.isfinite(b).all() for b in blocks):
-        table = np.column_stack(blocks)
-        row, col = np.unravel_index(np.argmax(~np.isfinite(table)), table.shape)
-        raise NonFiniteValue(f"column {header.split(',')[col]} is {float(table[row, col])!r} "
-                             f"at row {row}; no CSV written")
-
-
 def _write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
@@ -198,13 +186,11 @@ def _run(args) -> int:
         cfg = IntegratorConfig(step=args.step)
         state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
         series = integrate_lorentz(lattice, state, args.span, cfg, form=args.form)
-        _check_finite(TRAJECTORY_HEADER, series.t, series.x, series.v)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
         moments, launch, cfg = _averaged_launch(args)
         series = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
-        _check_finite(TRAJECTORY_HEADER, series.t, series.x, series.v)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "jacobi":
@@ -214,7 +200,6 @@ def _run(args) -> int:
             lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, cfg, frame=frame, mode=args.mode,
         )
-        _check_finite(JACOBI_HEADER, xi_run.t, xi_run.xi, xi_run.dxi)
         write_jacobi_csv(xi_run, args.out)
 
     elif args.command == "transverse":
@@ -223,7 +208,6 @@ def _run(args) -> int:
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, IntegratorConfig(step=args.step),
         )
-        _check_finite(JACOBI_HEADER, series.t, series.xi, series.dxi)
         write_jacobi_csv(series, args.out)
 
     elif args.command == "longitudinal":
@@ -232,7 +216,6 @@ def _run(args) -> int:
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
             args.span, IntegratorConfig(step=args.step),
         )
-        _check_finite(JACOBI_HEADER, series.t, series.xi, series.dxi)
         write_jacobi_csv(series, args.out)
 
     elif args.command == "moments":
@@ -254,17 +237,14 @@ def _run(args) -> int:
         reference = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         along = comoving_moments_along(reference, moments)
         off = averaged_offset(lattice, reference, along)
-        header, columns = "t,off1,off3,avg1,avg3", [off.t, off.off1, off.off3, off.avg1, off.avg3]
-        _check_finite(header, *columns)
-        _write_rows(args.out, header, columns)
+        _write_rows(args.out, "t,off1,off3,avg1,avg3",
+                    [off.t, off.off1, off.off3, off.avg1, off.avg3])
 
     elif args.command == "dispersion":
         ps = lattice_principal_solutions(lattice, "horizontal", args.step)
         _, inv_rho = inverse_rho_profile(lattice, args.step)
         result = dispersion(ps, inv_rho, args.delta)
-        header, columns = "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset]
-        _check_finite(header, *columns)
-        _write_rows(args.out, header, columns)
+        _write_rows(args.out, "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset])
 
     elif args.command == "scan-alpha":
         mean_spatial = np.array([0.0, np.sqrt(args.gamma * args.gamma - 1.0), 0.0])

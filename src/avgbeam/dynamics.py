@@ -75,6 +75,7 @@ from .errors import (
     EmptyEnsemble,
     MismatchedGrid,
     MismatchedSampling,
+    NonFiniteValue,
     OffShellInitial,
     OutOfLattice,
     ParseError,
@@ -221,12 +222,12 @@ def _block_lines(block, orjson):
     repr (Gay's dtoa) and orjson (Ryu) both write the shortest digits that
     round-trip, so only the layout differs: orjson omits the exponent's
     '+' and zero padding, writes 1e-5 <= |x| < 1e-4 positionally, where
-    repr switches to exponents at 1e-4, and writes non-finite values as
-    null.  The exponents are mended by bytes.replace and each such small
-    value's cell is rewritten by repr; a block with a non-finite value,
-    or every block when orjson is not installed, is written by repr.
+    repr switches to exponents at 1e-4.  The exponents are mended by
+    bytes.replace and each such small value's cell is rewritten by repr;
+    every block is written by repr when orjson is not installed.  The
+    block is finite (_write_rows), so no value reaches orjson's null.
     """
-    if orjson is None or not np.isfinite(block).all():
+    if orjson is None:
         return _repr_lines(block)
     body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
     body += b"\n"
@@ -249,13 +250,23 @@ def _block_lines(block, orjson):
 
 
 def _write_rows(path, header, columns):
-    """CSV of float64 columns, a block of rows per write, each value as its float repr."""
+    """CSV of float64 columns, a block of rows per write, each value as its float repr.
+
+    A non-finite value, which _read_rows would reject, raises NonFiniteValue
+    naming the first such row (from 0, in row-major order) and its column
+    before the file is opened.
+    """
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.unravel_index(np.argmax(~finite), table.shape)
+        raise NonFiniteValue(f"column {header.split(',')[col]} is {float(table[row, col])!r} "
+                             f"at row {row}; no CSV written")
     orjson = _formatter()
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            fh.write(_block_lines(np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns]),
-                                 orjson))
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            fh.write(_block_lines(table[lo:lo + _BLOCK_ROWS], orjson))
 
 
 def _read_rows(path, header):
@@ -326,9 +337,9 @@ def _rk4(accel, x, v, h, n, observe):
 
     A state is a list of parts, every update elementwise over the parts
     in one fixed order: one orbit's parts are its components as plain
-    floats (eight for Jacobi, one for a Hill solution or a varying-gamma
-    RF channel), a cloud's its four components as (m,) columns, so a
-    right-hand side written over four components runs on either.
+    floats (eight for Jacobi, one for a varying-gamma RF channel), a
+    cloud's its four components as (m,) columns, so a right-hand side
+    written over four components runs on either.
     Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
     t_k + h in that order, each call returning a list of parts;
     observe(k, x, v) sees every grid point k = 0..n.
@@ -551,7 +562,8 @@ def _uniform_step(t: np.ndarray) -> float:
     if len(t) < 2:
         raise ValueError("grid needs at least two points")
     h = float(t[1] - t[0])
-    if not np.allclose(np.diff(t), h, rtol=0.0, atol=1e-12 * max(1.0, abs(h))):
+    # a NaN or infinite step fails too
+    if not np.abs(np.diff(t) - h).max() <= 1e-12 * max(1.0, abs(h)):
         raise ValueError("grid must be uniform")
     return h
 

@@ -194,12 +194,15 @@ def moments_from_arrays(ys: np.ndarray, ws: np.ndarray) -> MomentSet:
     return MomentSet(vol=vol, first=first, third=third)
 
 
-def energy_stats(ensemble: BeamEnsemble, chunk: int = 256) -> EnergyStats:
+_CHUNK = 256  # rows per block of energy_stats' diameter scan
+
+
+def energy_stats(ensemble: BeamEnsemble) -> EnergyStats:
     """Exact support statistics; the diameter scan skips pairs that cannot win.
 
     With samples sorted by distance r to their mean, farthest first, a
     pair whose r_a + r_b (less a 1e-9 relative margin) cannot beat the
-    best distance so far is skipped, by row blocks of ``chunk`` and by
+    best distance so far is skipped, by row blocks of _CHUNK and by
     column suffixes.  Computed pairs sum the four squared differences in
     order from zero, so alpha is the all-pairs maximum bit for bit.
     """
@@ -219,14 +222,14 @@ def energy_stats(ensemble: BeamEnsemble, chunk: int = 256) -> EnergyStats:
         return float(np.max(d2))
 
     best = max_d2(ys[:1], ys)
-    for start in range(0, len(ys), chunk):
+    for start in range(0, len(ys), _CHUNK):
         reach = math.sqrt(best) / (1.0 + 1e-9) - r[start]  # a partner needs r_b >= reach
         if r[start] < reach:
             break  # no pair among the remaining samples can beat best
         # columns before start were paired with these rows in earlier blocks;
         # r descends, so the partners in reach are a prefix of the rest
         stop = start + int(np.count_nonzero(r[start:] >= reach))
-        best = max(best, max_d2(ys[start : start + chunk], ys[start:stop]))
+        best = max(best, max_d2(ys[start : start + _CHUNK], ys[start:stop]))
     return EnergyStats(energy=float(energy), alpha=math.sqrt(best))
 
 

@@ -64,7 +64,7 @@ class NegativeLength(AvgBeamError, ValueError):
 
 
 class NonFiniteValue(AvgBeamError, ValueError):
-    """An element parameter, a sample weight or a moment is NaN or infinite."""
+    """An element parameter, a sample weight, a moment or a value to write is NaN or infinite."""
 
 
 class StepTooLarge(AvgBeamError, ValueError):

@@ -9,10 +9,11 @@ offsets take the moments in the integrators' comoving form: first along
 the run and the rank-3 slot contracted in closed form around the
 reference velocity (dynamics._comoving_third), never a tensor series.
 
-Principal solutions come two ways.  On a lattice K is constant inside
-each hard-edged element, so lattice_principal_solutions chains the
-elements' closed-form transfer maps and is exact at element edges;
-principal_solutions integrates an arbitrary sampled K(t) by RK4.
+On a lattice K is constant inside each hard-edged element, so the
+principal solutions chain the closed-form transfer maps of each run of
+equal K and are exact at element edges; principal_solutions takes any
+such piecewise-constant K sampled on a grid, and
+lattice_principal_solutions the lattice's own profile.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .dynamics import (
     _matvec,
     _mdot,
     _moment,
-    _rk4_rows,
     _series_columns,
-    _stage_stream,
     _uniform_step,
 )
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     ResidualTooLarge,
     WronskianDrift,
 )
-from .lattice import Lattice, _element_k, gradient_entries, transverse_k_profile
+from .lattice import Lattice, gradient_entries, transverse_k_profile
 
 
 @dataclass
@@ -111,64 +110,46 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _check_finite_k(K):
-    if not np.all(np.isfinite(K)):
-        raise ValueError("K must be finite on the grid")
-
-
 def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
-    """Integrate the fundamental pair of u'' + K(t)u = 0 on the grid by RK4.
+    """The fundamental pair of u'' + K u = 0 on a grid, for a piecewise-constant K.
 
-    For an arbitrary sampled K; a lattice's piecewise-constant K has the
-    exact lattice_principal_solutions.  K is sampled on the same grid;
-    each run streams -K in stage order, blending adjacent samples evenly
-    at the midpoints, so a jump in K costs an order at that step.
-    Raises WronskianDrift if the pair loses its unit Wronskian beyond
-    1e-9 anywhere on the grid.
+    K is sampled on the same grid, right-continuous as transverse_k_profile
+    samples it: step [t_k, t_k+1] carries K[k], and the last sample
+    carries no step.  Each run of equal K is exact: its rows are the
+    transfer map of that K (dynamics._hill_map, at offsets 1..n steps
+    from the run's entry, as the transverse channel evaluates it)
+    applied to the entry states (C, C') and (S, S').  Raises
+    MismatchedGrid for a K of another length, ValueError for a
+    non-finite K or a grid that is not uniform, and WronskianDrift if
+    the pair loses its unit Wronskian beyond 1e-9 anywhere on the grid.
     """
     t = np.asarray(t, dtype=float)
     K = np.asarray(K, dtype=float)
     if len(K) != len(t):
         raise MismatchedGrid(f"K has {len(K)} samples, grid has {len(t)}")
-    _check_finite_k(K)
+    if not np.all(np.isfinite(K)):
+        raise ValueError("K must be finite on the grid")
     h = _uniform_step(t)
-    # C and S advance as the two float parts of one state, each stage
-    # applying one coefficient to both, which is what keeps the Wronskian pinned.
-    neg_k = _stage_stream(K, np.negative)
-
-    def accel(u, du):
-        c = next(neg_k)
-        return [c * u[0], c * u[1]]
-
-    (C, S), (Cp, Sp) = (r.T.copy() for r in _rk4_rows(accel, [1.0, 0.0], [0.0, 1.0], h, len(t) - 1))
+    C, Cp, S, Sp = rows = np.empty((4, len(t)))
+    rows[:, 0] = 1.0, 0.0, 0.0, 1.0
+    # a run of equal K ends where the next step's K differs, or at the last point
+    ends = [*(np.flatnonzero(K[1:-1] != K[:-2]) + 1).tolist(), len(t) - 1]
+    start = 0
+    for stop in ends:
+        k, tau = float(K[start]), np.arange(1, stop - start + 1) * h
+        for u, du in ((C, Cp), (S, Sp)):
+            u[start + 1:stop + 1], du[start + 1:stop + 1] = _hill_rows(k, tau, u[start], du[start])
+        start = stop
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 
 def lattice_principal_solutions(lattice: Lattice, plane: str, step: float) -> PrincipalSolutions:
-    """The fundamental pair of the plane's Hill equation along the lattice, exact at edges.
+    """principal_solutions on the plane's transverse_k_profile, exact at element edges.
 
-    On the aligned grid of transverse_k_profile each element's rows are
-    its transfer map for constant K (dynamics._hill_map, at offsets
-    1..n_e steps from the element's entry, as the transverse channel
-    evaluates it) applied to the entry states (C, C') and (S, S').
-    Each element's K comes from the rule the profile samples, read per
-    element.  The result carries the profile.
-    Raises MismatchedSampling for a step that misses an element
-    boundary and ValueError for a non-finite K.
+    Raises MismatchedSampling for a step that misses an element boundary
+    and ValueError for an unknown plane or a non-finite K.
     """
-    ks = _element_k(lattice, plane)
-    t, K = transverse_k_profile(lattice, plane, step)
-    _check_finite_k(ks)
-    C, Cp, S, Sp = rows = np.empty((4, len(t)))
-    rows[:, 0] = 1.0, 0.0, 0.0, 1.0
-    start = 0
-    for k, end in zip(ks, lattice.boundaries):
-        stop = round(float(end) / step)
-        tau = np.arange(1, stop - start + 1) * step
-        for u, du in ((C, Cp), (S, Sp)):
-            u[start + 1:stop + 1], du[start + 1:stop + 1] = _hill_rows(k, tau, u[start], du[start])
-        start = stop
-    return PrincipalSolutions(t=t, C=C, Cp=Cp, S=S, Sp=Sp, K=K)
+    return principal_solutions(*transverse_k_profile(lattice, plane, step))
 
 
 def _interp_checked(ps: PrincipalSolutions, value: float):

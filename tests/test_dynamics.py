@@ -46,7 +46,7 @@ from avgbeam import (
 )
 from avgbeam.connections import ArcAdapted
 from avgbeam.dynamics import _hill_map
-from avgbeam.observables import principal_solutions
+from test_kernel import reference_rk4
 
 SQRT2 = np.sqrt(2.0)
 
@@ -537,8 +537,9 @@ def test_transverse_grid_must_end_inside_the_element():
 def test_hill_map_equals_hill_solver_on_constant_k(K):
     t = np.arange(2001) * 1e-3
     got = _hill_map(K, t)
-    ps = principal_solutions(t, np.full_like(t, K))
-    for mapped, solved in zip(got, (ps.C, ps.Cp, ps.S, ps.Sp)):
+    us, dus = reference_rk4(lambda k, theta, u, du: -K * u, [1.0, 0.0], [0.0, 1.0],
+                            1e-3, len(t) - 1)
+    for mapped, solved in zip(got, (us[:, 0], dus[:, 0], us[:, 1], dus[:, 1])):
         assert np.abs(mapped - solved).max() < 1e-11  # RK4 error, h = 1e-3
     C, Cp, S, Sp = got
     assert np.abs(C * Sp - Cp * S - 1.0).max() <= 1e-14

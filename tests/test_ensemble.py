@@ -31,6 +31,7 @@ from avgbeam import (
     velocity_monomials3,
     write_ensemble_csv,
 )
+from avgbeam import ensemble as ensemble_module
 
 SQRT2 = np.sqrt(2.0)
 TWO_SAMPLES = np.array([[SQRT2, 1.0, 0.0, 0.0], [SQRT2, -1.0, 0.0, 0.0]])
@@ -99,10 +100,16 @@ def test_energy_stats_frozen():
     assert es.alpha == 2.0  # spatial support diameter
 
 
+def _energy_stats_in_chunks(ens, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble_module, "_CHUNK", chunk)
+        return energy_stats(ens)
+
+
 def test_energy_stats_chunking_agrees():
     ens = sample_gaussian_beam([0.0, 5.0, 0.0], [0.01] * 3, n=300, seed=2)
-    a = energy_stats(ens, chunk=7)
-    b = energy_stats(ens, chunk=300)
+    a = _energy_stats_in_chunks(ens, 7)
+    b = _energy_stats_in_chunks(ens, 300)
     assert a.energy == b.energy
     assert a.alpha == b.alpha
 
@@ -139,7 +146,7 @@ def test_energy_stats_equals_brute_force_scan(n, speed, log_sigma, shape, chunk,
     elif shape == "flat":
         draws[:, 2] = speed  # a plane of samples, many equal distances
     ens = BeamEnsemble(project_to_hyperboloid(draws))
-    es = energy_stats(ens, chunk=chunk)
+    es = _energy_stats_in_chunks(ens, chunk)
     assert (es.energy, es.alpha) == _brute_force_energy_stats(ens.ys)
 
 

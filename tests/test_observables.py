@@ -162,6 +162,18 @@ def test_lattice_principal_solutions_mixed_elements(plane, ks):
     assert ps.wronskian_drift() <= 1e-13
 
 
+@pytest.mark.parametrize("elements, ks", [
+    ([Drift(length=0.4), Drift(length=0.7)], [0.0, 0.0]),
+    ([Dipole(length=0.6, b0=1.5), Dipole(length=0.9, b0=1.5)], [2.25, 2.25]),
+    ([Drift(length=0.3), Dipole(length=0.6, b0=1.5), Dipole(length=0.9, b0=1.5),
+      Drift(length=0.4), Drift(length=0.7)], [0.0, 2.25, 2.25, 0.0, 0.0]),
+], ids=["drift-drift", "dipole-dipole", "mixed"])
+def test_lattice_principal_solutions_neighbours_with_one_k(elements, ks):
+    # neighbours with equal K are one run of the map, so their ends move
+    # only by rounding against the per-element matrix chain
+    _agrees_with_matrix_products(Lattice.from_elements(elements), "horizontal", 1e-2, ks)
+
+
 def test_lattice_principal_solutions_read_k_per_element():
     # the edge at 0.01 + 0.05 = 0.060000000000000005 lies above the grid
     # point 6 * 0.01 = 0.06, which the profile still gives to the drift
@@ -193,9 +205,9 @@ def test_lattice_principal_solutions_rejections():
     overflow = Lattice.from_elements([Dipole(length=1.0, b0=1e200)])  # K = b0^2 = inf
     with pytest.raises(ValueError) as from_maps:
         lattice_principal_solutions(overflow, "horizontal", 1e-2)
-    with pytest.raises(ValueError) as from_rk4:
+    with pytest.raises(ValueError) as from_profile:
         principal_solutions(*transverse_k_profile(overflow, "horizontal", 1e-2))
-    assert str(from_maps.value) == str(from_rk4.value)
+    assert str(from_maps.value) == str(from_profile.value)
     edged = Lattice.from_elements([Dipole(length=0.3, b0=0.1), Drift(length=0.7)])
     with pytest.raises(MismatchedSampling):
         lattice_principal_solutions(edged, "horizontal", 0.2)
