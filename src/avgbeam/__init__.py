@@ -48,7 +48,6 @@ from .ensemble import (
     compute_moments,
     delta_moments,
     energy_stats,
-    moments_from_arrays,
     parse_beam_definition,
     project_to_hyperboloid,
     realize_beam,

@@ -6,17 +6,18 @@ Trajectories x(t) are parameterized by proper time t in meters (c = 1);
 velocities v = dx/dt live on the unit hyperboloid.  Every integrator
 here, and the ensemble oracle, advances x' = v, v' = accel(x, v) through
 one classical fixed-step RK4 kernel that calls accel at t_k, twice at
-t_k + h/2 and at t_k + h in every step, in that order, which is all a
-right-hand side knows of its stage; an observer sees every grid point.
+t_k + h/2 and at t_k + h in every step, in that order; a right-hand side
+sees only the state it is handed, and an observer sees every grid point.
 A state is a list of parts, each advanced elementwise by the same
 expressions: one orbit's parts are its components as plain floats, and
 a cloud's are its four components as contiguous (m,) columns, one entry
 per sample, which the right-hand side takes as they are.
 No adaptive control, so identical inputs give identical output bytes.
 The linear transverse and longitudinal channels have constant
-coefficients inside one element and are evaluated in closed form, as
-the element's transfer map on the output grid; only an RF channel whose
-gamma varies along the grid still runs through the kernel.
+coefficients inside one element (the longitudinal one takes a single
+Lorentz factor per run) and are evaluated in closed form, as the
+element's transfer map on the output grid; neither runs through the
+kernel.
 
 Moment transport
 ----------------
@@ -65,7 +66,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -337,9 +337,9 @@ def _rk4(accel, x, v, h, n, observe):
 
     A state is a list of parts, every update elementwise over the parts
     in one fixed order: one orbit's parts are its components as plain
-    floats (eight for Jacobi, one for a varying-gamma RF channel), a
-    cloud's its four components as (m,) columns, so a right-hand side
-    written over four components runs on either.
+    floats (eight for Jacobi), a cloud's its four components as (m,)
+    columns, so a right-hand side written over four components runs on
+    either.
     Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
     t_k + h in that order, each call returning a list of parts;
     observe(k, x, v) sees every grid point k = 0..n.
@@ -371,15 +371,6 @@ def _rk4_rows(accel, x0, v0, h, n):
 
     _rk4(accel, x0, v0, h, n, observe)
     return xs, vs
-
-
-def _stage_stream(values, coefficient):
-    """coefficient(c) as floats in the kernel's call order for one run, c on the grid:
-    step k yields c[k], the blend c[k] * 0.5 + c[k+1] * 0.5 twice, then c[k+1]."""
-    c = np.asarray(values, dtype=float)
-    ends = coefficient(c).tolist()
-    mids = coefficient(c[:-1] * 0.5 + c[1:] * 0.5).tolist()
-    return chain.from_iterable(zip(ends, mids, mids, islice(ends, 1, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -871,17 +862,20 @@ def integrate_transverse_linear(element: Element, rho: float | None,
     longitudinal components drift freely.  rho = None takes the design
     curvature, 1/rho^2 = b0^2.  Each grid row is the element's transfer
     map (_hill_map) applied to the launch, which row 0 holds bit for bit;
-    a grid that ends past the element raises OutOfLattice.
+    a grid that ends past the element raises OutOfLattice.  A launch
+    amplitude above a tenth of the bending radius (rho, or else 1/b0)
+    warns; a pure gradient, b0 = 0 with rho None, has no radius and
+    runs without that check.
     """
     kh, kv = element.focusing(rho)
-    r_design = curvature_radius(element) if rho is None else rho
     if l_end < initial.t:
         raise ValueError("path length must advance forward through the element")
     n, h, t = _grid(initial.t, l_end, config.step)
     _check_on_element(element, initial.t, t[-1])
     _check_step(element.length, config.step)
     amp = float(np.sqrt(initial.xi[1] ** 2 + initial.xi[3] ** 2))
-    if amp > 0.1 * abs(r_design):
+    r_design = curvature_radius(element) if rho is None and element.b0 != 0.0 else rho
+    if r_design is not None and amp > 0.1 * abs(r_design):
         warnings.warn(
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
@@ -893,41 +887,35 @@ def integrate_transverse_linear(element: Element, rho: float | None,
     return out
 
 
-def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
+def integrate_longitudinal(element: Element, gamma: float, initial: JacobiState,
                            t_end: float, config: IntegratorConfig) -> JacobiSeries:
-    """Longitudinal deviation dynamics for accelerating elements.
+    """Longitudinal deviation dynamics for accelerating elements, in closed form.
 
-    ConstantE: ddxi0 = ddxi2 = -e2 dxi2 (uniform field, no gradient),
-    solved in closed form: xi2 = xi2(0) + xi2'(0) (1 - e^(-e2 tau))/e2
-    and xi2' = xi2'(0) e^(-e2 tau).  RFCavity: ddxi2 = +2 gamma(t) e2_0
-    xi2 and ddxi0 = -2 gamma(t) e2_0 xi2, the linearized dynamics at the
-    zero-crossing phase of the cavity.  gamma_of_t is a scalar or a
-    series on the output grid; a constant one gives the Hill map of
-    K = -(2 gamma) e2_0, a varying one has no closed form and xi2 runs
-    through the RK4 kernel as a plain float, the coefficient 2 gamma e2_0
-    streamed in call order (_stage_stream).  Transverse components
-    propagate freely.
+    ConstantE: ddxi0 = ddxi2 = -e2 dxi2 (uniform field, no gradient):
+    xi2 = xi2(0) + xi2'(0) (1 - e^(-e2 tau))/e2 and xi2' = xi2'(0)
+    e^(-e2 tau).  RFCavity: ddxi2 = +2 gamma e2_0 xi2 and ddxi0 =
+    -2 gamma e2_0 xi2, the linearized dynamics at the zero-crossing phase
+    of the cavity, whose xi2 is the Hill map of K = -(2 gamma) e2_0.
+    gamma is one Lorentz factor for the whole run, taken by float(), so
+    a series raises TypeError.  Transverse components propagate freely.
 
     xi0 follows from xi2 algebraically, since ddxi0 = +-ddxi2 (+ for
     ConstantE, - for RFCavity): xi0 = xi0(0) + xi0'(0) tau
-    +- (xi2 - xi2(0) - xi2'(0) tau).  In closed form the bracket and its
-    derivative are formed from the map's own differences, xi2(0) (C - 1)
-    + xi2'(0) (S - tau) (_hill_excess) or -xi2'(0) tau (e^(-x) - 1 + x)/x,
-    not by subtracting from the rounded xi2, so xi0 stays relatively
-    accurate where it is small against xi2(0).  Row 0 is the launch bit
-    for bit; a grid that leaves the element raises OutOfLattice.
+    +- (xi2 - xi2(0) - xi2'(0) tau).  The bracket and its derivative are
+    formed from the map's own differences, xi2(0) (C - 1) + xi2'(0)
+    (S - tau) (_hill_excess) or -xi2'(0) tau (e^(-x) - 1 + x)/x, not by
+    subtracting from the rounded xi2, so xi0 stays relatively accurate
+    where it is small against xi2(0).  Row 0 is the launch bit for bit;
+    a grid that leaves the element raises OutOfLattice.
     """
     if not isinstance(element, (ConstantE, RFCavity)):
         raise UnsupportedElement(
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
+    gamma = float(gamma)
     n, h, t = _grid(initial.t, t_end, config.step)
     _check_on_element(element, initial.t, t[-1])
     _check_step(element.length, config.step)
-    gamma_of_t = np.asarray(gamma_of_t, dtype=float)
-    if gamma_of_t.ndim and len(gamma_of_t) != n + 1:
-        raise MismatchedSampling(f"gamma series has {len(gamma_of_t)} points, "
-                                 f"run grid has {n + 1}")
     xi, dxi, out = _launched(initial, t)
     tau = np.arange(1, n + 1) * h
     u0, du0 = xi[2], dxi[2]
@@ -943,17 +931,10 @@ def integrate_longitudinal(element: Element, gamma_of_t, initial: JacobiState,
             bend = _series_near_zero((em1 + x) / x, x, _EXP_EXCESS)  # (e^-x - 1 + x)/x
             rise, drise = -du0 * (tau * bend), du0 * em1
         else:
-            sign, e2_0 = -1.0, element.e2_0
-            if not gamma_of_t.ndim or (gamma_of_t == gamma_of_t[0]).all():
-                K = -((2.0 * float(gamma_of_t.flat[0])) * e2_0)
-                xi2, dxi2 = _hill_rows(K, tau, u0, du0)
-                cm1, cp, excess = _hill_excess(K, tau)
-                rise, drise = cm1 * u0 + excess * du0, cp * u0 + cm1 * du0
-            else:
-                focus = _stage_stream(gamma_of_t, lambda g: 2.0 * g * e2_0)
-                xi2, dxi2 = _rk4_rows(lambda u, du: [next(focus) * u[0]], [u0], [du0], h, n)
-                xi2, dxi2 = xi2[1:, 0], dxi2[1:, 0]
-                rise, drise = xi2 - u0 - du0 * tau, dxi2 - du0
+            sign, K = -1.0, -((2.0 * gamma) * element.e2_0)
+            xi2, dxi2 = _hill_rows(K, tau, u0, du0)
+            cm1, cp, excess = _hill_excess(K, tau)
+            rise, drise = cm1 * u0 + excess * du0, cp * u0 + cm1 * du0
         out.xi[1:, 2], out.dxi[1:, 2] = xi2, dxi2
         out.xi[1:, 0] = xi[0] + dxi[0] * tau + sign * rise
         out.dxi[1:, 0] = dxi[0] + sign * drise

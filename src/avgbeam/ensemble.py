@@ -172,15 +172,7 @@ def delta_moments(y) -> MomentSet:
 
 def compute_moments(ensemble: BeamEnsemble) -> MomentSet:
     """Weighted moments with the documented shifted sequential reduction."""
-    return moments_from_arrays(ensemble.ys, ensemble.ws)
-
-
-def moments_from_arrays(ys: np.ndarray, ws: np.ndarray) -> MomentSet:
-    """Moment arithmetic on raw (n,4) velocity and (n,) weight arrays.
-
-    Same reduction order as compute_moments; callers are responsible for
-    the samples being on shell.
-    """
+    ys, ws = ensemble.ys, ensemble.ws
     vol = _sequential_sum(ws)
     if vol <= 0.0:
         raise ZeroWeight("total ensemble weight is zero")

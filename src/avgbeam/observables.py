@@ -200,7 +200,7 @@ def dispersion(ps: PrincipalSolutions, inv_rho: np.ndarray,
     inv_rho is the curvature 1/rho along the grid, the driver of
     D'' + K D = 1/rho (inverse_rho_profile); straight sections carry 0.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # nan fails too
         raise ValueError(f"momentum spread must be nonnegative, got {delta}")
     p = np.asarray(inv_rho, dtype=float)
     if len(p) != len(ps.t):

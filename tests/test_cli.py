@@ -92,6 +92,20 @@ def test_transverse_and_longitudinal(files, tmp_path):
     assert np.abs(run2.xi[:, 2] - 1e-4 * np.cosh(np.sqrt(2.0) * run2.t)).max() < 1e-9
 
 
+def test_transverse_runs_a_pure_quadrupole(tmp_path):
+    # b0 = 0 has no design radius, but K = (-b1, b1) is well defined
+    lat = tmp_path / "quad.lat"
+    lat.write_text("element quad_dipole length=1.0 b0=0.0 b1=0.8\n")
+    out = tmp_path / "tv.csv"
+    rc = main(["transverse", "--lattice", str(lat), "--step", "1e-3", "--span", "1.0",
+               "--out", str(out), "--xi0", "0,1e-3,0,1e-3", "--dxi0", "0,0,0,0"])
+    assert rc == 0
+    run = read_jacobi_csv(out)
+    w = np.sqrt(0.8)
+    assert np.abs(run.xi[:, 1] - 1e-3 * np.cosh(w * run.t)).max() < 1e-15
+    assert np.abs(run.xi[:, 3] - 1e-3 * np.cos(w * run.t)).max() < 1e-15
+
+
 def test_moments_json(files):
     tmp, _, _, gauss = files
     out = tmp / "m.json"

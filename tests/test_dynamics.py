@@ -25,7 +25,6 @@ from avgbeam import (
     StepTooLarge,
     TrajectoryState,
     UnsupportedElement,
-    ZeroStrength,
     comoving_moments_along,
     compute_moments,
     delta_moments,
@@ -517,9 +516,18 @@ def test_transverse_bounds_and_kinds():
         integrate_transverse_linear(Dipole(length=2.0, b0=1.0), None, init, 3.0, IntegratorConfig(step=1e-3))
     with pytest.raises(UnsupportedElement):
         integrate_transverse_linear(ConstantE(length=2.0, e2=0.1), None, init, 1.0, IntegratorConfig(step=1e-3))
-    # b0 = 0 has no design radius; an explicit one still runs
-    with pytest.raises(ZeroStrength):
-        integrate_transverse_linear(Dipole(length=2.0, b0=0.0), None, init, 1.0, IntegratorConfig(step=1e-3))
+    # b0 = 0 has no design radius: a pure quadrupole runs on K = (-b1, b1),
+    # without the amplitude warning even at a large launch; an explicit radius still runs
+    quad = NormalQuadDipole(length=1.0, b0=0.0, b1=0.8)
+    both = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 1e-3]), np.zeros(4))
+    run = integrate_transverse_linear(quad, None, both, 1.0, IntegratorConfig(step=1e-3))
+    w = math.sqrt(0.8)
+    assert np.abs(run.xi[:, 1] - 1e-3 * np.cosh(w * run.t)).max() <= 1e-17
+    assert np.abs(run.xi[:, 3] - 1e-3 * np.cos(w * run.t)).max() <= 1e-17
+    wide = JacobiState(0.0, np.array([0.0, 0.5, 0.0, 0.0]), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate_transverse_linear(quad, None, wide, 1.0, IntegratorConfig(step=1e-3))
     integrate_transverse_linear(Dipole(length=2.0, b0=0.0), 1.0, init, 1.0, IntegratorConfig(step=1e-3))
 
 
@@ -577,16 +585,12 @@ def test_longitudinal_rf_exponential_growth():
     assert np.abs(run.xi[:, 0] + (want - xi0)).max() < 1e-12
 
 
-def test_longitudinal_gamma_series_matches_constant():
-    elem = RFCavity(length=20.0, e2_0=1.0, w_rf=3.0)
+def test_longitudinal_refuses_a_gamma_series():
+    # gamma is one Lorentz factor per run; a series on the run's own grid is not one
     init = JacobiState(0.0, np.array([0.0, 0.0, 1e-4, 0.0]), np.zeros(4))
-    cfg = IntegratorConfig(step=1e-2)
-    a = integrate_longitudinal(elem, 2.0, init, 1.0, cfg)
-    series = np.full(101, 2.0)
-    b = integrate_longitudinal(elem, series, init, 1.0, cfg)
-    assert np.array_equal(a.xi, b.xi)
-    with pytest.raises(MismatchedSampling):
-        integrate_longitudinal(elem, np.full(50, 2.0), init, 1.0, cfg)
+    for elem in (RFCavity(length=20.0, e2_0=1.0, w_rf=3.0), ConstantE(length=20.0, e2=0.1)):
+        with pytest.raises(TypeError):
+            integrate_longitudinal(elem, np.full(101, 2.0), init, 1.0, IntegratorConfig(step=1e-2))
 
 
 @pytest.mark.parametrize("elem", [RFCavity(length=2.0, e2_0=1.0, w_rf=3.0),

@@ -22,7 +22,6 @@ from avgbeam import (
     compute_moments,
     delta_moments,
     energy_stats,
-    moments_from_arrays,
     parse_beam_definition,
     project_to_hyperboloid,
     read_ensemble_csv,
@@ -69,15 +68,6 @@ def test_moments_frozen_two_sample_values():
     assert m.third[1, 1, 1] == 0.0
     # symmetric storage
     assert np.array_equal(m.third, np.swapaxes(m.third, 1, 2))
-
-
-def test_moments_from_arrays_matches_ensemble_path():
-    ws = np.array([1.0, 3.0])
-    a = moments_from_arrays(TWO_SAMPLES, ws)
-    b = compute_moments(BeamEnsemble(TWO_SAMPLES, ws=ws))
-    assert a.vol == b.vol
-    assert np.array_equal(a.first, b.first)
-    assert np.array_equal(a.third, b.third)
 
 
 def test_weighted_mean_interpolates():

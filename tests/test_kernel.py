@@ -9,12 +9,11 @@ orbit) or on columns (a batch); both must reproduce the dense reference
 bit for bit, up to the sign of a zero, which the dense sums reach by
 adding exact zeros.  The property tests pin the closed-form rank-3 slot
 against the tensor form of the connection and the promised batch
-invariance of the right-hand sides.  The per-row CSV writer and the
-branching stage coefficient the linear channels first used are kept as
-references for the block writer and the stage streams.  The linear
-channels are closed form: they are checked row by row against the exact
-solutions written with math functions, and against the RK4 reference at
-its truncation error.
+invariance of the right-hand sides.  The per-row CSV writer is kept as
+the reference for the block writer.  The linear channels are closed
+form: they are checked row by row against the exact solutions written
+with math functions, and against the RK4 reference at its truncation
+error.
 """
 
 import math
@@ -80,7 +79,6 @@ from avgbeam.dynamics import (
     _rhs_geodesic,
     _rk4_rows,
     _series_derivative,
-    _stage_stream,
     _write_rows,
 )
 from avgbeam.minkowski import METRIC_SIGNATURE
@@ -119,15 +117,6 @@ def reference_write_rows(path, header, columns):
         n = len(columns[0])
         for k in range(n):
             fh.write(",".join(repr(float(c[k])) for c in columns) + "\n")
-
-
-def reference_at_stage(values, k, theta):
-    """Tabulated coefficient at stage theta of step k, linear between grid points."""
-    if theta <= 0.0:
-        return values[k]
-    if theta >= 1.0:
-        return values[k + 1]
-    return values[k] * (1.0 - theta) + values[k + 1] * theta
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +185,15 @@ def exact_decay_rise(e2, tau, u, du):
     return -du * (tau * bend), du * math.expm1(-x)
 
 
-def longitudinal_row(sign, xi2_row, rise_row=None):
+def longitudinal_row(sign, xi2_row, rise_row):
     """Row function of a longitudinal channel: xi2 from xi2_row(k, tau, u, du),
     xi0 = xi0(0) + xi0'(0) tau + sign (xi2 - xi2(0) - xi2'(0) tau), xi1 and xi3
-    drifting.  A closed form's bracket and its derivative are rise_row(tau, u, du),
-    formed without cancellation; a run replayed from RK4 subtracts."""
+    drifting.  The bracket and its derivative are rise_row(tau, u, du), formed
+    without cancellation."""
 
     def row(k, tau, xi, dxi):
         (u2, du2), (s2, sd2) = xi2_row(k, tau, xi[2], dxi[2])
-        if rise_row is None:
-            rise, drise = u2 - xi[2] - dxi[2] * tau, du2 - dxi[2]
-        else:
-            rise, drise = rise_row(tau, xi[2], dxi[2])
+        rise, drise = rise_row(tau, xi[2], dxi[2])
         u0 = xi[0] + dxi[0] * tau + sign * rise
         du0 = dxi[0] + sign * drise
         scale0 = (abs(xi[0]) + abs(dxi[0] * tau) + s2 + abs(xi[2]) + abs(dxi[2] * tau),
@@ -394,34 +380,6 @@ def test_transverse_equals_reference(cfg_fine, monkeypatch):
     assert_channel(ser, init, exact_series(transverse_row(K), init, 1e-3, 1500), rk4, 1e-12)
 
 
-def test_longitudinal_equals_reference(cfg_fine):
-    # a varying gamma has no closed form: xi2 stays the RK4 run bit for
-    # bit, and xi0 follows from it by the algebra
-    el = RFCavity(length=20.0, e2_0=1.0, w_rf=3.0)
-    gammas = np.linspace(1.0, 2.0, 2001)
-    init = JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
-    ser = integrate_longitudinal(el, gammas, init, 2.0, cfg_fine)
-
-    def rhs(k, theta, xi, dxi):
-        if theta <= 0.0:
-            g = gammas[k]
-        elif theta >= 1.0:
-            g = gammas[k + 1]
-        else:
-            g = gammas[k] * (1.0 - theta) + gammas[k + 1] * theta
-        acc = np.zeros(4)
-        acc[0] = -2.0 * g * el.e2_0 * xi[2]
-        acc[2] = 2.0 * g * el.e2_0 * xi[2]
-        return acc
-
-    xs, vs = reference_rk4(rhs, init.xi, init.dxi, 1e-3, 2000)
-    assert np.array_equal(ser.xi[:, 2], xs[:, 2])
-    assert np.array_equal(ser.dxi[:, 2], vs[:, 2])
-    row = longitudinal_row(-1.0, lambda k, tau, u, du: ((xs[k, 2], vs[k, 2]),
-                                                        (abs(xs[k, 2]), abs(vs[k, 2]))))
-    assert_channel(ser, init, exact_series(row, init, 1e-3, 2000), (xs, vs), 1e-12)
-
-
 def test_longitudinal_constant_field_equals_reference(cfg_fine):
     el = ConstantE(length=20.0, e2=0.7)
     init = JacobiState(0.0, np.array([2e-4, -1e-4, 1e-3, 3e-4]),
@@ -571,29 +529,12 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                       min_size=2, max_size=40),
-       e2_0=st.floats(-2.0, 2.0))
-def test_stage_stream_equals_branching_stage_coefficient(values, e2_0):
-    # the Hill stream carries -K, the RF stream (2 gamma) e2_0: elementwise
-    # on the arrays as on each stage's float, in the kernel's call order;
-    # huge values overflow to the same inf, and inf * 0 to the same nan
-    for coefficient in (lambda c: -c, lambda g: 2.0 * g * e2_0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = list(_stage_stream(np.array(values), coefficient))
-        want = [coefficient(reference_at_stage(values, k, theta))
-                for k in range(len(values) - 1) for theta in (0.0, 0.5, 0.5, 1.0)]
-        assert all(type(c) is float for c in got)
-        assert np.array_equal(_bits(got), _bits(want))
-
-
 @pytest.mark.parametrize("x0", [[2.0], [0.0, 1.0, 2.0, 3.0], [*np.arange(12.0).reshape(4, 3)]],
                          ids=["float", "orbit", "cloud"])
 def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
     # x' = v = 1 from x0, so each call's position is x0 + t exactly
-    # (h = 0.375 keeps h/2 and h/6 exact); the stage streams rely on
-    # this order.  A state is a list of parts: floats, or four (m,) columns.
+    # (h = 0.375 keeps h/2 and h/6 exact).  A state is a list of parts:
+    # floats, or four (m,) columns.
     seen = []
 
     def accel(x, v):
@@ -654,18 +595,7 @@ def test_orbit_rhs_receives_and_returns_only_python_floats(kind, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("e2_0", [1.0, 0.0])  # 2 gamma e2_0 overflows to inf, or inf * 0 = nan
-def test_rf_coefficient_overflow_is_silent_like_float_arithmetic(e2_0):
-    ser = integrate_longitudinal(RFCavity(length=1.0, e2_0=e2_0, w_rf=1.0),
-                                 np.array([1.0, 1e308, 1.0, 1.0]),
-                                 JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4)),
-                                 0.03, IntegratorConfig(step=0.01))
-    assert not np.isfinite(ser.dxi[-1, 2])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("e2_0", [1.0, 0.0])  # 2 gamma e2_0 overflows to inf, or inf * 0 = nan
 def test_rf_scalar_gamma_overflow_is_silent_like_float_arithmetic(e2_0):
-    # the CLI passes a scalar gamma, which takes the closed form
     init = JacobiState(0.0, np.array([0.0, 0.0, 1e-3, 0.0]), np.zeros(4))
     ser = integrate_longitudinal(RFCavity(length=1.0, e2_0=e2_0, w_rf=1.0), 1e308, init,
                                  0.03, IntegratorConfig(step=0.01))
@@ -1023,8 +953,8 @@ _TRUNCATION = 1e-6  # RK4 global error, about (h w)^4 w t / 120 for |K| = w^2 <=
 
 @st.composite
 def _linear_channel(draw):
-    """(run(initial), vector reference rhs, exact row function or None, steps) of a
-    random linear channel; None marks a varying gamma, whose xi2 has no closed form."""
+    """(run(initial), vector reference rhs, exact row function, steps) of a
+    random linear channel."""
     n = draw(st.integers(4, 40))
     cfg = IntegratorConfig(step=_H)
     if draw(st.booleans()):
@@ -1047,28 +977,17 @@ def _linear_channel(draw):
                            lambda tau, u, du: exact_decay_rise(el.e2, tau, u, du))
         return lambda init: integrate_longitudinal(el, 1.0, init, n * _H, cfg), rhs, row, n
     el = RFCavity(length=1.0, e2_0=draw(st.floats(-2.0, 2.0)), w_rf=1.0)
-    gamma = draw(st.one_of(
-        st.floats(1.0, 10.0),
-        st.lists(st.floats(1.0, 10.0), min_size=n + 1, max_size=n + 1).map(np.array)))
-    gammas = np.broadcast_to(gamma, (n + 1,))
+    gamma = draw(st.floats(1.0, 10.0))
+    K = -((2.0 * gamma) * el.e2_0)
 
     def rhs(k, theta, xi, dxi):
-        if theta <= 0.0:
-            g = gammas[k]
-        elif theta >= 1.0:
-            g = gammas[k + 1]
-        else:
-            g = gammas[k] * (1.0 - theta) + gammas[k + 1] * theta
         acc = np.zeros(4)
-        acc[0] = -2.0 * g * el.e2_0 * xi[2]
-        acc[2] = 2.0 * g * el.e2_0 * xi[2]
+        acc[0] = -2.0 * gamma * el.e2_0 * xi[2]
+        acc[2] = 2.0 * gamma * el.e2_0 * xi[2]
         return acc
 
-    row = None
-    if (gammas == gammas[0]).all():
-        K = -((2.0 * float(gammas[0])) * el.e2_0)
-        row = longitudinal_row(-1.0, lambda k, tau, u, du: exact_hill(K, tau, u, du),
-                               lambda tau, u, du: exact_hill_rise(K, tau, u, du))
+    row = longitudinal_row(-1.0, lambda k, tau, u, du: exact_hill(K, tau, u, du),
+                           lambda tau, u, du: exact_hill_rise(K, tau, u, du))
     return lambda init: integrate_longitudinal(el, gamma, init, n * _H, cfg), rhs, row, n
 
 
@@ -1076,15 +995,9 @@ def _linear_channel(draw):
 @given(channel=_linear_channel(), xi=_LAUNCH, dxi=_LAUNCH)
 def test_linear_channel_components_equal_vector_reference(channel, xi, dxi):
     # every component of the launch is random, so a wrong coupling of
-    # xi0 to xi2, or a lost sign of zero, shows in some column; a constant
-    # gamma takes the closed form, a varying one keeps xi2's RK4 bits
+    # xi0 to xi2, or a lost sign of zero, shows in some column
     run, rhs, row, n = channel
     init = JacobiState(0.0, xi, dxi)
     ser = run(init)
     xs, vs = reference_rk4(rhs, xi, dxi, _H, n)
-    if row is None:
-        assert np.array_equal(_bits(ser.xi[:, 2]), _bits(xs[:, 2]))
-        assert np.array_equal(_bits(ser.dxi[:, 2]), _bits(vs[:, 2]))
-        row = longitudinal_row(-1.0, lambda k, tau, u, du: ((xs[k, 2], vs[k, 2]),
-                                                            (abs(xs[k, 2]), abs(vs[k, 2]))))
     assert_channel(ser, init, exact_series(row, init, _H, n), (xs, vs), _TRUNCATION)

@@ -268,8 +268,9 @@ def test_dispersion_constant_dipole():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             dispersion(ps, np.full_like(inv, bad), delta=1e-3)
-    with pytest.raises(ValueError, match="momentum spread must be nonnegative"):
-        dispersion(ps, inv, delta=-1e-3)
+    for delta in (-1e-3, np.nan):  # nan < 0 is False, so nan needs its own refusal
+        with pytest.raises(ValueError, match="momentum spread must be nonnegative"):
+            dispersion(ps, inv, delta=delta)
 
 
 def test_momentum_spread_frozen():
