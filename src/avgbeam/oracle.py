@@ -15,6 +15,13 @@ only where the lab-time comparison does: it reduces the mean lab time at
 every step and the whole mean only at the grid points that bracket its
 comparison time and at the end of the run, each such point bit for bit
 the one ensemble_track reduces.
+
+A cloud that the scan launches in a drift or a dipole, and that the
+exact flow of that uniform element shows staying inside it for the
+cloud's whole run, is not tracked at all: every sample keeps its
+Lorentz factor there, so the mean reaches a lab time at a known proper
+time, and the scan reads the mean of the closed-form flow
+(uniform_flow) there.  Every other cloud is tracked as above.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from .dynamics import (
     _check_step,
     _frozen_slots,
     _grid,
+    _hill_excess,
+    _matvec,
     _rhs_geodesic,
     _rk4,
     _rk4_rows,
@@ -47,8 +56,8 @@ from .ensemble import (
     compute_moments,
     project_to_hyperboloid,
 )
-from .errors import DegenerateFit, OutOfSpan
-from .lattice import Lattice, field_gradient, field_mixed
+from .errors import DegenerateFit, OutOfSpan, UnsupportedElement
+from .lattice import Dipole, Drift, Element, Lattice, field_gradient, field_mixed
 from .minkowski import check_on_shell
 
 
@@ -96,6 +105,9 @@ class ScalingReport:
         d = np.asarray(self.deviations, dtype=float)
         if len(a) != len(d):
             raise ValueError("alphas and deviations must have equal length")
+        fit = np.array([self.fitted_exponent, self.fitted_prefactor], dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(d).all() and np.isfinite(fit).all()):
+            raise ValueError("alphas, deviations and the fit must be finite")
         if np.any(np.diff(a) >= 0.0):
             raise ValueError("alphas must be strictly decreasing")
         if np.any(d < 0.0):
@@ -206,6 +218,86 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
     if lab_times is None:
         return [TrajectorySeries(t=t, x=mx, v=mv) for mx, mv in zip(mean_x, mean_v)]
     return [_LabTimeMeans(t, lab[g], {k: r[:, g] for k, r in rows.items()}) for g in range(G)]
+
+
+# ---------------------------------------------------------------------------
+# exact flow in one uniform element
+
+def _uniform_field(element: Element):
+    """(F, w2): the element's field entries and w2 = -tr(F F)/2 = B^2 - E^2.
+
+    UnsupportedElement when the field has a gradient (it then varies with
+    the position or the phase, and has no one flow).
+    """
+    probe = (0.0, 0.0, 0.0, 0.0)
+    if element.gradient_entries(0.0, probe):
+        raise UnsupportedElement(f"uniform_flow needs a uniform field; {element.kind} "
+                                 f"has a gradient")
+    F = element.field_entries(0.0, probe)
+    entry = {(i, j): f for i, j, f in F}
+    return F, -0.5 * sum(f * entry.get((j, i), 0.0) for (i, j), f in entry.items())
+
+
+def uniform_flow(element: Element, x, v, tau: float):
+    """Exact event and velocity at proper time tau in one uniform element, from (x, v) at 0.
+
+    x and v are four components each, floats or (m,) columns.  The field
+    is constant, so v' = A v with A = -F, and A^3 = -w2 A with
+    w2 = -tr(A^2)/2 = B^2 - E^2 (Cayley-Hamilton; E.B = 0 in every
+    uniform kind).  Hence
+
+        v(tau) = v + S A v + C A^2 v,   x(tau) = x + tau v + C A v + T A^2 v,
+
+    S = sin(w tau)/w, C = (1 - cos w tau)/w^2 and T = (tau - S)/w^2,
+    hyperbolic for w2 < 0 and tau^2/2, tau^3/6 for w2 = 0.  A v and A^2 v
+    are contracted from the field entries, and C and T come from
+    _hill_excess, which keeps 1 - cos and tau - S relatively accurate.
+    Raises UnsupportedElement for an element whose field has a gradient.
+    """
+    F, w2 = _uniform_field(element)
+    Fv = _matvec(F, v)
+    FFv = _matvec(F, Fv)  # A v = -F v, A^2 v = F F v
+    if w2 == 0.0:
+        S, C, T = tau, 0.5 * tau * tau, tau * tau * tau / 6.0
+    else:
+        with np.errstate(invalid="ignore"):  # 0/0 at tau = 0, which the series replaces
+            cm1, _, sm = (float(a[0]) for a in _hill_excess(w2, np.array([tau])))
+        S, C, T = tau + sm, -cm1 / w2, -sm / w2
+    return ([p + tau * q - C * a + T * b for p, q, a, b in zip(x, v, Fv, FFv)],
+            [q - S * a + C * b for q, a, b in zip(v, Fv, FFv)])
+
+
+def _flow_mean(lattice: Lattice, ens: BeamEnsemble, x0, span: float):
+    """(end lab time, lab time -> mean position) of a cloud's run from the exact flow.
+
+    The cloud starts at the event x0 and runs for proper time span.  The
+    flow is used when the element holding x0 is a drift or a dipole and
+    every sample stays inside it: v2 > 0 at both ends, w span < pi so v2
+    keeps its sign and x2 grows throughout, and x2 at span before the
+    element's exit.  Every sample then keeps its Lorentz factor, so the
+    mean lab time is x0[0] + tau <gamma> and the mean reaches lab time T
+    at tau = (T - x0[0]) / <gamma> exactly.  Means are reduced in the
+    fixed order.  Returns None when the flow does not apply.
+    """
+    check_on_shell(ens.ys, label="sample")
+    index = int(lattice.element_index(x0[2]))
+    element = lattice.elements[index]
+    if not isinstance(element, (Drift, Dipole)):
+        return None
+    launch, v = list(x0), list(ens.ys.T)
+    x, v_end = uniform_flow(element, launch, v, span)
+    w = math.sqrt(_uniform_field(element)[1])
+    if not (w * span < math.pi and np.all(v[2] > 0.0) and np.all(v_end[2] > 0.0)
+            and np.all(x[2] < lattice.boundaries[index])):
+        return None
+    vol = _sequential_sum(ens.ws)
+    gamma = float(_shifted_mean(ens.ys[:, 0], ens.ws, vol))
+
+    def position_at(T: float) -> np.ndarray:
+        at, _ = uniform_flow(element, launch, v, (T - launch[0]) / gamma)
+        return _shifted_mean(np.array(at[1:]), ens.ws, vol)
+
+    return launch[0] + span * gamma, position_at
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +413,27 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
                   config: IntegratorConfig) -> ScalingReport:
     """Measure how the averaged geodesic degrades with bunch size alpha.
 
-    For each alpha, the family's ensemble is tracked sample-by-sample
+    For each alpha, the family's ensemble is followed sample by sample
     and its weighted mean compared against the geodesic of the averaged
     connection launched from the on-shell projection of the mean spatial
-    velocity; the endpoint distance over a lab path length s, at the last
-    lab time both runs reach ("lab-time"), is fitted as deviation ~
-    prefactor * alpha^exponent by least squares on logs.
+    velocity; the endpoint distance at the last lab time both runs reach
+    ("lab-time") is fitted as deviation ~ prefactor * alpha^exponent by
+    least squares on logs.  Both runs last the proper time s / |u_c|,
+    u_c's spatial speed: where that speed is conserved (magnetic
+    elements) s is the lab path length, and elsewhere (const_e, rf) it
+    only sets that proper-time budget.
 
-    Every alpha's cloud and averaged geodesic are built first.  Clouds of
+    Every alpha's cloud and averaged geodesic are built first.  A cloud
+    that the exact flow of its launch element keeps inside that drift or
+    dipole for its whole run (_flow_mean) is read off the flow; this
+    depends on the lattice and the cloud only.  The other clouds of
     equal step count and size are then tracked together as one batch
     (_track_means); their means are bit for bit those of separate runs,
     and a cloud whose step count differs is tracked in a group of its
     own, so no cloud takes a step its own run would not take.  Each
-    cloud's mean is reduced only where the comparison reads it, about
-    the end lab time of its averaged geodesic and at its run's end.
+    tracked cloud's mean is reduced only where the comparison reads it,
+    about the end lab time of its averaged geodesic and at its run's
+    end.  The averaged geodesics always run through the RK4 kernel.
     """
     if not s > 0.0:
         raise ValueError(f"lab path length s must be positive, got {s}")
@@ -346,6 +445,7 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
 
     x0 = np.zeros(4)
     averaged, groups = [], {}
+    runs = [None] * len(alphas)  # (end lab time, lab time -> mean position) per cloud
     for k, alpha in enumerate(alphas):
         ens = beam_family(alpha)
         moments = compute_moments(ens)
@@ -353,26 +453,29 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
         speed = math.sqrt(u_c[1] ** 2 + u_c[2] ** 2 + u_c[3] ** 2)
         if speed <= 0.0:
             raise ValueError("beam family must have a moving mean velocity")
-        t_end = s / speed  # spatial speed is conserved in magnetic elements
+        t_end = s / speed  # lab path length s only where the spatial speed is conserved
         avg = integrate_averaged_geodesic(
             lattice, moments, TrajectoryState(t=0.0, x=x0, v=u_c), t_end, config
         )
         averaged.append(avg)
-        # clouds on one grid (step count and step) and of one size are
-        # tracked together; the grid depends on t_end only through those
+        # the cloud's run covers the RK4 grid, exact or not; tracked clouds
+        # on one grid (step count and step) and of one size go together,
+        # and the grid depends on t_end only through those
         n, h, _ = _grid(0.0, t_end, config.step)
-        groups.setdefault((n, h, len(ens.ys)), []).append((k, ens, t_end, float(avg.x[-1, 0])))
+        runs[k] = _flow_mean(lattice, ens, x0, n * h)
+        if runs[k] is None:
+            groups.setdefault((n, h, len(ens.ys)), []).append(
+                (k, ens, t_end, float(avg.x[-1, 0])))
 
-    means = [None] * len(alphas)
     for members in groups.values():
         ks, clouds, t_ends, lab_ends = zip(*members)
         for k, mean in zip(ks, _track_means(lattice, clouds, x0, t_ends[0], config, lab_ends)):
-            means[k] = mean
-    # endpoint_deviation's lab-time comparison, on the reduced rows of each mean
+            runs[k] = float(mean.x0[-1]), mean.position_at
+    # endpoint_deviation's lab-time comparison, on the flow or the reduced rows
     deviations = []
-    for avg, mean in zip(averaged, means):
-        T = min(float(avg.x[-1, 0]), float(mean.x0[-1]))
-        deviations.append(_distance(position_at_lab_time(avg, T), mean.position_at(T)))
+    for avg, (lab_end, position_at) in zip(averaged, runs):
+        T = min(float(avg.x[-1, 0]), lab_end)
+        deviations.append(_distance(position_at_lab_time(avg, T), position_at(T)))
 
     dev = np.asarray(deviations)
     if np.any(~np.isfinite(dev)) or np.any(dev <= 0.0):

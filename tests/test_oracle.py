@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from avgbeam import (
     OutOfSpan,
     ScalingReport,
     TrajectoryState,
+    UnsupportedElement,
     compute_moments,
     delta_moments,
     endpoint_deviation,
@@ -58,6 +60,20 @@ def test_scaling_report_validation_and_json_round_trip(tmp_path):
         ScalingReport([0.01, 0.02], [1.0, 2.0], 2.0, 1.0)  # not decreasing
     with pytest.raises(ValueError):
         ScalingReport([0.02, 0.01], [1.0, -2.0], 2.0, 1.0)
+    # NaN passes both order checks, so non-finite values are refused on their own
+    for bad in ([[0.02, math.nan, 0.005], [1.0, 1.0, 1.0], 2.0, 1.0],
+                [[0.02, 0.01, 0.005], [math.nan, 1.0, 1.0], 2.0, 1.0],
+                [[0.02, 0.01, 0.005], [1.0, math.inf, 1.0], 2.0, 1.0],
+                [[0.02, 0.01, 0.005], [1.0, 1.0, 1.0], math.nan, 1.0],
+                [[0.02, 0.01, 0.005], [1.0, 1.0, 1.0], 2.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ScalingReport(*bad)
+    with pytest.raises(ValueError, match="finite"):
+        ScalingReport([0.02, math.nan, 0.005], [math.nan, 1.0, 1.0], 2.0, 1.0)
+    text = ('{"alphas": [0.02, 0.01, 0.005], "deviations": [NaN, 1e-4, 2.6e-5], '
+            '"fitted_exponent": NaN, "fitted_prefactor": 0.9}')
+    with pytest.raises(ValueError, match="finite"):
+        ScalingReport.from_json(text)
 
 
 def test_linearization_report_holds_fit():
@@ -350,3 +366,178 @@ def test_scan_with_a_cloud_that_leaves_the_lattice_raises():
     for scan in (reference_theorem1_scan, theorem1_scan):
         with pytest.raises(OutOfLattice):
             scan(lattice, _leaving_family, alphas, 0.5, cfg)
+
+
+# ---------------------------------------------------------------------------
+# exact flow in one uniform element
+
+_UNIFORM = [Drift(length=1.0), Dipole(length=1.0, b0=0.6), Dipole(length=1.0, b0=-1.7e3),
+            ConstantE(length=1.0, e2=0.3), ConstantE(length=1.0, e2=-2.5e-4)]
+
+
+def _dense_generator(element):
+    """(A, w2) with A = -F as a dense 4x4 matrix."""
+    entries, w2 = oracle._uniform_field(element)
+    A = np.zeros((4, 4))
+    for i, j, f in entries:
+        A[i, j] = -f
+    return A, w2
+
+
+@pytest.mark.parametrize("element", _UNIFORM, ids=lambda e: e.kind)
+def test_uniform_generator_obeys_its_cayley_hamilton_identity(element):
+    A, w2 = _dense_generator(element)
+    assert w2 == -0.5 * np.trace(A @ A)
+    assert np.array_equal(A @ A @ A + w2 * A, np.zeros((4, 4)))
+
+
+def test_uniform_flow_is_the_limit_of_integrate_lorentz_in_a_dipole():
+    # RK4 is fourth order inside one element: each halving of h cuts the
+    # endpoint error 16-fold (measured 15.98-15.99 here)
+    element = Dipole(length=3.0, b0=0.6)
+    lattice = Lattice.from_elements([element])
+    x0, v0 = [0.0, 0.0, 0.05, 0.0], [SQRT2, 0.0, 1.0, 0.0]
+    x, v = oracle.uniform_flow(element, x0, v0, 2.0)
+    errors = []
+    for h in (0.04, 0.02, 0.01, 0.005):
+        run = integrate_lorentz(lattice, TrajectoryState(0.0, np.array(x0), np.array(v0)),
+                                2.0, IntegratorConfig(step=h))
+        assert run.t[-1] == 2.0
+        errors.append(max(np.abs(run.x[-1] - x).max(), np.abs(run.v[-1] - v).max()))
+    assert all(a / b >= 15.0 for a, b in zip(errors, errors[1:])), errors
+
+
+@pytest.mark.parametrize("element", [Drift(length=5.0), Dipole(length=5.0, b0=0.0),
+                                     ConstantE(length=5.0, e2=-0.3),
+                                     ConstantE(length=5.0, e2=0.2)],
+                         ids=["drift", "zero-dipole", "const_e-accelerating",
+                              "const_e-decelerating"])
+def test_uniform_flow_matches_fine_steps_on_the_zero_and_hyperbolic_branches(element):
+    lattice = Lattice.from_elements([element])
+    x0, v0 = [0.3, 0.01, 0.05, -0.02], project_to_hyperboloid([0.1, 1.0, -0.05])
+    x, v = oracle.uniform_flow(element, x0, v0.tolist(), 1.5)
+    run = integrate_lorentz(lattice, TrajectoryState(0.0, np.array(x0), v0), 1.5,
+                            IntegratorConfig(step=1e-3))
+    assert np.abs(run.x[-1] - x).max() <= 1e-13
+    assert np.abs(run.v[-1] - v).max() <= 1e-13
+
+
+@pytest.mark.parametrize("element", _UNIFORM, ids=lambda e: e.kind)
+def test_uniform_flow_on_columns_keeps_the_bits_of_floats(element):
+    vs = project_to_hyperboloid([[0.1, 1.0, -0.05], [0.2, 0.5, 0.3], [0.0, 2.0, 0.0]])
+    x0 = [0.3, 0.01, 0.05, -0.02]
+    cx, cv = oracle.uniform_flow(element, x0, list(vs.T), 0.7)
+    for i, v in enumerate(vs):
+        fx, fv = oracle.uniform_flow(element, x0, v.tolist(), 0.7)
+        assert _same_bits(np.array([c[i] for c in cx]), np.array(fx))
+        assert _same_bits(np.array([c[i] for c in cv]), np.array(fv))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("element", _UNIFORM, ids=lambda e: e.kind)
+def test_uniform_flow_at_zero_proper_time_is_the_launch(element):
+    x0, v0 = [0.3, 0.01, 0.05, -0.02], [SQRT2, 0.0, 1.0, 0.0]
+    assert oracle.uniform_flow(element, x0, v0, 0.0) == (x0, v0)
+
+
+@pytest.mark.parametrize("element", [NormalQuadDipole(length=1.0, b0=0.1, b1=0.0),
+                                     SkewQuadDipole(length=1.0, b0=0.1, b1=0.5),
+                                     RFCavity(length=1.0, e2_0=0.5, w_rf=3.0)],
+                         ids=lambda e: e.kind)
+def test_uniform_flow_rejects_an_element_with_a_gradient(element):
+    with pytest.raises(UnsupportedElement, match=element.kind):
+        oracle.uniform_flow(element, [0.0] * 4, [SQRT2, 0.0, 1.0, 0.0], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the scan's route: exact flow or tracked cloud
+
+def _rk4_bound(u, w, tau, h, n_steps, s):
+    """How far the RK4 cloud's mean may sit from the exact one, at h^4.
+
+    Three h^4 terms, each for spatial speed u, bend rate w and run tau:
+    RK4's phase error on the rotation, the connection form's shell
+    factor s(3 - s)/2 at the stages (a stage velocity is off the shell
+    by (h w u)^2 / 4), and the cubic Hermite read of the lab time; then
+    rounding over n_steps steps of a path of length s.  The measured
+    differences come to at most 0.95 of the sum, so twice it is the bound.
+    """
+    trunc = u * h ** 4 * w ** 3 * (w * tau / 120.0 + u ** 4 * (w * tau) ** 2 / 64.0 + 1.0 / 384.0)
+    return 2.0 * (trunc + n_steps * np.finfo(float).eps * s)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow, divide, invalid
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.01, 0.2), gamma=st.floats(1.1, 100.0), n=st.integers(3, 40),
+       steps=st.integers(10, 60), b0=st.floats(0.0, 1.0), bend=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_exact_clouds_match_the_tracked_reference(alpha, gamma, n, steps, b0, bend, seed):
+    u, s = math.sqrt(gamma * gamma - 1.0), 0.5
+    element = Dipole(length=2.0 * s, b0=b0) if bend else Drift(length=2.0 * s)
+    lattice = Lattice.from_elements([element])
+    family = gaussian_beam_family([0.0, u, 0.0], n, seed)
+    alphas, cfg = [alpha, alpha / 2.0, alpha / 4.0], IntegratorConfig(step=s / u / steps)
+    with mock.patch.object(oracle, "_track_means", wraps=oracle._track_means) as spy:
+        got = theorem1_scan(lattice, family, alphas, s, cfg)
+    spy.assert_not_called()  # every cloud stays inside its element
+    want = reference_theorem1_scan(lattice, family, alphas, s, cfg)
+    tau = math.ceil(steps - 1e-9) * cfg.step
+    bound = _rk4_bound(u, b0 if bend else 0.0, tau, cfg.step, steps, s)
+    assert all(abs(a - b) <= bound for a, b in zip(got.deviations, want.deviations)), (
+        got.deviations, want.deviations, bound)
+
+
+def _tracked(monkeypatch):
+    """Spy on _track_means: the list of cloud counts it is called with."""
+    calls, track = [], oracle._track_means
+
+    def spy(lattice, ensembles, x0, t_end, config, lab_times=None):
+        calls.append(len(ensembles))
+        return track(lattice, ensembles, x0, t_end, config, lab_times)
+
+    monkeypatch.setattr(oracle, "_track_means", spy)
+    return calls
+
+
+def _forward_family(alpha):
+    """Ten samples about spatial velocity (0, 1, 0), gamma = sqrt(2)."""
+    return gaussian_beam_family([0.0, 1.0, 0.0], 10, seed=11)(alpha)
+
+
+# (lattice, s): the mean turns through 2 rad in the dipole, so v2 ends
+# negative; or it runs out of a short dipole into a drift; or its launch
+# element has a gradient or an E field
+_TRACKED_CASES = {
+    "v2-turns-negative": (Lattice.from_elements([Dipole(length=2.0, b0=1.0)]), 2.0),
+    "reaches-the-exit": (Lattice.from_elements([Dipole(length=0.4, b0=0.3),
+                                                Drift(length=2.0)]), 1.0),
+    "quad_dipole": (Lattice.from_elements([NormalQuadDipole(length=2.0, b0=0.3, b1=0.0)]), 1.0),
+    "skew_quad_dipole": (Lattice.from_elements([SkewQuadDipole(length=2.0, b0=0.3, b1=0.2)]),
+                         1.0),
+    "rf": (Lattice.from_elements([RFCavity(length=2.0, e2_0=0.1, w_rf=3.0)]), 1.0),
+    "const_e": (Lattice.from_elements([ConstantE(length=2.0, e2=-0.1)]), 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_TRACKED_CASES))
+def test_scan_tracks_a_cloud_the_flow_cannot_keep_in_one_element(monkeypatch, case):
+    lattice, s = _TRACKED_CASES[case]
+    cfg, alphas = IntegratorConfig(step=0.01), [0.02, 0.01, 0.005]
+    want = reference_theorem1_scan(lattice, _forward_family, alphas, s, cfg)
+    calls = _tracked(monkeypatch)
+    got = theorem1_scan(lattice, _forward_family, alphas, s, cfg)
+    assert sum(calls) == 3
+    assert got == want and got.to_json() == want.to_json()
+
+
+def test_flow_is_not_used_past_half_a_turn():
+    # after 6 rad of bend v2 is positive again and x2 is inside the exit,
+    # but the orbit left through x2 = 0 on the way (the averaged geodesic
+    # raises OutOfLattice there first, so the scan never asks)
+    lattice = Lattice.from_elements([Dipole(length=2.0, b0=1.0)])
+    ens = _forward_family(0.01)
+    assert oracle._flow_mean(lattice, ens, np.zeros(4), 1.0) is not None
+    x, v = oracle.uniform_flow(lattice.elements[0], [0.0] * 4, list(ens.ys.T), 6.0)
+    assert (v[2] > 0.0).all() and (x[2] < 0.0).all()
+    assert oracle._flow_mean(lattice, ens, np.zeros(4), 6.0) is None
