@@ -130,7 +130,6 @@ from .oracle import (
     jacobi_vs_two_geodesics,
     position_at_lab_time,
     theorem1_scan,
-    uniform_flow,
     validate_field_gradients,
 )
 

@@ -18,10 +18,12 @@ the one ensemble_track reduces.
 
 A cloud that the scan launches in a drift or a dipole, and that the
 exact flow of that uniform element shows staying inside it for the
-cloud's whole run, is not tracked at all: every sample keeps its
-Lorentz factor there, so the mean reaches a lab time at a known proper
+cloud's whole run, is not tracked at all when the averaged geodesic's
+RK4 truncation error there is below its rounding: every sample keeps
+its Lorentz factor, so the mean reaches a lab time at a known proper
 time, and the scan reads the mean of the closed-form flow
-(uniform_flow) there.  Every other cloud is tracked as above.
+(uniform_flow) there.  Every other cloud is tracked as above, and its
+RK4 error cancels against the geodesic's.
 """
 
 from __future__ import annotations
@@ -224,27 +226,32 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
 # exact flow in one uniform element
 
 def _uniform_field(element: Element):
-    """(F, w2): the element's field entries and w2 = -tr(F F)/2 = B^2 - E^2.
+    """The element's field entries; UnsupportedElement when the field has a gradient.
 
-    UnsupportedElement when the field has a gradient (it then varies with
-    the position or the phase, and has no one flow).
+    A field with a gradient varies with the position or the phase, and
+    has no one flow.
     """
     probe = (0.0, 0.0, 0.0, 0.0)
     if element.gradient_entries(0.0, probe):
         raise UnsupportedElement(f"uniform_flow needs a uniform field; {element.kind} "
                                  f"has a gradient")
-    F = element.field_entries(0.0, probe)
+    return element.field_entries(0.0, probe)
+
+
+def _squared_rate(F) -> float:
+    """w2 = -tr(F F)/2 = B^2 - E^2 of a uniform field's entries."""
     entry = {(i, j): f for i, j, f in F}
-    return F, -0.5 * sum(f * entry.get((j, i), 0.0) for (i, j), f in entry.items())
+    return -0.5 * sum(f * entry.get((j, i), 0.0) for (i, j), f in entry.items())
 
 
-def uniform_flow(element: Element, x, v, tau: float):
-    """Exact event and velocity at proper time tau in one uniform element, from (x, v) at 0.
+def uniform_flow(F, x, v, tau: float):
+    """Exact event and velocity at proper time tau in a uniform field, from (x, v) at 0.
 
-    x and v are four components each, floats or (m,) columns.  The field
-    is constant, so v' = A v with A = -F, and A^3 = -w2 A with
-    w2 = -tr(A^2)/2 = B^2 - E^2 (Cayley-Hamilton; E.B = 0 in every
-    uniform kind).  Hence
+    F holds the field entries of a drift, dipole or const_e element
+    (_uniform_field); x and v are four components each, floats or (m,)
+    columns.  The field is constant, so v' = A v with A = -F, and
+    A^3 = -w2 A with w2 = -tr(A^2)/2 = B^2 - E^2 (Cayley-Hamilton;
+    E.B = 0 in every uniform kind).  Hence
 
         v(tau) = v + S A v + C A^2 v,   x(tau) = x + tau v + C A v + T A^2 v,
 
@@ -252,9 +259,8 @@ def uniform_flow(element: Element, x, v, tau: float):
     hyperbolic for w2 < 0 and tau^2/2, tau^3/6 for w2 = 0.  A v and A^2 v
     are contracted from the field entries, and C and T come from
     _hill_excess, which keeps 1 - cos and tau - S relatively accurate.
-    Raises UnsupportedElement for an element whose field has a gradient.
     """
-    F, w2 = _uniform_field(element)
+    w2 = _squared_rate(F)
     Fv = _matvec(F, v)
     FFv = _matvec(F, Fv)  # A v = -F v, A^2 v = F F v
     if w2 == 0.0:
@@ -267,34 +273,56 @@ def uniform_flow(element: Element, x, v, tau: float):
             [q - S * a + C * b for q, a, b in zip(v, Fv, FFv)])
 
 
-def _flow_mean(lattice: Lattice, ens: BeamEnsemble, x0, span: float):
+def _rk4_truncation(u: float, w: float, tau: float, h: float) -> float:
+    """Leading h^4 error of an RK4 orbit's position read at a lab time in a uniform bend.
+
+    Three terms for spatial speed u, bend rate w and a run of proper
+    time tau at step h: RK4's phase error on the rotation, the
+    connection form's shell factor s(3 - s)/2 at the stages (a stage
+    velocity is off the shell by (h w u)^2 / 4), and the cubic Hermite
+    read of the lab time.
+    """
+    return u * h ** 4 * w ** 3 * (w * tau / 120.0 + u ** 4 * (w * tau) ** 2 / 64.0 + 1.0 / 384.0)
+
+
+def _flow_mean(lattice: Lattice, ens: BeamEnsemble, x0, n: int, h: float, speed: float):
     """(end lab time, lab time -> mean position) of a cloud's run from the exact flow.
 
-    The cloud starts at the event x0 and runs for proper time span.  The
-    flow is used when the element holding x0 is a drift or a dipole and
-    every sample stays inside it: v2 > 0 at both ends, w span < pi so v2
-    keeps its sign and x2 grows throughout, and x2 at span before the
-    element's exit.  Every sample then keeps its Lorentz factor, so the
-    mean lab time is x0[0] + tau <gamma> and the mean reaches lab time T
-    at tau = (T - x0[0]) / <gamma> exactly.  Means are reduced in the
-    fixed order.  Returns None when the flow does not apply.
+    The cloud starts at the event x0 and runs n RK4 steps of h, the grid
+    of an averaged geodesic of spatial speed speed.  The flow is used
+    when the element holding x0 is a drift or a dipole and every sample
+    stays inside it: v2 > 0 at both ends, w n h < pi so v2 keeps its
+    sign and x2 grows throughout, and x2 at n h before the element's
+    exit.  It is used only where the averaged geodesic's RK4 truncation
+    error (_rk4_truncation) is below the rounding of its n steps, about
+    n eps times its path: a tracked cloud carries nearly the geodesic's
+    own truncation error, which cancels in the deviation, and the exact
+    cloud does not, so a larger one would enter the deviation whole.
+    Every sample then keeps its Lorentz factor, so the mean lab time is
+    x0[0] + tau <gamma> and the mean reaches lab time T at
+    tau = (T - x0[0]) / <gamma> exactly.  Means are reduced in the fixed
+    order.  Returns None when the flow does not apply.
     """
     check_on_shell(ens.ys, label="sample")
     index = int(lattice.element_index(x0[2]))
     element = lattice.elements[index]
     if not isinstance(element, (Drift, Dipole)):
         return None
+    F = _uniform_field(element)
+    w, span = math.sqrt(_squared_rate(F)), n * h
+    if not (w * span < math.pi
+            and _rk4_truncation(speed, w, span, h) <= n * np.finfo(float).eps * speed * span):
+        return None
     launch, v = list(x0), list(ens.ys.T)
-    x, v_end = uniform_flow(element, launch, v, span)
-    w = math.sqrt(_uniform_field(element)[1])
-    if not (w * span < math.pi and np.all(v[2] > 0.0) and np.all(v_end[2] > 0.0)
+    x, v_end = uniform_flow(F, launch, v, span)
+    if not (np.all(v[2] > 0.0) and np.all(v_end[2] > 0.0)
             and np.all(x[2] < lattice.boundaries[index])):
         return None
     vol = _sequential_sum(ens.ws)
     gamma = float(_shifted_mean(ens.ys[:, 0], ens.ws, vol))
 
     def position_at(T: float) -> np.ndarray:
-        at, _ = uniform_flow(element, launch, v, (T - launch[0]) / gamma)
+        at, _ = uniform_flow(F, launch, v, (T - launch[0]) / gamma)
         return _shifted_mean(np.array(at[1:]), ens.ws, vol)
 
     return launch[0] + span * gamma, position_at
@@ -425,10 +453,11 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
 
     Every alpha's cloud and averaged geodesic are built first.  A cloud
     that the exact flow of its launch element keeps inside that drift or
-    dipole for its whole run (_flow_mean) is read off the flow; this
-    depends on the lattice and the cloud only.  The other clouds of
-    equal step count and size are then tracked together as one batch
-    (_track_means); their means are bit for bit those of separate runs,
+    dipole for its whole run is read off the flow where the geodesic's
+    RK4 truncation error is below its rounding (_flow_mean); this
+    depends on the lattice, the cloud and the step only.  The other
+    clouds of equal step count and size are then tracked together as one
+    batch (_track_means); their means are bit for bit those of separate runs,
     and a cloud whose step count differs is tracked in a group of its
     own, so no cloud takes a step its own run would not take.  Each
     tracked cloud's mean is reduced only where the comparison reads it,
@@ -462,7 +491,7 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
         # on one grid (step count and step) and of one size go together,
         # and the grid depends on t_end only through those
         n, h, _ = _grid(0.0, t_end, config.step)
-        runs[k] = _flow_mean(lattice, ens, x0, n * h)
+        runs[k] = _flow_mean(lattice, ens, x0, n, h, speed)
         if runs[k] is None:
             groups.setdefault((n, h, len(ens.ys)), []).append(
                 (k, ens, t_end, float(avg.x[-1, 0])))

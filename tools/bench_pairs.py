@@ -1,14 +1,15 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label pr21 \\
-        --workload bunch-dipole --pairs 10 --seconds 35 --seed 113
+        --workload bunch-dipole --seed 113
 
 Each rev's committed tree is exported with ``git archive`` into a fresh
 temporary directory (removed afterwards), so each side runs its own
 unmodified ``perfbench/run.py`` on its own ``src``, and nothing is
-registered in the repository.  For every workload, pair i runs parent
-then change when i is even and change then parent when it is odd, each
-run a separate ``--trace 0`` process on the one seed.  Per workload and
+registered in the repository.  For every workload, ten pairs run, pair
+i parent then change when i is even and change then parent when it is
+odd, each run a separate ``--trace 0`` process on the one seed for the
+change side's ``BENCHMARK.json`` ``run_seconds``.  Per workload and
 end-to-end metric of the change side's ``BENCHMARK.json`` the file holds
 each side's median and quartiles (numpy linear interpolation), the pairs
 the change won (ties count for neither) and the relative change of the
@@ -35,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 DESCRIPTION = ("Alternating pairs of perfbench/run.py runs (unmodified harness), parent then "
@@ -59,10 +61,10 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(checkout: Path, workload: str, seed: int, seconds) -> dict:
     """One perfbench run in checkout: its JSON result and the environment it reported."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", repr(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True).stdout
     report = checkout / "perfbench" / "work" / "results" / f"{workload}-seed{seed}-trace0.json"
     return {"result": json.loads(out.strip().splitlines()[-1]),
@@ -117,12 +119,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="git rev of the change side")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--workload", action="append")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--seed", type=int, default=113)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0.0:
-        ap.error("--pairs must be at least 1 and --seconds positive")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         checkouts = {side: Path(scratch) / side for side in SIDES}
@@ -133,19 +131,19 @@ def main(argv=None) -> int:
         results, env = {}, {}
         for workload in workloads:
             runs = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    run = bench(checkouts[side], workload, args.seed, args.seconds)
+                    run = bench(checkouts[side], workload, args.seed, spec["run_seconds"])
                     runs[side].append(run)
                     env[side] = run["environment"]
-                print(f"{workload}: pair {i + 1} of {args.pairs}", file=sys.stderr)
+                print(f"{workload}: pair {i + 1} of {PAIRS}", file=sys.stderr)
             results[workload] = summarize(runs, spec["end_to_end"])
         for side in SIDES:
             env[side] = {**env[side], "git_rev": revs[side],
                          "orjson": orjson_version(checkouts[side]), "tier1": tests[side]}
 
     command = (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-               f"--seconds {args.seconds:g} --trace 0")
+               f"--seconds {spec['run_seconds']} --trace 0")
     doc = {"description": DESCRIPTION, "command": command, "git_rev": revs,
            "workloads": results, "environment": env}
     out = ROOT / f"BENCH_{args.label}.json"
