@@ -598,3 +598,15 @@ def test_flow_is_not_used_past_half_a_turn():
     assert (v[2] > 0.0).all() and (x[2] < 0.0).all()
     assert _takes_flow(1.0, 1.0, 6000, h)
     assert oracle._flow_mean(lattice, ens, np.zeros(4), 6000, h, 1.0) is None
+
+
+def test_flow_is_not_used_for_a_sample_launched_backwards():
+    # the second sample starts with v2 < 0 and the bend turns it forward
+    # before the run ends, inside the element, but it left through x2 = 0
+    # on the way
+    lattice = Lattice.from_elements([Dipole(length=2.0, b0=1.0)])
+    ens = BeamEnsemble(project_to_hyperboloid([[0.0, 1.0, 0.0], [0.5, -0.05, 0.0]]))
+    x, v = _flow(lattice.elements[0], [0.0] * 4, list(ens.ys.T), 0.5)
+    assert (v[2] > 0.0).all() and (x[2] > 0.0).all() and (x[2] < 2.0).all()
+    assert _takes_flow(1.0, 1.0, 500, 1e-3)
+    assert oracle._flow_mean(lattice, ens, np.zeros(4), 500, 1e-3, 1.0) is None
