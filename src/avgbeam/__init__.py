@@ -8,14 +8,8 @@ cross-checks for the resulting averaged dynamics.
 """
 
 from .connections import (
-    ArcAdapted,
-    FrameMode,
-    INERTIAL,
-    InertialCartesian,
     averaged_connection,
     connection_gradient,
-    frame_gradient,
-    inertial_acceleration,
     lorentz_connection,
 )
 from .dynamics import (

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .connections import ArcAdapted, INERTIAL
 from .dynamics import (
     IntegratorConfig,
     JacobiState,
@@ -108,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial deviation rate dxi/dt (4 floats)")
     p.add_argument("--mode", choices=("full", "linearized"), default="full",
                    help="moment slots comoving (full) or reference-velocity (linearized)")
-    p.add_argument("--frame", choices=("inertial", "arc"), default="inertial",
-                   help="reference frame mode")
-    p.add_argument("--rho", type=_finite, default=None,
-                   help="bending radius for the arc frame (m)")
 
     p = sub.add_parser("transverse", help="linear transverse channel of the first element")
     _add_common(p, span_help="path length span l (m)")
@@ -195,10 +190,9 @@ def _run(args) -> int:
 
     elif args.command == "jacobi":
         moments, launch, cfg = _averaged_launch(args)
-        frame = INERTIAL if args.frame == "inertial" else ArcAdapted(rho=args.rho)
         xi_run = integrate_jacobi_full(
             lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
-            args.span, cfg, frame=frame, mode=args.mode,
+            args.span, cfg, mode=args.mode,
         )
         write_jacobi_csv(xi_run, args.out)
 
@@ -273,8 +267,6 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "jacobi" and (args.frame == "arc") != (args.rho is not None):
-        parser.error("jacobi --frame arc needs --rho, and --rho needs --frame arc")
     if args.command == "longitudinal" and not args.gamma >= 1.0:
         parser.error(f"longitudinal --gamma must be at least 1, got {args.gamma!r}")
     if args.command == "scan-alpha":

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import FrameMode, INERTIAL, inertial_acceleration
 from .ensemble import BeamEnsemble, MomentSet
 from .errors import (
     EmptyEnsemble,
@@ -686,14 +685,14 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
 def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
                           launch: TrajectoryState, initial: JacobiState,
                           t_end: float, config: IntegratorConfig,
-                          frame: FrameMode = INERTIAL,
                           mode: str = "full") -> JacobiSeries:
     """Transport a deviation vector along the averaged geodesic from launch.
 
     Integrates the linearized geodesic deviation system
-    ddxi + 2 Gamma(X)(dxi, Xdot) + xi^l d_l Gamma(X)(Xdot, Xdot) + A = 0
-    with Gamma the moment-averaged connection, d_l Gamma taken through
-    the analytic field gradients, and A the frame force of ``frame``.
+    ddxi + 2 Gamma(X)(dxi, Xdot) + xi^l d_l Gamma(X)(Xdot, Xdot) = 0
+    with Gamma the moment-averaged connection and d_l Gamma taken through
+    the analytic field gradients.  xi is a laboratory Cartesian vector;
+    on a bend, Hill's x is its component along the reference's normal.
     The reference X is the curve integrate_averaged_geodesic returns for
     the same launch: it and the deviation advance as one stacked state
     of eight floats through the RK4 kernel, the reference with the same
@@ -739,15 +738,14 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
                                    _matvec(F, _moment(first, _third(V, slot_D3, dxi, V, w * s), w)))
         dFV = _matvec(dF, V)
         q0, q1, q2, q3 = _gamma_of(dFV, fV, dFV, fV, _matvec(dF, slot))
-        A0, A1, A2, A3 = inertial_acceleration(frame, xi, dxi, V)
         if slot_D1 is None:
             r0, r1, r2, r3 = _geodesic_accel(F, V, D1, D3)
         else:  # in mode "full" with a spread beam the reference's slots are the deviation's
             g0, g1, g2, g3 = _gamma_of(FV, fV, FV, fV, _matvec(F, slot))
             r0, r1, r2, r3 = -g0, -g1, -g2, -g3
-        # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot)) - A
-        return [r0, r1, r2, r3, -(2.0 * d0 + q0) - A0, -(2.0 * d1 + q1) - A1,
-                -(2.0 * d2 + q2) - A2, -(2.0 * d3 + q3) - A3]
+        # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot))
+        return [r0, r1, r2, r3, -(2.0 * d0 + q0), -(2.0 * d1 + q1),
+                -(2.0 * d2 + q2), -(2.0 * d3 + q3)]
 
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))

@@ -5,7 +5,11 @@ of the longitudinal coordinate x2, starting at 0.  Fields jump at the
 element boundaries (hard-edge model).  All strengths are normalized so
 that the charge-to-mass ratio is absorbed: b0 and e-type strengths carry
 1/m, the quadrupole gradient b1 carries 1/m^2.  With unit spatial
-momentum the bending radius of a dipole is rho = 1/b0.
+momentum the bending radius of a dipole is rho = 1/b0.  An orbit of
+spatial speed u covers path length l = u tau in proper time tau, and
+in l it sees the rigidity-scaled strengths b0/u and b1/u: its radius
+is u/b0, and the linear channels in l take the element with b0 and b1
+divided by u.
 
 Fields are in mixed form F^i_j (see minkowski module), given as their
 nonzero entries: floats for one point, columns for a batch.  Magnetic
@@ -219,7 +223,9 @@ def curvature_radius(element: Element) -> float:
     """Design bending radius 1/b0 of a dipole-bearing element.
 
     Valid under the unit-spatial-momentum normalization, where a tracked
-    reference orbit in a pure dipole has |d^2 X / dl^2| = b0.
+    reference orbit in a pure dipole has |d^2 X / dl^2| = b0.  At spatial
+    speed u the radius is u/b0: pass the element with b0 and b1 divided
+    by u.
     """
     if not isinstance(element, _BENDING_KINDS):
         raise UnsupportedElement(f"{element.kind} has no bending radius")

@@ -292,3 +292,49 @@ def test_criterion_13_cli_determinism(capsys, tmp_path):
         "unstable: " + ", ".join(inv[0] for inv, s in zip(invocations, stable) if not s)
     )
     _verdict(capsys, 13, "cli-determinism", ok, detail)
+
+
+def _normal_gap(element_at, gamma, tau, step, xi, dxi):
+    """Worst |n.xi - Hill x| / 1e-3 of one launch along +x2 through element_at(1).
+
+    n = (t2, -t1, 0) is the in-plane normal of the reference's unit spatial
+    tangent t, +x1 at launch.  Hill's side runs in path length l = u tau on
+    element_at(u), the strengths divided by the spatial speed u, with step
+    u h and launch slope dxi / u, so its grid is the Jacobi grid point by point.
+    """
+    u = np.sqrt(gamma * gamma - 1.0)
+    lat = Lattice.from_elements([element_at(1.0)])
+    launch = TrajectoryState(0.0, np.zeros(4), project_to_hyperboloid([0.0, u, 0.0]))
+    mom = delta_moments(launch.v)
+    cfg = IntegratorConfig(step=step)
+    ref = integrate_averaged_geodesic(lat, mom, launch, tau, cfg)
+    jac = integrate_jacobi_full(lat, mom, launch, JacobiState(0.0, xi, dxi), tau, cfg)
+    t1, t2 = (ref.v[:, 1:3] / np.hypot(ref.v[:, 1], ref.v[:, 2])[:, None]).T
+    normal = t2 * jac.xi[:, 1] - t1 * jac.xi[:, 2]
+    hill = integrate_transverse_linear(element_at(u), None, JacobiState(0.0, xi, dxi / u),
+                                       u * tau, IntegratorConfig(step=u * step))
+    assert len(hill.t) == len(jac.t)
+    return np.abs(normal - hill.xi[:, 1]).max() / 1e-3
+
+
+def test_criterion_14_jacobi_hill(capsys):
+    # Hill's x is the deviation along the design orbit's normal (Courant and
+    # Snyder 1958); RK4's h^4 error at gamma 10 in the dipole needs h = 2.5e-4
+    unit = np.array([0.0, 1e-3, 0.0, 0.0])
+    launches = (("C", unit, np.zeros(4)), ("S", np.zeros(4), unit))
+    cases = [
+        ("dipole b0=1 tau 1.6", [lambda s: Dipole(length=20.0, b0=1.0 / s)], 1.6,
+         [(SQRT2, 1e-3, 1e-12), (10.0, 2.5e-4, 1e-11)]),
+        ("quad b1=+-0.8 tau 0.5",
+         [lambda s, b1=b1: NormalQuadDipole(length=20.0, b0=0.0, b1=b1 / s) for b1 in (0.8, -0.8)],
+         0.5, [(SQRT2, 1e-3, 1e-12), (10.0, 1e-3, 1e-11)]),
+    ]
+    ok, parts = True, []
+    for name, elements, tau, runs in cases:
+        for gamma, step, tol in runs:
+            for launch, xi, dxi in launches:
+                err = max(_normal_gap(el, gamma, tau, step, xi, dxi) for el in elements)
+                ok = ok and err <= tol
+                parts.append(f"{name} gamma {gamma:.3g} {launch} {err:.3e} (tol {tol:g})")
+    _verdict(capsys, 14, "jacobi-hill", ok,
+             "max|n.xi - x_Hill|/1e-3: " + "; ".join(parts))

@@ -215,8 +215,6 @@ _DEVIATION = ["--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"]
 
 
 @pytest.mark.parametrize("code, argv", [
-    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT, *_DEVIATION,
-         "--frame", "arc"]),
     (1, ["transverse", "--lattice", "LAT", *_ORBIT, *_DEVIATION, "--rho", "0"]),
     (2, ["track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3", "--span", "inf"]),
     (2, ["avg-track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3",
@@ -228,7 +226,7 @@ _DEVIATION = ["--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"]
     (2, ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,nan,0.005", "--span", "1.0",
          "--seed", "3", "--n", "100"]),
     (1, ["validate", "--lattice", "LAT", "--fd-step", "0"]),
-], ids=["arc-without-rho", "rho-zero", "span-inf", "span-nan", "delta-nan", "gamma-nan",
+], ids=["rho-zero", "span-inf", "span-nan", "delta-nan", "gamma-nan",
         "xi0-nan", "alpha-nan", "fd-step-zero"])
 def test_bad_numeric_input_is_a_one_line_error(files, capsys, code, argv):
     tmp, lat, delta, gauss = files
@@ -292,12 +290,14 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
      "--rho"),
     (2, ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,0.01,0.005", "--span", "1.0",
          "--seed", "3", "--comparison", "proper-time"], "--comparison"),
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT, *_DEVIATION,
+         "--frame", "arc"], "--frame"),
     (1, ["longitudinal", "--lattice", "RF", "--step", "0.1", "--span", "30", *_DEVIATION],
      "leaves element of length 20.0"),
 ], ids=["longitudinal-gamma-below-one", "longitudinal-gamma-negative", "xi0-three-values",
         "alphas-empty", "delta-negative", "step-misses-inner-edge", "edged-dispersion-residual",
-        "rho-without-arc",
-        "scan-comparison", "longitudinal-past-element"])
+        "jacobi-rho-removed", "scan-comparison", "jacobi-frame-removed",
+        "longitudinal-past-element"])
 def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
     tmp, lat, _, gauss = files
     rf, edged = tmp / "rf.lat", tmp / "edged.lat"
@@ -334,7 +334,7 @@ def test_overflowing_run_writes_no_csv(files, capsys, gamma):
 
 
 @pytest.mark.filterwarnings("error")
-def test_successive_calls_share_no_state(files, capsys):
+def test_successive_calls_share_no_state(files):
     tmp, lat, delta, gauss = files
     track = ["track", "--lattice", str(lat), "--beam", str(delta), "--step", "1e-3",
              "--span", "0.5", "--out"]
@@ -344,13 +344,15 @@ def test_successive_calls_share_no_state(files, capsys):
     assert main(track + [str(plain)]) == 0
     assert plain.read_bytes() == conn.read_bytes() != force.read_bytes()
 
-    jacobi = ["jacobi", "--lattice", str(lat), "--beam", str(gauss), *_ORBIT, *_DEVIATION,
-              "--frame", "arc", "--out", str(tmp / "jac.csv")]
-    assert main(jacobi + ["--rho", "20"]) == 0
-    with pytest.raises(SystemExit) as e:
-        main(jacobi)
-    assert e.value.code == 2
-    assert "--frame arc needs --rho" in capsys.readouterr().err
+    # in a uniform dipole a deviation launched with dxi0 = 0 stays constant in both
+    # modes; a launch rate brings in the moment slots, where the modes differ
+    jacobi = ["jacobi", "--lattice", str(lat), "--beam", str(gauss), *_ORBIT,
+              "--xi0", "0,1e-3,0,0", "--dxi0", "0,1e-3,0,0", "--out"]
+    full, linearized, again = tmp / "full.csv", tmp / "linearized.csv", tmp / "again.csv"
+    assert main(jacobi + [str(full)]) == 0
+    assert main(jacobi + [str(linearized), "--mode", "linearized"]) == 0
+    assert main(jacobi + [str(again)]) == 0
+    assert again.read_bytes() == full.read_bytes() != linearized.read_bytes()
     assert build_parser() is not build_parser()
 
 

@@ -1,21 +1,17 @@
-"""Field-coupled connection coefficients and frame modes."""
+"""Field-coupled connection coefficients."""
 
 import numpy as np
 import pytest
 
 from avgbeam import (
-    ArcAdapted,
     Connection3,
     FieldSample,
-    INERTIAL,
     OffShell,
     averaged_connection,
     connection_gradient,
     contract_geodesic,
     delta_moments,
     field_at,
-    frame_gradient,
-    inertial_acceleration,
     lorentz_connection,
     project_to_hyperboloid,
 )
@@ -39,17 +35,6 @@ def _oracle_coeffs(F, first, third):
     b = np.einsum("m,jk->mjk", first, eta) - thl
     t2 = 0.5 * np.einsum("im,mjk->ijk", F, b)
     return t1 + t2
-
-
-def test_frame_modes():
-    arc = ArcAdapted(rho=2.0)
-    G = frame_gradient(arc)
-    assert G[1, 1, 2, 2] == 0.25
-    G[1, 1, 2, 2] = 0.0
-    assert not np.any(G)
-    assert not np.any(frame_gradient(INERTIAL))
-    with pytest.raises(ValueError):
-        ArcAdapted(rho=0.0)
 
 
 def test_lorentz_connection_requires_shell():
@@ -123,24 +108,3 @@ def test_connection_gradient_matches_fd():
         gp = averaged_connection(field_at(lat, x, xi + dxi), delta_moments(y)).coeffs
         gm = averaged_connection(field_at(lat, x, xi - dxi), delta_moments(y)).coeffs
         assert np.max(np.abs(G[axis] - (gp - gm) / (2 * h))) < 1e-8
-
-
-def test_connection_gradient_arc_frame_adds_single_entry():
-    lat = Lattice.from_elements([Dipole(length=1.0, b0=1.0)])
-    fs = field_at(lat, np.array([0.0, 0.0, 0.5, 0.0]))
-    y = project_to_hyperboloid([0.0, 1.0, 0.0])
-    G0 = connection_gradient(fs, y, velocity_monomials3(y))
-    G1 = connection_gradient(fs, y, velocity_monomials3(y), mode=ArcAdapted(rho=2.0))
-    diff = G1 - G0
-    assert diff[1, 1, 2, 2] == 0.25
-    diff[1, 1, 2, 2] = 0.0
-    assert not np.any(diff)
-
-
-def test_inertial_acceleration_frozen():
-    arc = ArcAdapted(rho=2.0)
-    xi = np.array([0.0, 1e-3, 0.0, 0.0])
-    xdot = np.array([np.sqrt(2.0), 0.0, 1.0, 0.0])
-    acc = inertial_acceleration(arc, xi, np.zeros(4), xdot)
-    assert np.array_equal(acc, [0.0, 1e-3 / 4.0, 0.0, 0.0])
-    assert not np.any(inertial_acceleration(INERTIAL, xi, np.zeros(4), xdot))

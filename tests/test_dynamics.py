@@ -43,7 +43,6 @@ from avgbeam import (
     write_jacobi_csv,
     write_trajectory_csv,
 )
-from avgbeam.connections import ArcAdapted
 from avgbeam.dynamics import _hill_map
 from test_kernel import reference_rk4
 
@@ -386,19 +385,6 @@ def test_jacobi_flags_velocity_coupling(circle_lattice, circle_state, cfg_fine):
         JacobiState(0.0, np.zeros(4), np.array([0.0, 0.0, 0.0, 1e-3])), 1.0, cfg_fine,
     )
     assert good.decoupling_ok
-
-
-def test_jacobi_arc_frame_restores(circle_lattice, circle_state, cfg_fine):
-    mom = delta_moments(circle_state.v)
-    init = JacobiState(0.0, np.array([0.0, 1e-3, 0.0, 0.0]), np.zeros(4))
-    inertial = integrate_jacobi_full(circle_lattice, mom, circle_state, init, 1.0, cfg_fine)
-    arc = integrate_jacobi_full(
-        circle_lattice, mom, circle_state, init, 1.0, cfg_fine, frame=ArcAdapted(rho=1.0)
-    )
-    # the centripetal gradient term changes the horizontal channel only
-    diff = np.abs(arc.xi - inertial.xi).max(axis=0)
-    assert diff[1] > 1e-6
-    assert diff[3] == 0.0
 
 
 def test_jacobi_csv_round_trip(circle_lattice, circle_state, cfg_fine, tmp_path):

@@ -29,13 +29,11 @@ import sys
 import pytest
 
 from avgbeam import (
-    ArcAdapted,
     BeamEnsemble,
     ConstantE,
     Dipole,
     Drift,
     FieldSample,
-    INERTIAL,
     IntegratorConfig,
     JacobiState,
     Lattice,
@@ -313,15 +311,7 @@ def lorentz_rhs(lattice):
     return geodesic_rhs(lattice)
 
 
-def d_frame_force(frame, xi, dxi, xdot):
-    out = np.zeros(4)
-    if isinstance(frame, ArcAdapted):
-        out[1] = xi[1] * (1.0 / (frame.rho * frame.rho)) * (xdot[2] * xdot[2]
-                                                             + 2.0 * xdot[2] * dxi[2])
-    return out
-
-
-def jacobi_rhs(lattice, D1, D3, slots, frame):
+def jacobi_rhs(lattice, D1, D3, slots):
     """The stacked (2, 4) reference-plus-deviation system; slots feed the deviation."""
     slot_D1, slot_D3 = slots
 
@@ -331,9 +321,8 @@ def jacobi_rhs(lattice, D1, D3, slots, frame):
         F = field_mixed(lattice, X[..., 2], fxi)
         dF = d_along(field_gradient(lattice, X[..., 2], fxi), xi)
         first = V if slot_D1 is None else V + slot_D1
-        dev = (-(2.0 * d_gamma(F, first, d_comoving_third(V, slot_D3, dxi, V), dxi, V)
-                 + d_gamma(dF, first, d_comoving_third(V, slot_D3, V, V), V, V))
-               - d_frame_force(frame, xi[0], dxi[0], V[0]))
+        dev = -(2.0 * d_gamma(F, first, d_comoving_third(V, slot_D3, dxi, V), dxi, V)
+                + d_gamma(dF, first, d_comoving_third(V, slot_D3, V, V), V, V))
         return np.concatenate([d_geodesic_accel(F, V, D1, D3), dev])
 
     return rhs
@@ -670,17 +659,14 @@ def test_averaged_equals_dense_reference(edged):
     assert np.array_equal(ser.x, xs[:, 0]) and np.array_equal(ser.v, vs[:, 0])
 
 
-@pytest.mark.parametrize("frame, mode", [(INERTIAL, "full"), (ArcAdapted(rho=0.3), "full"),
-                                         (INERTIAL, "linearized")],
-                         ids=["inertial", "arc", "linearized"])
-def test_jacobi_equals_dense_reference(edged, frame, mode):
+@pytest.mark.parametrize("mode", ["full", "linearized"], ids=["inertial", "linearized"])
+def test_jacobi_equals_dense_reference(edged, mode):
     lattice, launch = edged
     mom = _beam_moments()
-    jac = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG, frame=frame,
-                                mode=mode)
+    jac = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG, mode=mode)
     D1, D3 = d_slots(mom, launch.v)
     slots = (None, None) if mode == "linearized" else (D1, D3)
-    xs, vs = reference_rk4(jacobi_rhs(lattice, D1, D3, slots, frame),
+    xs, vs = reference_rk4(jacobi_rhs(lattice, D1, D3, slots),
                            np.stack([launch.x, _DEVIATION.xi]),
                            np.stack([launch.v, _DEVIATION.dxi]), 0.01, 100)
     assert np.array_equal(jac.xi, xs[:, 1]) and np.array_equal(jac.dxi, vs[:, 1])
@@ -751,8 +737,6 @@ def test_integrators_never_build_dense_fields(fodo_lattice, monkeypatch):
         integrate_lorentz(fodo_lattice, launch, 0.6, _CFG, form=form)
     ref = integrate_averaged_geodesic(fodo_lattice, mom, launch, 0.6, _CFG)
     xi_run = integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG)
-    integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG,
-                          frame=ArcAdapted(rho=5.0))
     ens = sample_gaussian_beam(launch.v[1:], [0.01] * 3, n=16, seed=5)
     ensemble_track(fodo_lattice, ens, launch.x, 0.6, _CFG)
     along = comoving_moments_along(ref, mom)
