@@ -86,6 +86,7 @@ from .lattice import (
     gradient_entries,
     inverse_rho_profile,
     load_lattice,
+    optics_profiles,
     parse_lattice,
     transverse_k_profile,
 )

@@ -40,8 +40,8 @@ from .ensemble import (
     realize_beam,
 )
 from .errors import AvgBeamError
-from .lattice import load_lattice, inverse_rho_profile
-from .observables import averaged_offset, dispersion, lattice_principal_solutions
+from .lattice import load_lattice, optics_profiles
+from .observables import averaged_offset, dispersion, principal_solutions
 from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
 
 
@@ -235,8 +235,8 @@ def _run(args) -> int:
                     [off.t, off.off1, off.off3, off.avg1, off.avg3])
 
     elif args.command == "dispersion":
-        ps = lattice_principal_solutions(lattice, "horizontal", args.step)
-        _, inv_rho = inverse_rho_profile(lattice, args.step)
+        grid, K, inv_rho = optics_profiles(lattice, "horizontal", args.step)
+        ps = principal_solutions(grid, K)
         result = dispersion(ps, inv_rho, args.delta)
         _write_rows(args.out, "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset])
 

@@ -10,8 +10,9 @@ t_k + h/2 and at t_k + h in every step, in that order; a right-hand side
 sees only the state it is handed, and an observer sees every grid point.
 A state is a list of parts, each advanced elementwise by the same
 expressions: one orbit's parts are its components as plain floats, and
-a cloud's are its four components as contiguous (m,) columns, one entry
-per sample, which the right-hand side takes as they are.
+a cloud is one part, a (4, m) array whose rows are its components, one
+entry per sample, so each update is one array operation; _rows_accel
+hands the rows to a right-hand side written over four components.
 No adaptive control, so identical inputs give identical output bytes.
 The linear transverse and longitudinal channels have constant
 coefficients inside one element (the longitudinal one takes a single
@@ -48,8 +49,9 @@ The force algebra is written once, over 4-sequences of components (the
 field as its nonzero entries (i, j, F^i_j)), with every sum in a fixed
 index order.  One orbit runs it on plain floats, which its right-hand
 side receives and returns as lists; a batch (a cloud, a stored series)
-on contiguous (n,) columns, one per component.  A float rounds as one
-element of a column, so batching does not change the bits.  Each
+on contiguous (n,) columns, one per component (a cloud's are the rows
+of its one-part state).  A float rounds as one element of a column, so
+batching does not change the bits.  Each
 function unpacks its components into locals once and writes its sums
 out term by term, and a value one evaluation uses twice (eta(v, v),
 F v, eta(first, v), the moment slot the Jacobi terms share) is formed
@@ -336,9 +338,11 @@ def _rk4(accel, x, v, h, n, observe):
 
     A state is a list of parts, every update elementwise over the parts
     in one fixed order: one orbit's parts are its components as plain
-    floats (eight for Jacobi), a cloud's its four components as (m,)
-    columns, so a right-hand side written over four components runs on
-    either.
+    floats (eight for Jacobi), and a cloud is one part, a (4, m) array
+    whose rows are its components, so each update is one array
+    operation for the whole cloud.  A right-hand side written over four
+    components runs on the floats directly and on the cloud through
+    _rows_accel; elementwise operations round alike either way.
     Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
     t_k + h in that order, each call returning a list of parts;
     observe(k, x, v) sees every grid point k = 0..n.
@@ -357,6 +361,16 @@ def _rk4(accel, x, v, h, n, observe):
         x = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(x, v, v2, v3, v4)]
         v = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(v, a1, a2, a3, a4)]
         observe(k + 1, x, v)
+
+
+def _rows_accel(rhs):
+    """rhs, written over four components, as the accel of one-part (4, m) states:
+    it gets the part's rows and its four returned rows are stacked."""
+
+    def accel(x, v):
+        return [np.array(rhs(x[0], v[0]))]
+
+    return accel
 
 
 def _rk4_rows(accel, x0, v0, h, n):
@@ -478,18 +492,32 @@ def _geodesic_accel(F, v, D1, D3):
     """v' = -Gamma(v, v) with comoving slots; D1 None means a point ensemble.
 
     The point case keeps the monomial connection form -F v s(3 - s)/2,
-    s = eta(v, v), which equals the force form on the hyperboloid.
+    s = eta(v, v), which equals the force form on the hyperboloid; its
+    factor is negated once, F v (-c) rounding as -(F v c).  In a
+    field-free element (F = ()) every product with F is the zero that
+    _matvec starts its sums from, so the four components are one value,
+    formed without the moment slots: zero (-c) in the point case and
+    -1/2 (p + p + zero), p = zero eta(first, v), in the averaged case,
+    bit for bit the full sums while the slots are finite.
     """
     v0, v1, v2, v3 = v
     s = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
-    Fv = _matvec(F, v)
     if D1 is None:
-        c = s * (3.0 - s) * 0.5
-        f0, f1, f2, f3 = Fv
-        return [-f0 * c, -f1 * c, -f2 * c, -f3 * c]
+        c = -(s * (3.0 - s) * 0.5)
+        if not F:
+            a = (0.0 * v0 + 0.0) * c
+            return [a, a, a, a]
+        f0, f1, f2, f3 = _matvec(F, v)
+        return [f0 * c, f1 * c, f2 * c, f3 * c]
     e0, e1, e2, e3 = D1
     first = [v0 + e0, v1 + e1, v2 + e2, v3 + e3]
     fv = _mdot(first, v)
+    if not F:
+        zero = 0.0 * v0 + 0.0
+        p = zero * fv
+        a = -(0.5 * (p + p + zero))
+        return [a, a, a, a]
+    Fv = _matvec(F, v)
     FM = _matvec(F, _moment(first, _third(v, D3, v, v, s * s), s))
     g0, g1, g2, g3 = _gamma_of(Fv, fv, Fv, fv, FM)
     return [-g0, -g1, -g2, -g3]

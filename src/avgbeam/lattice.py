@@ -31,6 +31,7 @@ with kinds drift, dipole, quad_dipole, skew_quad_dipole, const_e, rf.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -65,11 +66,11 @@ class Element(ABC):
     length: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = float(getattr(self, f.name))
+        for name in _field_names(type(self)):
+            value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise NonFiniteValue(f"{self.kind} {f.name} must be finite, got {value}")
-            setattr(self, f.name, value)
+                raise NonFiniteValue(f"{self.kind} {name} must be finite, got {value}")
+            setattr(self, name, value)
         if not self.length > 0.0:
             raise NegativeLength(f"element length must be positive, got {self.length}")
 
@@ -94,6 +95,12 @@ class Element(ABC):
         raise UnsupportedElement(
             f"transverse channel defined only for bending elements, got '{self.kind}'"
         )
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    """The names of an element class's fields, length first, computed once per class."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _inv_rho2(b0: float, rho: float | None) -> float:
@@ -342,8 +349,9 @@ def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
 # ---------------------------------------------------------------------------
 # parsing
 
-_KINDS = {cls.kind: cls for cls in (Drift, Dipole, NormalQuadDipole,
-                                   SkewQuadDipole, ConstantE, RFCavity)}
+# each kind's class and the keys it takes after length
+_KINDS = {cls.kind: (cls, _field_names(cls)[1:]) for cls in (Drift, Dipole, NormalQuadDipole,
+                                                             SkewQuadDipole, ConstantE, RFCavity)}
 
 
 def parse_lattice(text: str) -> Lattice:
@@ -361,8 +369,7 @@ def parse_lattice(text: str) -> Lattice:
         kind = tokens[1]
         if kind not in _KINDS:
             raise ParseError(ln, f"unknown element kind '{kind}'")
-        cls = _KINDS[kind]
-        param_names = [f.name for f in fields(cls)[1:]]
+        cls, param_names = _KINDS[kind]
         kv = {}
         for tok in tokens[2:]:
             if "=" not in tok:
@@ -432,6 +439,11 @@ def _element_k(lattice: Lattice, plane: str) -> list:
     return [e.focusing()[axis] if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
 
 
+def _element_inv_rho(lattice: Lattice) -> list:
+    """Each element's curvature 1/rho: b0 of a bending element, else 0."""
+    return [e.b0 if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
+
+
 def transverse_k_profile(lattice: Lattice, plane: str, step: float):
     """Piecewise-constant focusing function K(l) sampled on a step grid.
 
@@ -448,5 +460,11 @@ def transverse_k_profile(lattice: Lattice, plane: str, step: float):
 def inverse_rho_profile(lattice: Lattice, step: float):
     """Piecewise 1/rho(l) = b0 of bending elements, 0 elsewhere."""
     grid, owner = _aligned_grid(lattice, step)
-    inv = [e.b0 if isinstance(e, _BENDING_KINDS) else 0.0 for e in lattice.elements]
-    return grid, np.array(inv)[owner]
+    return grid, np.array(_element_inv_rho(lattice))[owner]
+
+
+def optics_profiles(lattice: Lattice, plane: str, step: float):
+    """(grid, K, 1/rho): transverse_k_profile and inverse_rho_profile from one grid walk."""
+    grid, owner = _aligned_grid(lattice, step)
+    return (grid, np.array(_element_k(lattice, plane))[owner],
+            np.array(_element_inv_rho(lattice))[owner])

@@ -8,8 +8,8 @@ linearized transport, finite-difference the field gradients.  Reductions
 follow the ensemble module's fixed-order scheme so results are bit
 reproducible and a point bunch collapses exactly onto the
 single-particle run.  Clouds of equal step count and size advance
-together as one batch, four columns of one entry per sample, each
-column rounding and each cloud's mean reducing as in a separate run, so
+together as one batch, a (4, N) state with one column per sample, each
+entry rounding and each cloud's mean reducing as in a separate run, so
 batching does not change the bits.  The alpha scan reads a cloud's mean
 only where the lab-time comparison does: it reduces the mean lab time at
 every step and the whole mean only at the grid points that bracket its
@@ -47,6 +47,7 @@ from .dynamics import (
     _rhs_geodesic,
     _rk4,
     _rk4_rows,
+    _rows_accel,
     integrate_averaged_geodesic,
     integrate_jacobi_full,
 )
@@ -164,11 +165,13 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
                  config: IntegratorConfig, lab_times=None) -> list:
     """Mean trajectory of each of G clouds of equal size m, tracked as one batch.
 
-    The G m samples advance from x0 as four (G m,) columns through the
-    RK4 kernel, so the per-step numpy overhead is paid once for all
-    clouds.  Every column rounds as in its own run, and each cloud's
-    means are reduced along its own samples in the fixed order, so every
-    series is bit for bit that of a separate run of its cloud.
+    The G m samples advance from x0 as one (4, G m) part of position and
+    one of velocity through the RK4 kernel (_rows_accel), so each kernel
+    update is one numpy call for all clouds, and a stage that finds the
+    whole batch in a drift skips the force's moment algebra
+    (_geodesic_accel).  Every sample rounds as in its own run, and each
+    cloud's means are reduced along its own samples in the fixed order,
+    so every series is bit for bit that of a separate run of its cloud.
 
     With lab_times None every mean is reduced at every grid point, and
     each cloud gets a TrajectorySeries.  Given the lab times a comparison
@@ -189,7 +192,7 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
 
     def means(x, v):
         """(8, G): every cloud's mean position, then its mean velocity."""
-        return _shifted_mean(np.reshape(x + v, (8, G, m)), ws, vol)
+        return _shifted_mean(np.concatenate((x[0], v[0])).reshape(8, G, m), ws, vol)
 
     if lab_times is None:
         mean_x = np.empty((G, n + 1, 4))
@@ -206,17 +209,17 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
 
         def observe(k, x, v):
             nonlocal last
-            lab[:, k] = _shifted_mean(x[0].reshape(G, m), ws, vol)
+            lab[:, k] = _shifted_mean(x[0][0].reshape(G, m), ws, vol)
             if k and (k == n or np.any((lab[:, k - 1] <= T) & (T < lab[:, k]))):
                 if k - 1 not in rows:
                     rows[k - 1] = means(*last)
                 rows[k] = means(x, v)
             last = x, v
 
-    # one contiguous column per component, one entry per sample, cloud after cloud
-    x = [np.full(G * m, c) for c in np.asarray(x0, dtype=float)]
-    v = list(np.concatenate([ens.ys.T for ens in ensembles], axis=1))
-    _rk4(_rhs_geodesic(lattice), x, v, h, n, observe)
+    # one row per component, one column per sample, cloud after cloud
+    x = np.repeat(np.asarray(x0, dtype=float).reshape(4, 1), G * m, axis=1)
+    v = np.concatenate([ens.ys.T for ens in ensembles], axis=1)
+    _rk4(_rows_accel(_rhs_geodesic(lattice)), [x], [v], h, n, observe)
     if lab_times is None:
         return [TrajectorySeries(t=t, x=mx, v=mv) for mx, mv in zip(mean_x, mean_v)]
     return [_LabTimeMeans(t, lab[g], {k: r[:, g] for k, r in rows.items()}) for g in range(G)]
@@ -547,13 +550,13 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, launch: TrajectoryState,
     x0 = np.asarray(launch.x, dtype=float)
     v0 = np.asarray(launch.v, dtype=float)
     xi, dxi = np.asarray(xi0.xi, dtype=float), np.asarray(xi0.dxi, dtype=float)
-    # the base run and every displaced companion advance together, one
-    # column each; each column rounds as its own single run would
+    # the base run and every displaced companion advance together as one
+    # (4, runs) part, a column each; each column rounds as its own single run would
     xs = np.column_stack([x0] + [x0 + sigma * xi for sigma in scales])
     vs = np.column_stack([v0] + [v0 + sigma * dxi for sigma in scales])
-    rhs = _rhs_geodesic(lattice, *_frozen_slots(moments, v0))
+    rhs = _rows_accel(_rhs_geodesic(lattice, *_frozen_slots(moments, v0)))
     n, h, _ = _grid(xi0.t, t_end, config.step)
-    end = _rk4_rows(rhs, list(xs), list(vs), h, n)[0][-1].T
+    end = _rk4_rows(rhs, [xs], [vs], h, n)[0][-1, 0].T
 
     errors = []
     for sigma, px in zip(scales, end[1:]):

@@ -74,8 +74,10 @@ from avgbeam.dynamics import (
     _frozen_slots,
     _gamma,
     _orbit,
+    _geodesic_accel,
     _rhs_geodesic,
     _rk4_rows,
+    _rows_accel,
     _series_derivative,
     _write_rows,
 )
@@ -518,12 +520,13 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("x0", [[2.0], [0.0, 1.0, 2.0, 3.0], [*np.arange(12.0).reshape(4, 3)]],
-                         ids=["float", "orbit", "cloud"])
+@pytest.mark.parametrize("x0", [[2.0], [0.0, 1.0, 2.0, 3.0], [*np.arange(12.0).reshape(4, 3)],
+                                [np.arange(12.0).reshape(4, 3)]],
+                         ids=["float", "orbit", "cloud", "one-part"])
 def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
     # x' = v = 1 from x0, so each call's position is x0 + t exactly
     # (h = 0.375 keeps h/2 and h/6 exact).  A state is a list of parts:
-    # floats, or four (m,) columns.
+    # floats, four (m,) columns, or one (4, m) array.
     seen = []
 
     def accel(x, v):
@@ -886,13 +889,38 @@ def test_batched_cloud_rows_equal_single_row_runs(n, sigma, seed, b0):
         (_rhs_geodesic(lattice), lambda st0: integrate_lorentz(lattice, st0, 0.3, cfg)),
         (pinned, lambda st0: _orbit(pinned, st0, 0.3, cfg.step)),
     ):
-        # the column path: a contiguous column per component, one entry per row
-        xs, vs = _rk4_rows(rhs, [*np.repeat(x0[:, None], n, axis=1)],
-                           [*np.ascontiguousarray(ens.ys.T)], 1e-2, 30)
-        for a in range(n):
-            row = single(TrajectoryState(0.0, x0, ens.ys[a]))
-            assert np.array_equal(xs[:, :, a], row.x)
-            assert np.array_equal(vs[:, :, a], row.v)
+        # the column path, a contiguous column per component, one entry per
+        # row, and the one-part path, one (4, n) array whose rows those are
+        xc, vc = np.repeat(x0[:, None], n, axis=1), np.ascontiguousarray(ens.ys.T)
+        for accel, x, v in ((rhs, [*xc], [*vc]), (_rows_accel(rhs), [xc], [vc])):
+            xs, vs = (a.reshape(31, 4, n) for a in _rk4_rows(accel, x, v, 1e-2, 30))
+            for a in range(n):
+                row = single(TrajectoryState(0.0, x0, ens.ys[a]))
+                assert np.array_equal(xs[:, :, a], row.x)
+                assert np.array_equal(vs[:, :, a], row.v)
+
+
+_SIGNED_SPATIAL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spatial=st.lists(st.lists(_SIGNED_SPATIAL, min_size=3, max_size=3), min_size=1, max_size=3),
+    off=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+    d1=st.lists(st.floats(-1e-3, 1e-3), min_size=4, max_size=4),
+    d3=st.lists(st.floats(-1e-3, 1e-3), min_size=64, max_size=64),
+    averaged=st.booleans(),
+)
+def test_field_free_force_equals_the_full_sums_bit_for_bit(spatial, off, d1, d3, averaged):
+    # explicit zero entries take the full path through the moment slots; a
+    # drift's () skips them and must give the same bits, zero signs included,
+    # for each state as floats and for all of them as one-entry-per-state columns
+    states = [(project_to_hyperboloid(p) * (1.0 + off)).tolist() for p in spatial]
+    D1, D3 = (d1, np.reshape(d3, (4, 16)).tolist()) if averaged else (None, None)
+    zeros = ((1, 2, 0.0), (2, 1, -0.0))
+    for v in [*states, [np.array(c) for c in zip(*states)]]:
+        short = _geodesic_accel((), v, D1, D3)
+        assert np.array_equal(_bits(short), _bits(_geodesic_accel(zeros, v, D1, D3)))
 
 
 def _every_kind_line(scale):
@@ -911,22 +939,27 @@ def _every_kind_line(scale):
     scale=st.floats(0.2, 2.0),
 )
 def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma, seed, scale):
-    # the float path against the four-column cloud path, every bit compared,
-    # zero signs included; rows launched 1 cm apart straddle an edge at
-    # nearly every stage, so the cloud takes the masked per-element lookup
-    lattice = _every_kind_line(scale)
+    # the float path against the four-column and the one-part cloud paths,
+    # every bit compared, zero signs included; rows launched 1 cm apart
+    # straddle an edge at nearly every stage, so the cloud takes the masked
+    # per-element lookup.  On the drift | quad_dipole line a cloud of two
+    # starts wholly in the drift, whose force skips the moment slots.
     ens = sample_gaussian_beam([0.0, 1.0, 0.0], [sigma] * 3, n=n, seed=seed)
     x0 = np.array([[0.0, 2e-3, 0.08 + 0.01 * a, -1e-3] for a in range(n)])
     cfg = IntegratorConfig(step=1e-2)
     vref = project_to_hyperboloid([0.0, 1.0, 0.0])
-    pinned = _rhs_geodesic(lattice, *_frozen_slots(compute_moments(ens), vref))
-    for rhs in (_rhs_geodesic(lattice), pinned):
-        xs, vs = _rk4_rows(rhs, [*np.ascontiguousarray(x0.T)],
-                           [*np.ascontiguousarray(ens.ys.T)], 1e-2, 30)
-        for a in range(n):
-            row = _orbit(rhs, TrajectoryState(0.0, x0[a], ens.ys[a]), 0.3, cfg.step)
-            assert np.array_equal(_bits(xs[:, :, a]), _bits(row.x))
-            assert np.array_equal(_bits(vs[:, :, a]), _bits(row.v))
+    drift_quad = Lattice.from_elements([Drift(length=0.1),
+                                        NormalQuadDipole(length=0.5, b0=scale, b1=-1.5)])
+    for lattice in (_every_kind_line(scale), drift_quad):
+        pinned = _rhs_geodesic(lattice, *_frozen_slots(compute_moments(ens), vref))
+        for rhs in (_rhs_geodesic(lattice), pinned):
+            xc, vc = np.ascontiguousarray(x0.T), np.ascontiguousarray(ens.ys.T)
+            for accel, x, v in ((rhs, [*xc], [*vc]), (_rows_accel(rhs), [xc], [vc])):
+                xs, vs = (a.reshape(31, 4, n) for a in _rk4_rows(accel, x, v, 1e-2, 30))
+                for a in range(n):
+                    row = _orbit(rhs, TrajectoryState(0.0, x0[a], ens.ys[a]), 0.3, cfg.step)
+                    assert np.array_equal(_bits(xs[:, :, a]), _bits(row.x))
+                    assert np.array_equal(_bits(vs[:, :, a]), _bits(row.v))
 
 
 _COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-2, 1e-2))

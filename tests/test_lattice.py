@@ -30,6 +30,7 @@ from avgbeam import (
     field_mixed,
     gradient_entries,
     inverse_rho_profile,
+    optics_profiles,
     load_lattice,
     parse_lattice,
     transverse_k_profile,
@@ -466,6 +467,9 @@ def test_profiles_give_a_boundary_sample_the_downstream_element():
     for axis, k in enumerate((kh, kv)):
         assert np.array_equal(k, [lat.elements[e].focusing()[axis] for e in owner])
     assert np.array_equal(inv, [lat.elements[e].b0 for e in owner])
+    # one grid walk gives the same three arrays
+    for got, want in zip(optics_profiles(lat, "horizontal", 0.01), (grid, kh, inv)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
