@@ -237,6 +237,7 @@ def _run(args) -> int:
     elif args.command == "dispersion":
         grid, K, inv_rho = optics_profiles(lattice, "horizontal", args.step)
         ps = principal_solutions(grid, K)
+        del grid, K  # ps holds copies of both; freed, they stay out of the job's peak memory
         result = dispersion(ps, inv_rho, args.delta)
         _write_rows(args.out, "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset])
 

@@ -73,8 +73,8 @@ from avgbeam.dynamics import (
     _comoving_third,
     _frozen_slots,
     _gamma,
-    _orbit,
     _geodesic_accel,
+    _orbit,
     _rhs_geodesic,
     _rk4_rows,
     _rows_accel,
@@ -946,6 +946,7 @@ def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma,
     # starts wholly in the drift, whose force skips the moment slots.
     ens = sample_gaussian_beam([0.0, 1.0, 0.0], [sigma] * 3, n=n, seed=seed)
     x0 = np.array([[0.0, 2e-3, 0.08 + 0.01 * a, -1e-3] for a in range(n)])
+    xc, vc = np.ascontiguousarray(x0.T), np.ascontiguousarray(ens.ys.T)
     cfg = IntegratorConfig(step=1e-2)
     vref = project_to_hyperboloid([0.0, 1.0, 0.0])
     drift_quad = Lattice.from_elements([Drift(length=0.1),
@@ -953,7 +954,6 @@ def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma,
     for lattice in (_every_kind_line(scale), drift_quad):
         pinned = _rhs_geodesic(lattice, *_frozen_slots(compute_moments(ens), vref))
         for rhs in (_rhs_geodesic(lattice), pinned):
-            xc, vc = np.ascontiguousarray(x0.T), np.ascontiguousarray(ens.ys.T)
             for accel, x, v in ((rhs, [*xc], [*vc]), (_rows_accel(rhs), [xc], [vc])):
                 xs, vs = (a.reshape(31, 4, n) for a in _rk4_rows(accel, x, v, 1e-2, 30))
                 for a in range(n):

@@ -30,8 +30,8 @@ from avgbeam import (
     field_mixed,
     gradient_entries,
     inverse_rho_profile,
-    optics_profiles,
     load_lattice,
+    optics_profiles,
     parse_lattice,
     transverse_k_profile,
 )
