@@ -195,9 +195,8 @@ ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
 _BLOCK_ROWS = 1024  # rows per write, which bounds the bytes held at once
 _UNLOADED = object()
 _orjson = _UNLOADED  # imported by the first write, so that importing avgbeam does not pay for it
-# repr pads the one-digit exponents orjson writes bare (e-7 -> e-07); an
-# e-5 never reaches them, its cells are rewritten by repr
-_PADDED = [(f"e-{d}{end}".encode(), f"e-0{d}{end}".encode()) for d in "6789" for end in ",\n"]
+# lower |x| bounds of the one-digit exponents e-9, e-8, e-7 and e-6
+_ONE_DIGIT = (1e-9, 1e-8, 1e-7, 1e-6)
 
 
 def _formatter():
@@ -217,36 +216,57 @@ def _repr_lines(rows):
     return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]).encode()
 
 
+def _replace(body, old, new):
+    # bytes.replace counts the matches in a pass of its own before it
+    # replaces them; split and join find them once
+    return new.join(body.split(old))
+
+
 def _block_lines(block, orjson):
     """The CSV lines of a block, byte for byte those of _repr_lines.
 
     repr (Gay's dtoa) and orjson (Ryu) both write the shortest digits that
-    round-trip, so only the layout differs: orjson omits the exponent's
-    '+' and zero padding, writes 1e-5 <= |x| < 1e-4 positionally, where
-    repr switches to exponents at 1e-4.  The exponents are mended by
-    bytes.replace and each such small value's cell is rewritten by repr;
-    every block is written by repr when orjson is not installed.  The
-    block is finite (_write_rows), so no value reaches orjson's null.
+    round-trip, so only the layout differs.  One pass over |x| sorts the
+    cells by that layout:
+
+    - digits that move: 1e-5 <= |x| < 1e-4, which orjson writes
+      positionally where repr switches to exponents, |x| >= 1e16, which
+      repr writes with an exponent and its '+', and 0 < |x| < 1e-59.  They
+      are written as NaN, which orjson writes as null and no finite value
+      produces, and their reprs are put back in row-major order by one
+      split and join;
+    - one-digit exponents, 1e-9 <= |x| < 1e-5, which repr pads (e-7 ->
+      e-07): one replacement per exponent the block holds.  That is why
+      |x| < 1e-59 goes through repr: its two-digit exponents e-60 ... e-99
+      begin as e-6 ... e-9 do;
+    - all else, which orjson writes as repr does.
+
+    Every block is written by repr when orjson is not installed.  The
+    block is finite (_write_rows), so no value of its own reaches null.
     """
     if orjson is None:
         return _repr_lines(block)
-    body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
-    body += b"\n"
-    if b"e" in body:
-        body = body.replace(b"e-", b"E").replace(b"e", b"e+").replace(b"E", b"e-")
-        for bare, padded in _PADDED:
-            body = body.replace(bare, padded)
     size = np.abs(block)
-    rows, cols = np.nonzero((size >= 1e-5) & (size < 1e-4))
-    if len(rows):
-        lines, cells = body.split(b"\n"), {}
-        for k, i, value in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
-            if k not in cells:
-                cells[k] = lines[k].split(b",")
-            cells[k][i] = repr(value).encode()
-        for k, row in cells.items():
-            lines[k] = b",".join(row)
-        body = b"\n".join(lines)
+    moved = ((size >= 1e-5) & (size < 1e-4)) | (size >= 1e16) | ((size < 1e-59) & (size > 0.0))
+    short = size[(size >= 1e-9) & (size < 1e-5)]
+    spliced = None
+    if moved.any():
+        spliced = block[moved]
+        block = np.where(moved, np.nan, block)
+    body = _replace(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2],
+                    b"],[", b"\n") + b"\n"
+    # searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d; np.unique would
+    # keep about 1 MB for the rest of the process after its first call
+    held = np.bincount(np.searchsorted(_ONE_DIGIT, short, side="right"), minlength=5).tolist()
+    for d in range(6, 10):
+        if held[10 - d]:
+            body = _replace(body, b"e-%d" % d, b"e-0%d" % d)
+    if spliced is not None:
+        parts = body.split(b"null")
+        cells = [b""] * (2 * len(parts) - 1)
+        cells[::2] = parts
+        cells[1::2] = [repr(x).encode() for x in spliced.tolist()]
+        body = b"".join(cells)
     return body
 
 

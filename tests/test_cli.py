@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from avgbeam import read_jacobi_csv, read_trajectory_csv
+from avgbeam import dynamics, read_jacobi_csv, read_trajectory_csv
 from avgbeam.cli import build_parser, main
 
 DIPOLE = "element dipole length=25.0 b0=0.05\n"
@@ -104,6 +104,35 @@ def test_transverse_runs_a_pure_quadrupole(tmp_path):
     w = np.sqrt(0.8)
     assert np.abs(run.xi[:, 1] - 1e-3 * np.cosh(w * run.t)).max() < 1e-15
     assert np.abs(run.xi[:, 3] - 1e-3 * np.cos(w * run.t)).max() < 1e-15
+
+
+# the linear channels' CSVs; the transverse dxi1 of a 0.05 T/m dipole is a
+# one-digit exponent (e-6 ... e-9) on every row after the first, as on the
+# benchmark's bunch-dipole
+_CSV_JOBS = {
+    "transverse": ["transverse", "--lattice", "DIPOLE", "--step", "2.5e-4", "--span", "1.0",
+                   "--xi0", "0,3e-3,0,0", "--dxi0", "0,0,0,0"],
+    "longitudinal": ["longitudinal", "--lattice", "RF", "--step", "1e-3", "--span", "1.0",
+                     "--xi0", "0,0,1e-3,0", "--dxi0", "0,0,0,0"],
+    "dispersion": ["dispersion", "--lattice", "DIPOLE", "--step", "1e-3", "--delta", "1e-3"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(_CSV_JOBS))
+def test_csv_artifact_bytes_equal_without_orjson(tmp_path, monkeypatch, job):
+    pytest.importorskip("orjson")
+    (tmp_path / "dipole.lat").write_text("element dipole length=1.0 b0=0.05\n")
+    (tmp_path / "rf.lat").write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    files = {"DIPOLE": str(tmp_path / "dipole.lat"), "RF": str(tmp_path / "rf.lat")}
+    argv = [files.get(a, a) for a in _CSV_JOBS[job]]
+    fast, plain = tmp_path / "orjson.csv", tmp_path / "repr.csv"
+    assert main([*argv, "--out", str(fast)]) == 0
+    assert dynamics._orjson is not None
+    monkeypatch.setattr(dynamics, "_orjson", None)
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert fast.read_bytes() == plain.read_bytes()
+    if job == "transverse":
+        assert all(b"e-0" in row.split(b",")[6] for row in fast.read_bytes().splitlines()[2:])
 
 
 def test_moments_json(files):

@@ -18,6 +18,7 @@ error.
 
 import math
 import os
+import re
 import subprocess
 
 import numpy as np
@@ -40,6 +41,7 @@ from avgbeam import (
     MomentSet,
     NonFiniteValue,
     NormalQuadDipole,
+    OutOfLattice,
     RFCavity,
     SkewQuadDipole,
     TrajectoryState,
@@ -436,11 +438,15 @@ def test_principal_solutions_converge_to_reference(fodo_lattice):
 
 
 # repr switches to exponent form below 1e-4 and from 1e16 on, and pads
-# one-digit exponents (1e-07); orjson writes [1e-5, 1e-4) positionally
+# one-digit exponents (1e-07); orjson writes [1e-5, 1e-4) positionally.
+# The two-digit exponents e-60 ... e-99 begin as the one-digit e-6 ... e-9
 _REPR_EDGES = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+               np.nextafter(1e16, np.inf),
                1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
                9.999999999999999e-05, np.nextafter(9.999999999999999e-05, 1.0),
-               -1e-5, -9.999999999999999e-05, 1e-7, 1e-9,
+               -1e-5, -9.999999999999999e-05, 1e-7, np.nextafter(1e-6, 0.0),
+               1e-9, np.nextafter(1e-9, 0.0),
+               1e-59, np.nextafter(1e-59, 0.0), 1e-60, 6.5e-66, 9.9e-99,
                -1e-4, -1e16, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                np.inf, -np.inf, np.nan]
 _ROWS = [0, 1] + [m * _BLOCK_ROWS + d for m in (1, 2) for d in (-2, -1, 0, 1, 2)]
@@ -494,6 +500,23 @@ def test_repr_only_writer_bytes_equal_row_writer(tmp_path_factory, n_cols, n_row
         mp.setattr(dynamics, "_orjson", None)
         assert_block_writer_bytes_equal_row_writer(tmp_path_factory.mktemp("csv"),
                                                    n_cols, n_rows, pool, seed)
+
+
+def test_block_writer_mends_every_layout_in_every_block(tmp_path):
+    # three blocks; every row holds a one-digit exponent, e-6 ... e-9 in
+    # turn, as a transverse artifact's dxi1 does, and every third row also
+    # a cell orjson writes positionally and one in e-60 ... e-99
+    n = 2 * _BLOCK_ROWS + 2
+    rng = np.random.default_rng(24)
+    table = rng.uniform(-1.0, 1.0, (n, 5))
+    table[:, 1] = -rng.uniform(1.0, 10.0, n) * 10.0 ** -(6.0 + np.arange(n) % 4)
+    m = len(table[::3])
+    table[::3, 2] = rng.uniform(1e-5, 1e-4, m)
+    table[::3, 3] = rng.uniform(1.0, 10.0, m) * 10.0 ** -rng.integers(60, 100, m).astype(float)
+    columns = [table[:, i] for i in range(5)]
+    _write_rows(tmp_path / "block.csv", "c0,c1,c2,c3,c4", columns)
+    reference_write_rows(tmp_path / "row.csv", "c0,c1,c2,c3,c4", columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
 def test_import_does_not_load_orjson():
@@ -775,9 +798,17 @@ def test_delta_ensemble_is_bitwise_single_particle_on_random_lattices(
     # for 0.45 of the lattice length: the orbit crosses every edge it meets
     launch = TrajectoryState(0.0, np.array([0.0, offsets[0], start * length, offsets[1]]),
                              project_to_hyperboloid([spatial[0], 1.0, spatial[1]]))
-    single = integrate_lorentz(lattice, launch, 0.45 * length, cfg)
-    averaged = integrate_averaged_geodesic(lattice, delta_moments(launch.v), launch,
-                                           0.45 * length, cfg)
+    moments, span = delta_moments(launch.v), 0.45 * length
+    try:
+        single = integrate_lorentz(lattice, launch, span, cfg)
+    except OutOfLattice as exc:
+        # a field that speeds the orbit up along x2, or the grid rounding the
+        # span up to a whole step, can carry it past the end: the ensemble
+        # leaves at the same position, to the bit
+        with pytest.raises(OutOfLattice, match=f"^{re.escape(str(exc))}$"):
+            integrate_averaged_geodesic(lattice, moments, launch, span, cfg)
+        return
+    averaged = integrate_averaged_geodesic(lattice, moments, launch, span, cfg)
     for got, want in ((averaged.x, single.x), (averaged.v, single.v)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label pr21 \\
-        --workload bunch-dipole --seed 113
+        --workload bunch-dipole --seed 113 --control moments_s
 
 Each rev's committed tree is exported with ``git archive`` into a fresh
 temporary directory (removed afterwards), so each side runs its own
@@ -17,6 +17,12 @@ medians, in the layout of the earlier BENCH files.  It also records each
 side's environment as the harness reports it, with the real git rev and
 the orjson version added, and the wall time and summary line of each
 side's Tier-1 test suite.  Without ``--workload`` every workload runs.
+
+Each ``--control METRIC`` names a metric of jobs the change leaves
+alone.  Every workload then gets a ``control`` entry holding each named
+metric's median change and pair wins, and the median of those changes:
+how far untouched jobs drift in the same runs, to read the claimed
+metric's change against.
 """
 
 from __future__ import annotations
@@ -113,6 +119,15 @@ def summarize(runs: dict, metrics: list) -> dict:
     return out
 
 
+def control(summary: dict, names: list) -> dict:
+    """The named metrics' median changes and pair wins in one workload's summary,
+    and the median of those changes."""
+    metrics = {name: {key: summary["metrics"][name][key] for key in ("median_change", "change_wins")}
+               for name in names}
+    return {"metrics": metrics,
+            "median_change": float(np.median([m["median_change"] for m in metrics.values()]))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git rev of the parent side")
@@ -120,6 +135,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--workload", action="append")
     ap.add_argument("--seed", type=int, default=113)
+    ap.add_argument("--control", action="append", default=[], metavar="METRIC",
+                    help="a metric of jobs the change leaves alone; repeatable")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
@@ -127,6 +144,9 @@ def main(argv=None) -> int:
         revs = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        unknown = set(args.control) - {m["name"] for m in spec["end_to_end"]}
+        if unknown:
+            ap.error(f"--control names no end-to-end metric: {', '.join(sorted(unknown))}")
         tests = {side: tier1(checkouts[side]) for side in SIDES}
         results, env = {}, {}
         for workload in workloads:
@@ -138,6 +158,8 @@ def main(argv=None) -> int:
                     env[side] = run["environment"]
                 print(f"{workload}: pair {i + 1} of {PAIRS}", file=sys.stderr)
             results[workload] = summarize(runs, spec["end_to_end"])
+            if args.control:
+                results[workload]["control"] = control(results[workload], args.control)
         for side in SIDES:
             env[side] = {**env[side], "git_rev": revs[side],
                          "orjson": orjson_version(checkouts[side]), "tier1": tests[side]}
