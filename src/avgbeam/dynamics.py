@@ -229,10 +229,10 @@ def _block_lines(block, orjson):
     round-trip, so only the layout differs.  One pass over |x| sorts the
     cells by that layout:
 
-    - digits that move: 1e-5 <= |x| < 1e-4, which orjson writes
-      positionally where repr switches to exponents, |x| >= 1e16, which
-      repr writes with an exponent and its '+', and 0 < |x| < 1e-59.  They
-      are written as NaN, which orjson writes as null and no finite value
+    - other layouts: 1e-5 <= |x| < 1e-4, which orjson writes
+      positionally where repr switches to exponents; |x| >= 1e16, whose
+      exponent repr writes with a '+'; and 0 < |x| < 1e-59.  They are
+      written as NaN, which orjson writes as null and no finite value
       produces, and their reprs are put back in row-major order by one
       split and join;
     - one-digit exponents, 1e-9 <= |x| < 1e-5, which repr pads (e-7 ->
@@ -247,12 +247,12 @@ def _block_lines(block, orjson):
     if orjson is None:
         return _repr_lines(block)
     size = np.abs(block)
-    moved = ((size >= 1e-5) & (size < 1e-4)) | (size >= 1e16) | ((size < 1e-59) & (size > 0.0))
+    other = ((size >= 1e-5) & (size < 1e-4)) | (size >= 1e16) | ((size < 1e-59) & (size > 0.0))
     short = size[(size >= 1e-9) & (size < 1e-5)]
     spliced = None
-    if moved.any():
-        spliced = block[moved]
-        block = np.where(moved, np.nan, block)
+    if other.any():
+        spliced = block[other]
+        block = np.where(other, np.nan, block)
     body = _replace(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2],
                     b"],[", b"\n") + b"\n"
     # searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d; np.unique would

@@ -106,9 +106,9 @@ def test_transverse_runs_a_pure_quadrupole(tmp_path):
     assert np.abs(run.xi[:, 3] - 1e-3 * np.cos(w * run.t)).max() < 1e-15
 
 
-# the linear channels' CSVs; the transverse dxi1 of a 0.05 T/m dipole is a
-# one-digit exponent (e-6 ... e-9) on every row after the first, as on the
-# benchmark's bunch-dipole
+# the linear channels' CSVs; in a b0 = 0.05 dipole the transverse dxi1 is
+# a one-digit exponent (e-6 ... e-9) on every row after the first, as on
+# the benchmark's bunch-dipole
 _CSV_JOBS = {
     "transverse": ["transverse", "--lattice", "DIPOLE", "--step", "2.5e-4", "--span", "1.0",
                    "--xi0", "0,3e-3,0,0", "--dxi0", "0,0,0,0"],
