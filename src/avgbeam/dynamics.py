@@ -255,8 +255,8 @@ def _block_lines(block, orjson):
         block = np.where(other, np.nan, block)
     body = _replace(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2],
                     b"],[", b"\n") + b"\n"
-    # searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d; np.unique would
-    # keep about 1 MB for the rest of the process after its first call
+    # only the exponents the block holds, since each replacement scans the
+    # whole body; searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d
     held = np.bincount(np.searchsorted(_ONE_DIGIT, short, side="right"), minlength=5).tolist()
     for d in range(6, 10):
         if held[10 - d]:

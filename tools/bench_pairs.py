@@ -19,10 +19,10 @@ the orjson version added, and the wall time and summary line of each
 side's Tier-1 test suite.  Without ``--workload`` every workload runs.
 
 Each ``--control METRIC`` names a metric of jobs the change leaves
-alone.  Every workload then gets a ``control`` entry holding each named
-metric's median change and pair wins, and the median of those changes:
-how far untouched jobs drift in the same runs, to read the claimed
-metric's change against.
+alone.  Every workload then gets a ``control`` entry holding the names
+and the median of their median changes (each metric's own figures stay
+under ``metrics``): how far untouched jobs drift in the same runs, to
+read the claimed metric's change against.
 """
 
 from __future__ import annotations
@@ -120,12 +120,10 @@ def summarize(runs: dict, metrics: list) -> dict:
 
 
 def control(summary: dict, names: list) -> dict:
-    """The named metrics' median changes and pair wins in one workload's summary,
-    and the median of those changes."""
-    metrics = {name: {key: summary["metrics"][name][key] for key in ("median_change", "change_wins")}
-               for name in names}
-    return {"metrics": metrics,
-            "median_change": float(np.median([m["median_change"] for m in metrics.values()]))}
+    """The named metrics and the median of their median changes in one workload's summary."""
+    return {"metrics": names,
+            "median_change": float(np.median([summary["metrics"][name]["median_change"]
+                                              for name in names]))}
 
 
 def main(argv=None) -> int:
