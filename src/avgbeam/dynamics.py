@@ -6,8 +6,10 @@ Trajectories x(t) are parameterized by proper time t in meters (c = 1);
 velocities v = dx/dt live on the unit hyperboloid.  Every integrator
 here, and the ensemble oracle, advances x' = v, v' = accel(x, v) through
 one classical fixed-step RK4 kernel that calls accel at t_k, twice at
-t_k + h/2 and at t_k + h in every step, in that order; a right-hand side
-sees only the state it is handed, and an observer sees every grid point.
+t_k + h/2 and at t_k + h in every step, in that order, except where a
+field-free step is one add (a coast through drifts, _rk4); a right-hand
+side sees only the state it is handed, and an observer sees every grid
+point.
 A state is a list of parts, each advanced elementwise by the same
 expressions: one orbit's parts are its components as plain floats, and
 a cloud is one part, a (4, m) array whose rows are its components, one
@@ -363,15 +365,44 @@ def _rk4(accel, x, v, h, n, observe):
     operation for the whole cloud.  A right-hand side written over four
     components runs on the floats directly and on the cloud through
     _rows_accel; elementwise operations round alike either way.
-    Step k calls accel four times, at t_k, t_k + h/2, t_k + h/2 and
-    t_k + h in that order, each call returning a list of parts;
-    observe(k, x, v) sees every grid point k = 0..n.
+    Step k calls accel at t_k, t_k + h/2, t_k + h/2 and t_k + h in that
+    order, each call returning a list of parts; observe(k, x, v) sees
+    every grid point k = 0..n.  Parts are never changed in place.
+
+    Coasting through drifts.  An accel may carry in_drift(x, v, h), true
+    when x2 and x2 + h v2 of the state lie in [0, total_length] and
+    inside one run of consecutive drifts (_drift_test); rounding is
+    monotone, so those two bound the half-step position too.  That rests
+    on the accel's contract: it depends on the position only through the
+    lattice lookup, which gives every drift the same empty field, so in a
+    drift it returns what it returned at the same velocity anywhere in a
+    drift.  When a step's first call a1 is -0.0 in every part and h > 0,
+    v + h/2 a1 is v bit for bit, so every stage of a step whose
+    positions pass in_drift sees v, returns a1 again and leaves v as it
+    was: the step is x <- x + e with e = h/6 (v + 2 v + 2 v + v), the
+    plain step's own sum.  So the kernel computes e once, adds it at
+    every step that passes in_drift, calling no accel, and runs the
+    first step that fails as the plain four stages, where edges and
+    OutOfLattice are handled as ever.  A state whose a1 is anything
+    else, h <= 0 (where h/2 (-0.0) is +0.0 and would flip a -0.0
+    velocity component) or an accel without in_drift never coasts.
     """
     half = 0.5 * h
     sixth = h / 6.0
+    in_drift = getattr(accel, "in_drift", None) if h > 0.0 else None
     observe(0, x, v)
-    for k in range(n):
+    k = 0
+    while k < n:
         a1 = accel(x, v)
+        if in_drift is not None and _negative_zeros(a1) and in_drift(x, v, h):
+            e = [sixth * (q + 2.0 * q + 2.0 * q + q) for q in v]
+            while True:
+                x = [p + d for p, d in zip(x, e)]
+                k += 1
+                observe(k, x, v)
+                if k == n or not in_drift(x, v, h):
+                    break
+            continue
         v2 = [p + half * q for p, q in zip(v, a1)]
         a2 = accel([p + half * q for p, q in zip(x, v)], v2)
         v3 = [p + half * q for p, q in zip(v, a2)]
@@ -380,16 +411,51 @@ def _rk4(accel, x, v, h, n, observe):
         a4 = accel([p + h * q for p, q in zip(x, v3)], v4)
         x = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(x, v, v2, v3, v4)]
         v = [p + sixth * (q + 2.0 * r + 2.0 * s + u) for p, q, r, s, u in zip(v, a1, a2, a3, a4)]
-        observe(k + 1, x, v)
+        k += 1
+        observe(k, x, v)
+
+
+def _negative_zeros(parts) -> bool:
+    """Whether every entry of every part (floats or arrays) is -0.0."""
+    for p in parts:
+        if isinstance(p, float):
+            if p != 0.0 or math.copysign(1.0, p) > 0.0:
+                return False
+        elif not (np.signbit(p).all() and not p.any()):
+            return False
+    return True
+
+
+def _drift_test(lattice: Lattice):
+    """in_drift(x, v, h) for an accel whose lookup reads x2 = x[2] (a float or a
+    row): x2 and x2 + h v2 inside one run of drifts (Lattice.in_drift_run); None
+    when the lattice holds no drift, so its runs pay nothing."""
+    if max(lattice.drift_runs) < 0:
+        return None
+
+    def in_drift(x, v, h):
+        start = x[2]
+        end = start + h * v[2]
+        if isinstance(start, float):
+            lo, hi = (start, end) if start <= end else (end, start)
+        else:  # np.minimum and np.maximum keep a NaN, which fails the test
+            lo, hi = float(np.minimum(start, end).min()), float(np.maximum(start, end).max())
+        return lattice.in_drift_run(lo, hi)
+
+    return in_drift
 
 
 def _rows_accel(rhs):
     """rhs, written over four components, as the accel of one-part (4, m) states:
-    it gets the part's rows and its four returned rows are stacked."""
+    it gets the part's rows and its four returned rows are stacked.  rhs's
+    in_drift is forwarded on the part."""
 
     def accel(x, v):
         return [np.array(rhs(x[0], v[0]))]
 
+    test = getattr(rhs, "in_drift", None)
+    if test is not None:
+        accel.in_drift = lambda x, v, h: test(x[0], v[0], h)
     return accel
 
 
@@ -514,29 +580,19 @@ def _geodesic_accel(F, v, D1, D3):
     The point case keeps the monomial connection form -F v s(3 - s)/2,
     s = eta(v, v), which equals the force form on the hyperboloid; its
     factor is negated once, F v (-c) rounding as -(F v c).  In a
-    field-free element (F = ()) every product with F is the zero that
-    _matvec starts its sums from, so the four components are one value,
-    formed without the moment slots: zero (-c) in the point case and
-    -1/2 (p + p + zero), p = zero eta(first, v), in the averaged case,
-    bit for bit the full sums while the slots are finite.
+    field-free element (F = ()) every product with F is the +0.0 that
+    _matvec starts its sums from, so on the shell with finite slots each
+    component is -0.0, which lets the kernel coast through drifts (_rk4).
     """
     v0, v1, v2, v3 = v
     s = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     if D1 is None:
         c = -(s * (3.0 - s) * 0.5)
-        if not F:
-            a = (0.0 * v0 + 0.0) * c
-            return [a, a, a, a]
         f0, f1, f2, f3 = _matvec(F, v)
         return [f0 * c, f1 * c, f2 * c, f3 * c]
     e0, e1, e2, e3 = D1
     first = [v0 + e0, v1 + e1, v2 + e2, v3 + e3]
     fv = _mdot(first, v)
-    if not F:
-        zero = 0.0 * v0 + 0.0
-        p = zero * fv
-        a = -(0.5 * (p + p + zero))
-        return [a, a, a, a]
     Fv = _matvec(F, v)
     FM = _matvec(F, _moment(first, _third(v, D3, v, v, s * s), s))
     g0, g1, g2, g3 = _gamma_of(Fv, fv, Fv, fv, FM)
@@ -561,6 +617,7 @@ def _rhs_force(lattice: Lattice):
         r = math.sqrt(s) if s >= 0.0 else math.nan  # nan off the shell, without a warning
         return [-f * r for f in _matvec(field_entries(lattice, x[2], _lookup_xi(x)), v)]
 
+    rhs.in_drift = _drift_test(lattice)
     return rhs
 
 
@@ -570,6 +627,7 @@ def _rhs_geodesic(lattice: Lattice, D1=None, D3=None):
     def rhs(x, v):
         return _geodesic_accel(field_entries(lattice, x[2], _lookup_xi(x)), v, D1, D3)
 
+    rhs.in_drift = _drift_test(lattice)
     return rhs
 
 
@@ -794,6 +852,8 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
         # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot))
         return [r0, r1, r2, r3, -(2.0 * d0 + q0), -(2.0 * d1 + q1),
                 -(2.0 * d2 + q2), -(2.0 * d3 + q3)]
+
+    accel.in_drift = _drift_test(lattice)
 
     xis = np.empty((n + 1, 4))
     dxis = np.empty((n + 1, 4))

@@ -167,11 +167,12 @@ def _track_means(lattice: Lattice, ensembles, x0, t_end: float,
 
     The G m samples advance from x0 as one (4, G m) part of position and
     one of velocity through the RK4 kernel (_rows_accel), so each kernel
-    update is one numpy call for all clouds, and a stage that finds the
-    whole batch in a drift skips the force's moment algebra
-    (_geodesic_accel).  Every sample rounds as in its own run, and each
-    cloud's means are reduced along its own samples in the fixed order,
-    so every series is bit for bit that of a separate run of its cloud.
+    update is one numpy call for all clouds, and a step whose stages keep
+    the whole batch inside one run of drifts is one add, with no force
+    call (the kernel's coast, _rk4).  Every sample rounds as in its own
+    run, and each cloud's means are reduced along its own samples in the
+    fixed order, so every series is bit for bit that of a separate run
+    of its cloud.
 
     With lab_times None every mean is reduced at every grid point, and
     each cloud gets a TrajectorySeries.  Given the lab times a comparison

@@ -19,6 +19,7 @@ error.
 import math
 import os
 import subprocess
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -40,6 +41,7 @@ from avgbeam import (
     MomentSet,
     NonFiniteValue,
     NormalQuadDipole,
+    OutOfLattice,
     RFCavity,
     SkewQuadDipole,
     TrajectoryState,
@@ -562,6 +564,208 @@ def test_kernel_calls_accel_four_times_per_step_in_stage_order(x0):
         assert np.array_equal(got, np.array(x0) + t)
 
 
+# ---------------------------------------------------------------------------
+# coasting through drifts: the kernel against its own plain four stages
+
+def _plain(accel):
+    """accel without its drift test, so the kernel runs the four stages at every step."""
+    return lambda x, v: accel(x, v)
+
+
+def _state_bits(x, v):
+    return _bits(np.concatenate([np.ravel(p) for p in (*x, *v)]))
+
+
+def _kernel_run(accel, x, v, h, n):
+    """(step and bits of every observed state, the OutOfLattice message or None).
+
+    Every observed state is read again once the run is over, so a part the
+    kernel changed in place after handing it to the observer fails.
+    """
+    seen = []
+    error = None
+    try:
+        dynamics._rk4(accel, x, v, h, n, lambda k, x, v: seen.append((k, x, v, _state_bits(x, v))))
+    except OutOfLattice as exc:
+        error = str(exc)
+    for _, x, v, bits in seen:
+        assert np.array_equal(_state_bits(x, v), bits)
+    return [(k, bits) for k, _, _, bits in seen], error
+
+
+def _assert_coasts_as_plain(accel, x, v, h, n):
+    got, error = _kernel_run(accel, x, v, h, n)
+    want, want_error = _kernel_run(_plain(accel), x, v, h, n)
+    assert error == want_error
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _jacobi_accel(lattice, moments, launch, deviation, h, mode):
+    """The accel, launch x and launch v integrate_jacobi_full hands the kernel."""
+    grabbed = []
+    with mock.patch.object(dynamics, "_rk4", lambda accel, x, v, h, n, observe:
+                           grabbed.append((accel, x, v))):
+        integrate_jacobi_full(lattice, moments, launch, deviation, launch.t + h,
+                              IntegratorConfig(step=abs(h)), mode=mode)
+    return grabbed[0]
+
+
+_COAST_BEAM = compute_moments(sample_gaussian_beam([0.0, 1.0, 0.0], [0.01] * 3, n=40, seed=8))
+_SIGNED_SMALL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.05, 0.05))
+
+
+@st.composite
+def _coast_case(draw):
+    """(lattice, states, h, n): 1 to 4 launches near one another, on a line of drift
+    runs (drift | drift), quads and dipoles that may end in a drift."""
+    elements = []
+    for kind in draw(st.lists(st.sampled_from(["drift", "drift|drift", "quad", "dipole"]),
+                              min_size=1, max_size=5)):
+        length = st.floats(0.05, 0.4)
+        if kind == "quad":
+            elements.append(NormalQuadDipole(length=draw(length), b0=draw(st.floats(-0.3, 0.3)),
+                                             b1=draw(st.floats(-2.0, 2.0))))
+        elif kind == "dipole":
+            elements.append(Dipole(length=draw(length), b0=draw(st.floats(-1.0, 1.0))))
+        else:
+            elements += [Drift(length=draw(length)) for _ in kind.split("|")]
+    lattice = Lattice.from_elements(elements)
+    base = draw(st.floats(0.0, 1.0)) * lattice.total_length
+    spatial = [draw(_SIGNED_SMALL), draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                                                   st.floats(-1.5, 1.5))), draw(_SIGNED_SMALL)]
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        # each sample keeps a component of the first, its zero's sign too, or moves it a little
+        x2 = min(base + draw(st.sampled_from([0.0, 0.01, 0.03])), lattice.total_length)
+        x = [draw(st.floats(-1.0, 1.0)), draw(_SIGNED_SMALL), x2, draw(_SIGNED_SMALL)]
+        v = [c + draw(st.floats(-0.01, 0.01)) if draw(st.booleans()) else c for c in spatial]
+        states.append((x, project_to_hyperboloid(v).tolist()))
+    h = draw(st.sampled_from([0.01, 0.0125, -0.01]))
+    return lattice, states, h, draw(st.integers(10, 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_coast_case(), rhs_kind=st.sampled_from(["point", "force", "averaged", "jacobi"]),
+       form=st.sampled_from(["float", "four-column", "one-part"]),
+       mode=st.sampled_from(["full", "linearized"]), scale=st.sampled_from([1.0, 1.0, 1.0, 2.5]))
+def test_coasting_equals_plain_stepping_bit_for_bit(case, rhs_kind, form, mode, scale):
+    # every observed state, zero signs included, and the step and message of
+    # an OutOfLattice equal those of the same right-hand side without its
+    # drift test; clouds straddle element edges, a negative h never coasts.
+    # Off the shell at eta(v, v) = 6.25 the point force in a drift is +0.0,
+    # which turns a -0.0 velocity component to +0.0, so that state never coasts.
+    lattice, states, h, n = case
+    if rhs_kind == "jacobi":
+        (x, v), dxi = states[0], [1e-3, -0.0, 2e-3, 0.0]
+        launch = TrajectoryState(0.0, np.array(x), np.array(v))
+        deviation = JacobiState(0.0, np.array([0.0, 1e-3, -1e-3, 0.0]), np.array(dxi))
+        accel, x, v = _jacobi_accel(lattice, _COAST_BEAM, launch, deviation, h, mode)
+        _assert_coasts_as_plain(accel, x, v, h, n)
+        return
+    states = [(x, [scale * c for c in v]) for x, v in states]
+    if rhs_kind == "force":  # written for one orbit's floats only
+        rhs, form = dynamics._rhs_force(lattice), "float"
+    else:
+        slots = _frozen_slots(_COAST_BEAM, states[0][1]) if rhs_kind == "averaged" else ()
+        rhs = _rhs_geodesic(lattice, *slots)
+    if form == "float":
+        _assert_coasts_as_plain(rhs, *states[0], h, n)
+        return
+    xc, vc = (np.ascontiguousarray(np.array([s[i] for s in states]).T) for i in (0, 1))
+    if form == "four-column":
+        _assert_coasts_as_plain(rhs, [*xc], [*vc], h, n)
+    else:
+        _assert_coasts_as_plain(_rows_accel(rhs), [xc], [vc], h, n)
+
+
+@pytest.mark.parametrize("rhs_kind, form", [
+    ("point", "float"), ("point", "four-column"), ("point", "one-part"), ("force", "float"),
+    ("averaged", "float"), ("averaged", "four-column"), ("averaged", "one-part")])
+def test_coast_past_the_last_drift_raises_as_plain_stepping(rhs_kind, form):
+    # quad | drift | drift: the run coasts through both drifts and leaves the
+    # lattice; OutOfLattice comes at the same step with the same message
+    lattice = Lattice.from_elements([NormalQuadDipole(length=0.3, b0=0.1, b1=1.0),
+                                     Drift(length=0.4), Drift(length=0.5)])
+    v = project_to_hyperboloid([1e-3, 1.0, -0.0]).tolist()
+    x = [0.0, 1e-3, 0.25, 0.0]
+    slots = _frozen_slots(_COAST_BEAM, v) if rhs_kind == "averaged" else ()
+    rhs = dynamics._rhs_force(lattice) if rhs_kind == "force" else _rhs_geodesic(lattice, *slots)
+    if form == "float":
+        accel, x, v = rhs, x, v
+    elif form == "four-column":
+        accel, x, v = rhs, [np.array([c, c]) for c in x], [np.array([c, c]) for c in v]
+    else:
+        accel, x, v = _rows_accel(rhs), [np.array([x, x]).T], [np.array([v, v]).T]
+    got, error = _kernel_run(accel, x, v, 0.01, 150)
+    want, want_error = _kernel_run(_plain(accel), x, v, 0.01, 150)
+    assert error is not None and error == want_error
+    assert len(got) == len(want) < 151
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_state_whose_first_stage_is_not_negative_zero_never_coasts():
+    # off the shell, eta(v, v) = 6.25, the point force in a drift is +0.0;
+    # the plain step turns v1 = -0.0 into +0.0, and coasting would keep it
+    lattice = Lattice.from_elements([Drift(length=2.0)])
+    rhs = _rhs_geodesic(lattice)
+    x, v = [0.0, -0.0, 0.1, 0.0], [2.5 * c for c in project_to_hyperboloid([-0.0, 1.0, 0.0])]
+    assert _bits(rhs(x, v)).tolist() == _bits([0.0] * 4).tolist()
+    _assert_coasts_as_plain(rhs, x, v, 0.01, 10)
+    seen = []
+    dynamics._rk4(rhs, x, v, 0.01, 10, lambda k, x, v: seen.append(v[1]))
+    assert math.copysign(1.0, seen[-1]) == 1.0
+
+
+def _counted_lookups(run):
+    """Field lookups the integrators make during run()."""
+    with mock.patch.object(dynamics, "field_entries", wraps=dynamics.field_entries) as lookups:
+        run()
+    return lookups.call_count
+
+
+@pytest.mark.parametrize("elements, per_step", [
+    ([Drift(length=2.0)], 0), ([Drift(length=0.7), Drift(length=1.3)], 0),
+    ([NormalQuadDipole(length=2.0, b0=0.1, b1=0.5)], 4)], ids=["drift", "drift|drift", "quad"])
+def test_drift_run_makes_one_lookup_not_four_a_step(elements, per_step):
+    # work, not time: 150 steps of h = 0.01 inside a 2 m run of drifts look
+    # the field up once, for the first step's first stage; a quad looks it
+    # up at every stage
+    lattice = Lattice.from_elements(elements)
+    launch = TrajectoryState(0.0, np.array([0.0, 1e-3, 0.1, -1e-3]),
+                             project_to_hyperboloid([1e-3, 1.0, -1e-3]))
+    ens = sample_gaussian_beam([0.0, 1.0, 0.0], [0.01] * 3, n=20, seed=3)
+    runs = [
+        lambda: integrate_lorentz(lattice, launch, 1.5, _CFG),
+        lambda: integrate_lorentz(lattice, launch, 1.5, _CFG, form="force"),
+        lambda: integrate_averaged_geodesic(lattice, compute_moments(ens), launch, 1.5, _CFG),
+        lambda: integrate_jacobi_full(lattice, compute_moments(ens), launch, _DEVIATION, 1.5, _CFG),
+        lambda: ensemble_track(lattice, ens, launch.x, 1.5, _CFG),
+    ]
+    for run in runs:
+        assert _counted_lookups(run) == (per_step * 150 or 1)
+
+
+def test_lattice_without_a_drift_gives_no_drift_test():
+    lattice = Lattice.from_elements([Dipole(length=25.0, b0=0.05)])
+    assert lattice.drift_runs == (-1,)
+    assert _rhs_geodesic(lattice).in_drift is None
+    assert not hasattr(_rows_accel(_rhs_geodesic(lattice)), "in_drift")
+
+
+def test_drift_runs_name_the_last_drift_of_each_run():
+    q = NormalQuadDipole(length=0.5, b0=0.0, b1=1.0)
+    lattice = Lattice.from_elements([Drift(length=0.5), Drift(length=0.5), q, Drift(length=0.5),
+                                     q, Drift(length=0.25), Drift(length=0.25)])
+    assert lattice.drift_runs == (1, 1, -1, 3, -1, 6, 6)
+    assert lattice.in_drift_run(0.0, 0.99) and lattice.in_drift_run(1.5, 1.99)
+    assert not lattice.in_drift_run(0.9, 1.0)  # x2 = 1.0 is the quad's entry
+    assert lattice.in_drift_run(2.5, 3.0) and not lattice.in_drift_run(2.5, 3.0 + 1e-12)
+    assert not lattice.in_drift_run(-1e-12, 0.5) and not lattice.in_drift_run(math.nan, 0.5)
+
+
 _FLOAT_ORBIT_LATTICES = {
     "dipole": [Dipole(length=2.0, b0=0.5)],
     "fodo": [NormalQuadDipole(length=0.5, b0=0.2, b1=1.5), Drift(length=0.5),
@@ -946,15 +1150,17 @@ _SIGNED_SPATIAL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0)
     averaged=st.booleans(),
 )
 def test_field_free_force_equals_the_full_sums_bit_for_bit(spatial, off, d1, d3, averaged):
-    # explicit zero entries take the full path through the moment slots; a
-    # drift's () skips them and must give the same bits, zero signs included,
-    # for each state as floats and for all of them as one-entry-per-state columns
+    # a drift's () gives the bits of explicit zero entries, zero signs
+    # included, for each state as floats and for all of them as
+    # one-entry-per-state columns: -0.0 in every component near the shell,
+    # the first-stage value on which the kernel coasts through drifts
     states = [(project_to_hyperboloid(p) * (1.0 + off)).tolist() for p in spatial]
     D1, D3 = (d1, np.reshape(d3, (4, 16)).tolist()) if averaged else (None, None)
     zeros = ((1, 2, 0.0), (2, 1, -0.0))
     for v in [*states, [np.array(c) for c in zip(*states)]]:
         short = _geodesic_accel((), v, D1, D3)
         assert np.array_equal(_bits(short), _bits(_geodesic_accel(zeros, v, D1, D3)))
+        assert dynamics._negative_zeros(short)
 
 
 def _every_kind_line(scale):
@@ -977,7 +1183,7 @@ def test_cloud_rows_equal_float_runs_bit_for_bit_on_every_element_kind(n, sigma,
     # every bit compared, zero signs included; rows launched 1 cm apart
     # straddle an edge at nearly every stage, so the cloud takes the masked
     # per-element lookup.  On the drift | quad_dipole line a cloud of two
-    # starts wholly in the drift, whose force skips the moment slots.
+    # starts wholly in the drift.
     ens = sample_gaussian_beam([0.0, 1.0, 0.0], [sigma] * 3, n=n, seed=seed)
     x0 = np.array([[0.0, 2e-3, 0.08 + 0.01 * a, -1e-3] for a in range(n)])
     xc, vc = np.ascontiguousarray(x0.T), np.ascontiguousarray(ens.ys.T)
