@@ -369,23 +369,20 @@ def _rk4(accel, x, v, h, n, observe):
     order, each call returning a list of parts; observe(k, x, v) sees
     every grid point k = 0..n.  Parts are never changed in place.
 
-    Coasting through drifts.  An accel may carry in_drift(x, v, h), true
-    when x2 and x2 + h v2 of the state lie in [0, total_length] and
-    inside one run of consecutive drifts (_drift_test); rounding is
-    monotone, so those two bound the half-step position too.  That rests
-    on the accel's contract: it depends on the position only through the
-    lattice lookup, which gives every drift the same empty field, so in a
-    drift it returns what it returned at the same velocity anywhere in a
-    drift.  When a step's first call a1 is -0.0 in every part and h > 0,
-    v + h/2 a1 is v bit for bit, so every stage of a step whose
-    positions pass in_drift sees v, returns a1 again and leaves v as it
-    was: the step is x <- x + e with e = h/6 (v + 2 v + 2 v + v), the
-    plain step's own sum.  So the kernel computes e once, adds it at
-    every step that passes in_drift, calling no accel, and runs the
-    first step that fails as the plain four stages, where edges and
-    OutOfLattice are handled as ever.  A state whose a1 is anything
-    else, h <= 0 (where h/2 (-0.0) is +0.0 and would flip a -0.0
-    velocity component) or an accel without in_drift never coasts.
+    Coasting through drifts.  An accel may carry in_drift(x, v, h)
+    (_drift_test): x2 and x2 + h v2 lie in [0, total_length] inside one
+    run of consecutive drifts, which bounds the half-step position too,
+    rounding being monotone.  The contract it rests on: an accel depends
+    on the position only through the lattice lookup, which gives every
+    drift the same empty field, and returns -0.0 there near the shell.
+    When a step's first call is -0.0 in every part and h > 0, v + h/2
+    (-0.0) is v bit for bit, every stage of a step that passes in_drift
+    returns -0.0 again, and the step is x <- x + e, e = h/6 (v + 2 v +
+    2 v + v), with v unchanged.  The kernel forms e once and adds it at
+    each step that passes, calling no accel; the first step that fails
+    runs the four stages, so edges and OutOfLattice come out as ever.
+    h <= 0 never coasts: h/2 (-0.0) is +0.0 there and would flip a -0.0
+    velocity component.
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -421,7 +418,7 @@ def _negative_zeros(parts) -> bool:
         if isinstance(p, float):
             if p != 0.0 or math.copysign(1.0, p) > 0.0:
                 return False
-        elif not (np.signbit(p).all() and not p.any()):
+        elif p.any() or not np.signbit(p).all():
             return False
     return True
 

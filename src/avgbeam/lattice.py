@@ -244,15 +244,12 @@ def curvature_radius(element: Element) -> float:
 @dataclass(frozen=True)
 class Lattice:
     """Nonempty element tuple laid end to end from x2 = 0; the lengths fix boundaries
-    (exits, read-only), total_length, inner_edges (between elements, as floats) and
-    drift_runs (for each element, the index of the last drift in its run of
-    consecutive drifts, -1 for an element that is no drift)."""
+    (exits, read-only), total_length and inner_edges (between elements, as floats)."""
 
     elements: tuple
     boundaries: np.ndarray = field(init=False, compare=False)
     total_length: float = field(init=False, compare=False)
     inner_edges: list = field(init=False, repr=False, compare=False)
-    drift_runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -262,11 +259,6 @@ class Lattice:
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "total_length", float(bounds[-1]))
         object.__setattr__(self, "inner_edges", bounds[:-1].tolist())
-        runs, last = [], -1
-        for i in reversed(range(len(self.elements))):
-            last = (i if last < 0 else last) if isinstance(self.elements[i], Drift) else -1
-            runs.append(last)
-        object.__setattr__(self, "drift_runs", tuple(reversed(runs)))
 
     @classmethod
     def from_elements(cls, elements) -> "Lattice":
@@ -279,6 +271,16 @@ class Lattice:
 
     def min_length(self) -> float:
         return min(e.length for e in self.elements)
+
+    @functools.cached_property
+    def drift_runs(self) -> tuple:
+        """For each element, the index of the last drift in its run of consecutive
+        drifts, -1 for an element that is no drift; formed on first use."""
+        runs, last = [], -1
+        for i in reversed(range(len(self.elements))):
+            last = (i if last < 0 else last) if isinstance(self.elements[i], Drift) else -1
+            runs.append(last)
+        return tuple(reversed(runs))
 
     def in_drift_run(self, lo: float, hi: float) -> bool:
         """Whether [lo, hi] lies in [0, total_length] and inside one run of consecutive
