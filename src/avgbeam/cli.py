@@ -18,31 +18,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import (
-    IntegratorConfig,
-    JacobiState,
-    TrajectoryState,
-    _write_rows,
-    comoving_moments_along,
-    integrate_averaged_geodesic,
-    integrate_jacobi_full,
-    integrate_longitudinal,
-    integrate_lorentz,
-    integrate_transverse_linear,
-    write_jacobi_csv,
-    write_trajectory_csv,
-)
-from .ensemble import (
-    compute_moments,
-    energy_stats,
-    parse_beam_definition,
-    project_to_hyperboloid,
-    realize_beam,
-)
 from .errors import AvgBeamError
-from .lattice import load_lattice, optics_profiles
-from .observables import averaged_offset, dispersion, principal_solutions
-from .oracle import gaussian_beam_family, theorem1_scan, validate_field_gradients
 
 
 def _finite(text: str) -> float:
@@ -68,6 +44,8 @@ def _alpha_list(text: str):
 
 
 def _load_beam(path: str):
+    from .ensemble import parse_beam_definition
+
     with open(path) as fh:
         return parse_beam_definition(fh.read())
 
@@ -164,6 +142,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def _averaged_launch(args):
     """The beam's moments, the launch on their projected mean velocity, the config."""
+    from .dynamics import IntegratorConfig, TrajectoryState
+    from .ensemble import compute_moments, project_to_hyperboloid, realize_beam
+
     moments = compute_moments(realize_beam(_load_beam(args.beam)))
     v0 = project_to_hyperboloid(moments.first[1:4])
     return moments, TrajectoryState(t=0.0, x=np.zeros(4), v=v0), IntegratorConfig(step=args.step)
@@ -175,8 +156,17 @@ def _write_json(path, payload):
 
 
 def _run(args) -> int:
-    lattice = load_lattice(args.lattice) if args.command != "moments" else None
+    # each job imports only the modules it runs, so a process pays for no other job's
+    lattice = None
+    if args.command != "moments":
+        from .lattice import load_lattice
+
+        lattice = load_lattice(args.lattice)
     if args.command == "track":
+        from .dynamics import (
+            IntegratorConfig, TrajectoryState, integrate_lorentz, write_trajectory_csv,
+        )
+
         defn = _load_beam(args.beam)
         cfg = IntegratorConfig(step=args.step)
         state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
@@ -184,11 +174,15 @@ def _run(args) -> int:
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
+        from .dynamics import integrate_averaged_geodesic, write_trajectory_csv
+
         moments, launch, cfg = _averaged_launch(args)
         series = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "jacobi":
+        from .dynamics import JacobiState, integrate_jacobi_full, write_jacobi_csv
+
         moments, launch, cfg = _averaged_launch(args)
         xi_run = integrate_jacobi_full(
             lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
@@ -197,6 +191,10 @@ def _run(args) -> int:
         write_jacobi_csv(xi_run, args.out)
 
     elif args.command == "transverse":
+        from .dynamics import (
+            IntegratorConfig, JacobiState, integrate_transverse_linear, write_jacobi_csv,
+        )
+
         series = integrate_transverse_linear(
             lattice.elements[0], args.rho,
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
@@ -205,6 +203,10 @@ def _run(args) -> int:
         write_jacobi_csv(series, args.out)
 
     elif args.command == "longitudinal":
+        from .dynamics import (
+            IntegratorConfig, JacobiState, integrate_longitudinal, write_jacobi_csv,
+        )
+
         series = integrate_longitudinal(
             lattice.elements[0], args.gamma,
             JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
@@ -213,6 +215,8 @@ def _run(args) -> int:
         write_jacobi_csv(series, args.out)
 
     elif args.command == "moments":
+        from .ensemble import compute_moments, energy_stats, realize_beam
+
         defn = _load_beam(args.beam)
         ens = realize_beam(defn)
         moments = compute_moments(ens)
@@ -227,6 +231,9 @@ def _run(args) -> int:
         _write_json(args.out, payload)
 
     elif args.command == "offset":
+        from .dynamics import _write_rows, comoving_moments_along, integrate_averaged_geodesic
+        from .observables import averaged_offset
+
         moments, launch, cfg = _averaged_launch(args)
         reference = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         along = comoving_moments_along(reference, moments)
@@ -235,6 +242,10 @@ def _run(args) -> int:
                     [off.t, off.off1, off.off3, off.avg1, off.avg3])
 
     elif args.command == "dispersion":
+        from .dynamics import _write_rows
+        from .lattice import optics_profiles
+        from .observables import dispersion, principal_solutions
+
         grid, K, inv_rho = optics_profiles(lattice, "horizontal", args.step)
         ps = principal_solutions(grid, K)
         del grid, K  # ps holds copies of both; freed, they stay out of the job's peak memory
@@ -242,6 +253,9 @@ def _run(args) -> int:
         _write_rows(args.out, "t,C,S,D,off", [ps.t, ps.C, ps.S, result.D, result.offset])
 
     elif args.command == "scan-alpha":
+        from .dynamics import IntegratorConfig
+        from .oracle import gaussian_beam_family, theorem1_scan
+
         mean_spatial = np.array([0.0, np.sqrt(args.gamma * args.gamma - 1.0), 0.0])
         family = gaussian_beam_family(mean_spatial, n=args.n, seed=args.seed)
         report = theorem1_scan(lattice, family, args.alphas, args.span,
@@ -250,6 +264,8 @@ def _run(args) -> int:
             fh.write(report.to_json() + "\n")
 
     elif args.command == "validate":
+        from .oracle import validate_field_gradients
+
         probes = []
         starts = np.concatenate(([0.0], lattice.boundaries[:-1]))
         for start, el in zip(starts, lattice.elements):

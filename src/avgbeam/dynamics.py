@@ -53,7 +53,12 @@ index order.  One orbit runs it on plain floats, which its right-hand
 side receives and returns as lists; a batch (a cloud, a stored series)
 on contiguous (n,) columns, one per component (a cloud's are the rows
 of its one-part state).  A float rounds as one element of a column, so
-batching does not change the bits.  Each
+batching does not change the bits.  The one exception is the direct
+force form a = -F v sqrt(eta(v, v)) (_rhs_force, behind
+integrate_lorentz(form="force")): it takes one orbit's floats only, as
+its shell test and math.sqrt are scalar, because it serves only as
+acceptance criterion 04's single-orbit check of the connection form.
+Each
 function unpacks its components into locals once and writes its sums
 out term by term, and a value one evaluation uses twice (eta(v, v),
 F v, eta(first, v), the moment slot the Jacobi terms share) is formed
@@ -607,7 +612,7 @@ def _lookup_xi(x):
 
 
 def _rhs_force(lattice: Lattice):
-    """Direct force form: a = -F v sqrt(eta(v, v))."""
+    """Direct force form: a = -F v sqrt(eta(v, v)), for one orbit's floats only."""
 
     def rhs(x, v):
         s = _mdot(v, v)

@@ -1,9 +1,13 @@
 """Shared fixtures: small lattices and integrator configs reused across tests."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import avgbeam
 from avgbeam import (
     Dipole,
     Drift,
@@ -19,6 +23,14 @@ SQRT2 = np.sqrt(2.0)
 # database, so every run of the suite tests the same inputs.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+# Hypothesis also draws from a pool of the literals in every loaded local
+# module, and rebuilds that pool whenever a module is loaded.  avgbeam
+# loads its modules on first use, so load them all before the first test:
+# the pool, and with it the examples drawn, then depend only on the code,
+# not on which tests ran first or which names they touched.
+for _module in pkgutil.iter_modules(avgbeam.__path__):
+    importlib.import_module(f"avgbeam.{_module.name}")
 
 
 @pytest.fixture

@@ -89,3 +89,49 @@ def test_benchmark_csv_headers_are_the_cli_headers(tmp_path):
         out = tmp_path / f"{kind}.csv"
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text().partition("\n")[0] == checks.HEADERS[kind]
+
+
+def test_tracer_reaches_the_names_the_cli_imports_inside_jobs(tmp_path):
+    # The CLI imports a job's library names inside the job, so the only
+    # wrapper those calls meet is the one the tracer set in the defining
+    # module.  As in a traced benchmark run, every job kind runs once
+    # before the tracer patches in.
+    lat, rf, beam = tmp_path / "one.lat", tmp_path / "rf.lat", tmp_path / "gauss.beam"
+    lat.write_text("element dipole length=25.0 b0=0.05\n")
+    rf.write_text("element rf length=2.0 e2_0=1.0 w_rf=3.0\n")
+    beam.write_text("distribution=gaussian\nmean=0,10,0\nsigma=0.01,0.01,0.01\nn=50\nseed=7\n")
+    orbit = ["--lattice", str(lat), "--step", "0.01", "--span", "0.05"]
+    deviation = ["--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"]
+    jobs = {
+        "track": ["track", *orbit, "--beam", str(beam)],
+        "avg-track": ["avg-track", *orbit, "--beam", str(beam)],
+        "jacobi": ["jacobi", *orbit, "--beam", str(beam), *deviation],
+        "offset": ["offset", *orbit, "--beam", str(beam)],
+        "transverse": ["transverse", *orbit, *deviation],
+        "longitudinal": ["longitudinal", *orbit, *deviation, "--lattice", str(rf)],
+        "moments": ["moments", "--beam", str(beam)],
+        "dispersion": ["dispersion", "--lattice", str(lat), "--step", "0.01", "--delta", "1e-3"],
+        "scan-alpha": ["scan-alpha", "--lattice", str(lat), "--alphas", "0.02,0.01,0.005",
+                       "--span", "0.05", "--seed", "7", "--n", "20", "--step", "0.01"],
+        "validate": ["validate", "--lattice", str(lat)],
+    }
+    for kind, argv in jobs.items():
+        assert main([*argv, "--out", str(tmp_path / kind)]) == 0, kind
+    dynamics = importlib.import_module("avgbeam.dynamics")
+    original = dynamics.integrate_lorentz
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    tracer.patch()
+    try:
+        for kind in ("track", "dispersion", "scan-alpha"):
+            assert main([*jobs[kind], "--out", str(tmp_path / kind)]) == 0, kind
+    finally:
+        tracer.restore()
+    assert dynamics.integrate_lorentz is original
+    totals = spans.layer_totals(tracer.spans)
+    for name in ("lattice.load_lattice", "dynamics.lorentz", "dynamics.write_csv",
+                 "observables.principal_solutions", "oracle.theorem1_scan"):
+        assert name in totals, name
+    assert totals["lattice.load_lattice"]["calls"] == 3
+    assert totals["dynamics.lorentz"]["units"] == 5  # grid steps of the 0.05 span at 0.01
+    assert totals["dynamics.write_csv"]["units"] == (tmp_path / "track").stat().st_size
