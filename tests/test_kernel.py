@@ -520,11 +520,14 @@ def test_block_writer_mends_every_layout_in_every_block(tmp_path):
 
 
 def test_import_does_not_load_orjson():
-    # orjson is imported by the first CSV write, not by import avgbeam
+    # orjson is imported by the first CSV write, not by importing any module
     src = os.path.dirname(os.path.dirname(dynamics.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, avgbeam; print('orjson' in sys.modules)"],
+        [sys.executable, "-c", "import importlib, pkgutil, sys, avgbeam\n"
+         "for m in pkgutil.iter_modules(avgbeam.__path__):\n"
+         "    importlib.import_module('avgbeam.' + m.name)\n"
+         "print('orjson' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

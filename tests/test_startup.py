@@ -83,17 +83,6 @@ def test_import_avgbeam_loads_no_module():
     assert _fresh(f"import json, sys, avgbeam; print(json.dumps({_LOADED}))") == ["avgbeam"]
 
 
-def test_no_module_loads_scipy_or_orjson_when_imported():
-    # orjson is loaded by the first CSV write, scipy by nothing
-    code = ("import importlib, json, pkgutil, sys, avgbeam\n"
-            "for m in pkgutil.iter_modules(avgbeam.__path__):\n"
-            "    importlib.import_module('avgbeam.' + m.name)\n"
-            f"print(json.dumps({_LOADED}))")
-    loaded = _fresh(code)
-    assert "avgbeam.cli" in loaded
-    assert [m for m in loaded if m.partition(".")[0] != "avgbeam"] == []
-
-
 def test_every_export_is_the_object_its_module_defines():
     code = """
 import importlib, json, sys, avgbeam
