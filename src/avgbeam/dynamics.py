@@ -890,16 +890,34 @@ def _hill_map(K, tau):
 
     C and S are the cosine-like and sine-like solutions, C(0) = S'(0) = 1
     and C'(0) = S(0) = 0: cos/sin for K > 0, cosh/sinh for K < 0, the
-    drift for K == 0, and rows of nan for a non-finite K.
+    drift for K == 0 (-0.0 included), and rows of nan for a non-finite K.
+    K is a float, or an array the shape of tau giving each entry its own
+    K; then each sign class is evaluated once over its own entries, every
+    entry bit for bit the float call's.
     """
+    if isinstance(K, np.ndarray):
+        finite = np.isfinite(K)
+        # four separate rows, not one (4, ...) block, each filled a row at a
+        # time: a boolean index on both axes of a block is slower
+        rows = tuple(np.full(np.shape(tau), math.nan) for _ in range(4))  # non-finite K: nan
+        for sign, cls in ((1.0, finite & (K > 0.0)), (-1.0, finite & (K < 0.0)), (0.0, K == 0.0)):
+            if cls.any():
+                for row, value in zip(rows, _hill_class(sign, np.sqrt(np.abs(K[cls])), tau[cls])):
+                    row[cls] = value
+        return rows
     if not math.isfinite(K):
         nan = np.full(np.shape(tau), math.nan)
         return nan, nan, nan, nan
-    if K == 0.0:
+    return _hill_class(K, math.sqrt(abs(K)), tau)
+
+
+def _hill_class(sign, w, tau):
+    """_hill_map's (C, C', S, S') for K of the sign of the float ``sign``, w = sqrt|K|
+    a float or a column along tau."""
+    if sign == 0.0:
         one = np.ones(np.shape(tau))
         return one, np.zeros(np.shape(tau)), tau, one
-    w = math.sqrt(abs(K))
-    if K > 0.0:
+    if sign > 0.0:
         c, s = np.cos(w * tau), np.sin(w * tau)
         return c, -w * s, s / w, c
     c, s = np.cosh(w * tau), np.sinh(w * tau)

@@ -67,10 +67,12 @@ class Element(ABC):
 
     def __post_init__(self):
         for name in _field_names(type(self)):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not float:  # a float is kept as it is
+                value = float(value)
+                setattr(self, name, value)
             if not math.isfinite(value):
                 raise NonFiniteValue(f"{self.kind} {name} must be finite, got {value}")
-            setattr(self, name, value)
         if not self.length > 0.0:
             raise NegativeLength(f"element length must be positive, got {self.length}")
 
@@ -370,52 +372,90 @@ def field_at(lattice: Lattice, x, xi=None) -> FieldSample:
 # each kind's class and the keys it takes after length
 _KINDS = {cls.kind: (cls, _field_names(cls)[1:]) for cls in (Drift, Dipole, NormalQuadDipole,
                                                              SkewQuadDipole, ConstantE, RFCavity)}
+# each kind's class and its keys, length first, each with its '='
+_PREFIXES = {kind: (cls, tuple(f"{name}=" for name in _field_names(cls)))
+             for kind, (cls, _) in _KINDS.items()}
 
 
 def parse_lattice(text: str) -> Lattice:
-    """Parse the element-per-line lattice format into a Lattice."""
-    elements = []
+    """Parse the element-per-line lattice format into a Lattice.
+
+    A lattice repeats its cells, so each distinct line is read once
+    (_read_line) and every line equal to it builds its element from the
+    same class and values.
+    """
+    elements, read = [], {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "element":
-            raise ParseError(ln, f"expected 'element', got '{tokens[0]}'")
-        if len(tokens) < 2:
-            raise ParseError(ln, "missing element kind")
-        kind = tokens[1]
-        if kind not in _KINDS:
-            raise ParseError(ln, f"unknown element kind '{kind}'")
-        cls, param_names = _KINDS[kind]
-        kv = {}
-        for tok in tokens[2:]:
-            if "=" not in tok:
-                raise ParseError(ln, f"expected key=value, got '{tok}'")
-            key, _, value = tok.partition("=")
-            if key in kv:
-                raise DuplicateKey(ln, f"duplicate key '{key}'")
-            try:
-                kv[key] = float(value)
-            except ValueError:
-                raise ParseError(ln, f"non-numeric value for '{key}': '{value}'") from None
-            if not math.isfinite(kv[key]):
-                raise ParseError(ln, f"non-finite value for '{key}': '{value}'")
-        if "length" not in kv:
-            raise ParseError(ln, "missing required key 'length'")
-        length = kv.pop("length")
-        if not length > 0.0:
-            raise NegativeLength(f"line {ln}: element length must be positive, got {length}")
-        missing = [p for p in param_names if p not in kv]
-        if missing:
-            raise ParseError(ln, f"kind '{kind}' requires key '{missing[0]}'")
-        extra = [k for k in kv if k not in param_names]
-        if extra:
-            raise ParseError(ln, f"key '{extra[0]}' not valid for kind '{kind}'")
-        elements.append(cls(length, *[kv[p] for p in param_names]))
+        if raw not in read:
+            read[raw] = _read_line(ln, raw)
+        if read[raw]:
+            cls, values = read[raw]
+            elements.append(cls(*values))
     if not elements:
         raise ParseError(0, "lattice file defines no elements")
     return Lattice.from_elements(elements)
+
+
+def _read_line(ln: int, raw: str):
+    """(class, field values) of a line's element, None for a blank or comment line.
+
+    A line giving its kind's keys once each in field order, length first,
+    is read in one pass; any other, or one whose values are not all finite
+    or whose length is not positive, goes through _checked_line.
+    """
+    tokens = raw.split("#", 1)[0].split()
+    if not tokens:
+        return None
+    if tokens[0] == "element" and len(tokens) > 1 and tokens[1] in _PREFIXES:
+        cls, prefixes = _PREFIXES[tokens[1]]
+        try:
+            values = [float(tok[len(p):]) for tok, p in zip(tokens[2:], prefixes)
+                      if tok.startswith(p)]
+        except ValueError:
+            values = []
+        # a finite sum means finite values; one that overflows takes the long way
+        if len(values) == len(prefixes) == len(tokens) - 2 and math.isfinite(sum(values)) \
+                and values[0] > 0.0:
+            return cls, values
+    return _checked_line(ln, tokens)
+
+
+def _checked_line(ln: int, tokens):
+    """(class, field values) of a line's tokens, checked key by key: ParseError,
+    DuplicateKey or NegativeLength names the first fault and the line."""
+    if tokens[0] != "element":
+        raise ParseError(ln, f"expected 'element', got '{tokens[0]}'")
+    if len(tokens) < 2:
+        raise ParseError(ln, "missing element kind")
+    kind = tokens[1]
+    if kind not in _KINDS:
+        raise ParseError(ln, f"unknown element kind '{kind}'")
+    cls, param_names = _KINDS[kind]
+    kv = {}
+    for tok in tokens[2:]:
+        if "=" not in tok:
+            raise ParseError(ln, f"expected key=value, got '{tok}'")
+        key, _, value = tok.partition("=")
+        if key in kv:
+            raise DuplicateKey(ln, f"duplicate key '{key}'")
+        try:
+            kv[key] = float(value)
+        except ValueError:
+            raise ParseError(ln, f"non-numeric value for '{key}': '{value}'") from None
+        if not math.isfinite(kv[key]):
+            raise ParseError(ln, f"non-finite value for '{key}': '{value}'")
+    if "length" not in kv:
+        raise ParseError(ln, "missing required key 'length'")
+    length = kv.pop("length")
+    if not length > 0.0:
+        raise NegativeLength(f"line {ln}: element length must be positive, got {length}")
+    missing = [p for p in param_names if p not in kv]
+    if missing:
+        raise ParseError(ln, f"kind '{kind}' requires key '{missing[0]}'")
+    extra = [k for k in kv if k not in param_names]
+    if extra:
+        raise ParseError(ln, f"key '{extra[0]}' not valid for kind '{kind}'")
+    return cls, [length, *[kv[p] for p in param_names]]
 
 
 def load_lattice(path) -> Lattice:
@@ -437,16 +477,15 @@ def _aligned_grid(lattice: Lattice, step: float):
         raise MismatchedSampling(
             f"step {step} does not divide the lattice length {lattice.total_length}"
         )
-    starts = []
-    for b in lattice.inner_edges:
-        k = round(b / step)
-        if abs(k * step - b) > 1e-9:
-            raise MismatchedSampling(
-                f"element boundary at {b} is not aligned to step {step}"
-            )
-        starts.append(k)
-    samples = np.arange(n + 1)
-    return samples * step, np.searchsorted(starts, samples, side="right")
+    edges = lattice.boundaries[:-1]
+    starts = np.round(edges / step)  # half to even, as round() rounds
+    misaligned = np.flatnonzero(np.abs(starts * step - edges) > 1e-9)
+    if len(misaligned):
+        raise MismatchedSampling(f"element boundary at {lattice.inner_edges[misaligned[0]]} "
+                                 f"is not aligned to step {step}")
+    # element e owns the samples from its entry index to the next element's
+    counts = np.diff(starts, prepend=0.0, append=n + 1.0).astype(int)
+    return np.arange(n + 1) * step, np.repeat(np.arange(len(counts)), counts)
 
 
 def _element_k(lattice: Lattice, plane: str) -> list:

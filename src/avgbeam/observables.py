@@ -30,7 +30,7 @@ from .dynamics import (
     _check_common_grid,
     _comoving_third,
     _directional,
-    _hill_rows,
+    _hill_map,
     _matvec,
     _mdot,
     _moment,
@@ -71,7 +71,8 @@ class PrincipalSolutions:
             raise WronskianDrift(f"Wronskian deviates from 1 by {drift}")
 
     def wronskian_drift(self) -> float:
-        return float(np.max(np.abs(self.C * self.Sp - self.Cp * self.S - 1.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map gives nan here
+            return float(np.max(np.abs(self.C * self.Sp - self.Cp * self.S - 1.0)))
 
 
 @dataclass
@@ -118,9 +119,13 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     carries no step.  Each run of equal K is exact: its rows are the
     transfer map of that K (dynamics._hill_map, at offsets 1..n steps
     from the run's entry, as the transverse channel evaluates it)
-    applied to the entry states (C, C') and (S, S').  Raises
-    MismatchedGrid for a K of another length, ValueError for a
-    non-finite K or a grid that is not uniform, and WronskianDrift if
+    applied to the entry states (C, C') and (S, S').  The maps of all
+    runs come from one _hill_map call with K by grid point; the entry
+    states are chained run to run in floats, by the products and sums
+    the rows are formed with, so every row has the bits of a per-run
+    evaluation.  An overflowing map stays silent, as float arithmetic
+    is.  Raises MismatchedGrid for a K of another length, ValueError for
+    a non-finite K or a grid that is not uniform, and WronskianDrift if
     the pair loses its unit Wronskian beyond 1e-9 anywhere on the grid.
     """
     t = np.asarray(t, dtype=float)
@@ -130,16 +135,27 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     if not np.all(np.isfinite(K)):
         raise ValueError("K must be finite on the grid")
     h = _uniform_step(t)
+    # a run of equal K ends where the next step's K differs, or at the last point
+    ends = np.append(np.flatnonzero(K[1:-1] != K[:-2]) + 1, len(t) - 1)
+    lengths = np.diff(ends, prepend=0)
     C, Cp, S, Sp = rows = np.empty((4, len(t)))
     rows[:, 0] = 1.0, 0.0, 0.0, 1.0
-    # a run of equal K ends where the next step's K differs, or at the last point
-    ends = [*(np.flatnonzero(K[1:-1] != K[:-2]) + 1).tolist(), len(t) - 1]
-    start = 0
-    for stop in ends:
-        k, tau = float(K[start]), np.arange(1, stop - start + 1) * h
-        for u, du in ((C, Cp), (S, Sp)):
-            u[start + 1:stop + 1], du[start + 1:stop + 1] = _hill_rows(k, tau, u[start], du[start])
-        start = stop
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        # grid point j > 0 ends step j - 1, whose K is its run's, at j - entry steps from the entry
+        tau = (np.arange(1, len(t)) - np.repeat(ends - lengths, lengths)) * h
+        # K by point, or the one K of a grid that is one run, which the float path takes faster
+        Cm, Cpm, Sm, Spm = maps = _hill_map(K[:-1] if len(ends) > 1 else float(K[0]), tau)
+        # each run's entry states (C, C') and (S, S'): the previous run's last
+        # points, formed as the points below form them
+        c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
+        states = []
+        for mc, mcp, ms, msp in zip(*(m[ends - 1].tolist() for m in maps)):
+            states.append((c, cp, s, sp))
+            c, cp, s, sp = mc * c + ms * cp, mcp * c + msp * cp, mc * s + ms * sp, mcp * s + msp * sp
+        c0, cp0, s0, sp0 = (np.repeat(u0, lengths) for u0 in zip(*states))
+        for u, du, u0, du0 in ((C, Cp, c0, cp0), (S, Sp, s0, sp0)):
+            u[1:] = Cm * u0 + Sm * du0
+            du[1:] = Cpm * u0 + Spm * du0
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 

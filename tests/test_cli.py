@@ -363,6 +363,19 @@ def test_overflowing_run_writes_no_csv(files, capsys, gamma):
 
 
 @pytest.mark.filterwarnings("error")
+def test_dispersion_of_an_overflowing_map_is_one_line(files, capsys):
+    # horizontal K = -4e5: cosh and sinh of 632 tau overflow inside the element
+    tmp = files[0]
+    lat, out = tmp / "steep.lat", tmp / "disp.csv"
+    lat.write_text("element quad_dipole length=2.0 b0=0.0 b1=400000.0\n")
+    rc = main(["dispersion", "--lattice", str(lat), "--step", "1e-2", "--delta", "0.001",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "avgbeam: Wronskian deviates from 1 by nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_successive_calls_share_no_state(files):
     tmp, lat, delta, gauss = files
     track = ["track", "--lattice", str(lat), "--beam", str(delta), "--step", "1e-3",

@@ -539,6 +539,26 @@ def test_hill_map_equals_hill_solver_on_constant_k(K):
     assert np.abs(C * Sp - Cp * S - 1.0).max() <= 1e-14
 
 
+_HILL_K = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                    st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks=st.lists(_HILL_K, min_size=1, max_size=6), data=st.data())
+def test_hill_map_of_a_k_array_is_the_float_calls(ks, data):
+    # entries draw their K from a few values, so the sign classes interleave,
+    # a K recurs and -0.0 sits next to 0.0; |K| up to 1e6 overflows cosh
+    K = np.array(data.draw(st.lists(st.sampled_from(ks), min_size=1, max_size=30)))
+    tau = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=len(K), max_size=len(K))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _hill_map(K, tau)
+        for bits in np.unique(K.view(np.int64)):
+            same = K.view(np.int64) == bits
+            for got, want in zip(rows, _hill_map(float(K[same][0]), tau[same])):
+                assert got[same].tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert np.isnan(np.array(rows)[:, ~np.isfinite(K)]).all()
+
+
 def test_longitudinal_constant_field_closed_form():
     elem = ConstantE(length=20.0, e2=0.1)
     init = JacobiState(0.0, np.zeros(4), np.array([0.0, 0.0, 1e-3, 0.0]))

@@ -35,6 +35,7 @@ from avgbeam import (
     parse_lattice,
     transverse_k_profile,
 )
+from avgbeam.lattice import _checked_line
 from avgbeam.minkowski import METRIC_SIGNATURE
 
 
@@ -395,6 +396,38 @@ def test_parse_lattice_raises_only_library_errors(text):
         pass
 
 
+def _outcome(read):
+    """(kind, fields) of each element read, or the type, text and line of what it raised."""
+    try:
+        return [(type(e), _field_values(e)) for e in read()]
+    except AvgBeamError as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(_lattice_line(), max_size=5))
+def test_parse_lattice_reads_lines_as_the_key_by_key_checks(lines):
+    # a line read in one pass, and a repeated line read once, give what the
+    # key-by-key checks of every line in turn give, faults and line numbers too
+    text = "\n".join(lines + lines[:2])
+
+    def checked():
+        elements = []
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                cls, values = _checked_line(ln, tokens)
+                elements.append(cls(*values))
+        if not elements:
+            raise ParseError(0, "lattice file defines no elements")
+        return elements
+
+    assert _outcome(lambda: parse_lattice(text).elements) == _outcome(checked)
+    if isinstance(_outcome(checked), list):
+        elements = parse_lattice(text).elements
+        assert len({id(e) for e in elements}) == len(elements)  # repeats are new elements
+
+
 def test_load_lattice(tmp_path):
     p = tmp_path / "line.lat"
     p.write_text("element dipole length=2.4 b0=1.0\n")
@@ -444,6 +477,15 @@ def test_profiles_require_aligned_step(fodo_lattice):
     lat = Lattice.from_elements([Dipole(length=0.3, b0=0.1), Drift(length=0.7)])
     with pytest.raises(MismatchedSampling, match="boundary at 0.3 is not aligned"):
         transverse_k_profile(lat, "horizontal", 0.2)
+
+
+def test_profiles_name_the_first_misaligned_boundary():
+    # 0.2 divides the 2 m line and its edge at 0.4, but not the edges at 0.9 and 1.3
+    lat = Lattice.from_elements([Dipole(length=0.4, b0=0.1), Drift(length=0.5),
+                                 Dipole(length=0.4, b0=0.1), Drift(length=0.7)])
+    with pytest.raises(MismatchedSampling) as err:
+        optics_profiles(lat, "horizontal", 0.2)
+    assert str(err.value) == "element boundary at 0.9 is not aligned to step 0.2"
 
 
 def test_inverse_rho_profile():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import avgbeam
 
@@ -51,7 +53,7 @@ from avgbeam import (
     transverse_k_profile,
 )
 from avgbeam import observables
-from avgbeam.dynamics import _frozen_slots
+from avgbeam.dynamics import _frozen_slots, _hill_rows
 from avgbeam.observables import _cumtrapz
 
 GAMMA = 100.0
@@ -111,6 +113,50 @@ def test_wronskian_on_fodo_profile(fodo_lattice):
     grid, k = transverse_k_profile(fodo_lattice, "horizontal", 1e-3)
     ps = principal_solutions(grid, k)
     assert ps.wronskian_drift() < 1e-9
+
+
+def _per_run_rows(t, K):
+    """(C, C', S, S') by one _hill_rows call per run of equal K and solution."""
+    h = float(t[1] - t[0])
+    C, Cp, S, Sp = rows = np.empty((4, len(t)))
+    rows[:, 0] = 1.0, 0.0, 0.0, 1.0
+    start = 0
+    for stop in [*(np.flatnonzero(K[1:-1] != K[:-2]) + 1).tolist(), len(t) - 1]:
+        tau = np.arange(1, stop - start + 1) * h
+        for u, du in ((C, Cp), (S, Sp)):
+            u[start + 1:stop + 1], du[start + 1:stop + 1] = _hill_rows(
+                float(K[start]), tau, u[start], du[start])
+        start = stop
+    return rows
+
+
+_RUN_K = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(st.tuples(_RUN_K, st.integers(1, 5)), min_size=1, max_size=8),
+       h=st.sampled_from([1e-2, 0.05, 0.1]), last=_RUN_K)
+# the vertical K of a skew_quad_dipole with b1 = 0 is -0.0, next to drifts' 0.0
+@example(runs=[(0.0, 2), (-0.0, 3), (0.0, 1), (-1.5, 1), (-0.0, 2)], h=0.1, last=0.0)
+@example(runs=[(0.7, 1)], h=0.05, last=-3.0)  # a two-point grid
+def test_principal_solutions_are_the_per_run_maps_bit_for_bit(runs, h, last):
+    # lengths stay below 4 and |K| below 2, so the Wronskian holds to 1e-9
+    K = np.array([k for k, n in runs for _ in range(n)] + [last])
+    t = np.arange(len(K)) * h
+    ps = principal_solutions(t, K)
+    for got, want in zip((ps.C, ps.Cp, ps.S, ps.Sp), _per_run_rows(t, K)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_principal_solutions_of_skew_b1_zero_take_the_drift_map():
+    lattice = Lattice.from_elements([Drift(length=0.2), SkewQuadDipole(length=0.3, b0=0.0, b1=0.0),
+                                     Drift(length=0.1)])
+    t, K = transverse_k_profile(lattice, "vertical", 0.1)
+    assert np.signbit(K[2:5]).all() and not np.signbit(K[:2]).any()
+    ps = principal_solutions(t, K)
+    for got, want in zip((ps.C, ps.Cp, ps.S, ps.Sp), _per_run_rows(t, K)):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(ps.S, t) and np.array_equal(ps.C, np.ones_like(t))
 
 
 def _transfer(K, L):
