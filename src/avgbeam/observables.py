@@ -152,10 +152,16 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
         for mc, mcp, ms, msp in zip(*(m[ends - 1].tolist() for m in maps)):
             states.append((c, cp, s, sp))
             c, cp, s, sp = mc * c + ms * cp, mcp * c + msp * cp, mc * s + ms * sp, mcp * s + msp * sp
-        c0, cp0, s0, sp0 = (np.repeat(u0, lengths) for u0 in zip(*states))
-        for u, du, u0, du0 in ((C, Cp, c0, cp0), (S, Sp, s0, sp0)):
-            u[1:] = Cm * u0 + Sm * du0
-            du[1:] = Cpm * u0 + Spm * du0
+        # (u, u') = (C u0 + S u0', C' u0 + S' u0') for u = C and u = S, (u0, u0')
+        # each point's run entry, formed in place with one scratch row
+        c0, cp0, s0, sp0 = zip(*states)
+        product = np.empty(len(t) - 1)
+        for u, du, run_u0, run_du0 in ((C, Cp, c0, cp0), (S, Sp, s0, sp0)):
+            u0, du0 = np.repeat(run_u0, lengths), np.repeat(run_du0, lengths)
+            np.multiply(Cm, u0, out=u[1:])
+            u[1:] += np.multiply(Sm, du0, out=product)
+            np.multiply(Cpm, u0, out=du[1:])
+            du[1:] += np.multiply(Spm, du0, out=product)
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 
