@@ -232,6 +232,12 @@ def _replace(body, old, new):
 def _block_lines(block, orjson):
     """The CSV lines of a block, byte for byte those of _repr_lines.
 
+    The block is dumped by orjson flat, as one list of its values in
+    row-major order, so the dump holds one comma between every two values
+    and no other comma.  It is copied once into a bytearray, where every
+    width-th comma, a row end, and the closing ']' are set to newlines in
+    one scatter; the lines start past the opening '['.
+
     repr (Gay's dtoa) and orjson (Ryu) both write the shortest digits that
     round-trip, so only the layout differs.  One pass over |x| sorts the
     cells by that layout:
@@ -260,8 +266,11 @@ def _block_lines(block, orjson):
     if other.any():
         spliced = block[other]
         block = np.where(other, np.nan, block)
-    body = _replace(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2],
-                    b"],[", b"\n") + b"\n"
+    width = block.shape[1]
+    body = bytearray(orjson.dumps(block.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY))
+    view = np.frombuffer(body, np.uint8)
+    view[np.flatnonzero(view == 44)[width - 1::width]] = 10  # ',' -> '\n'
+    view[-1] = 10  # ']' -> '\n'
     # only the exponents the block holds, since each replacement scans the
     # whole body; searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d
     held = np.bincount(np.searchsorted(_ONE_DIGIT, short, side="right"), minlength=5).tolist()
@@ -272,9 +281,9 @@ def _block_lines(block, orjson):
         parts = body.split(b"null")
         cells = [b""] * (2 * len(parts) - 1)
         cells[::2] = parts
-        cells[1::2] = [repr(x).encode() for x in spliced.tolist()]
+        cells[1::2] = ",".join(map(repr, spliced.tolist())).encode().split(b",")
         body = b"".join(cells)
-    return body
+    return memoryview(body)[1:]
 
 
 def _write_rows(path, header, columns):
@@ -651,7 +660,10 @@ def _grid(t0: float, t_end: float, step: float):
     span = t_end - t0
     if span == 0.0 or not math.isfinite(span):
         raise ValueError(f"integration span must be finite and nonzero, got {span}")
-    n = max(int(math.ceil(abs(span) / step - 1e-9)), 1)
+    steps = abs(span) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"integration span {span!r} over step {step!r} overflows the step count")
+    n = max(int(math.ceil(steps - 1e-9)), 1)
     h = math.copysign(step, span)
     return n, h, t0 + np.arange(n + 1) * h
 

@@ -256,7 +256,10 @@ class Lattice:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("lattice needs at least one element")
-        bounds = np.cumsum([e.length for e in self.elements])
+        with np.errstate(over="ignore"):
+            bounds = np.cumsum([e.length for e in self.elements])
+        if not math.isfinite(bounds[-1]):
+            raise NonFiniteValue(f"lattice total length must be finite, got {bounds[-1]}")
         bounds.setflags(write=False)
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "total_length", float(bounds[-1]))

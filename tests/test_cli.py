@@ -135,6 +135,42 @@ def test_csv_artifact_bytes_equal_without_orjson(tmp_path, monkeypatch, job):
         assert all(b"e-0" in row.split(b",")[6] for row in fast.read_bytes().splitlines()[2:])
 
 
+# every CSV job on a one-element line, so dispersion meets no edge; each
+# artifact holds more than one block of rows
+_ROW_JOBS = {
+    "track": ["track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3", "--span", "1.1"],
+    "avg-track": ["avg-track", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3",
+                  "--span", "1.1"],
+    "jacobi": ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3", "--span", "1.1",
+               "--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"],
+    "offset": ["offset", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3", "--span", "1.1"],
+    "transverse": ["transverse", "--lattice", "LAT", "--step", "2.5e-4", "--span", "1.0",
+                   "--xi0", "0,3e-3,0,0", "--dxi0", "0,0,0,0"],
+    "longitudinal": ["longitudinal", "--lattice", "RF", "--step", "1e-3", "--span", "1.1",
+                     "--xi0", "0,0,1e-3,0", "--dxi0", "0,0,0,0"],
+    "dispersion": ["dispersion", "--lattice", "LAT", "--step", "1e-2", "--delta", "1e-3"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(_ROW_JOBS))
+def test_csv_artifact_lines_are_rows_of_reprs(files, job):
+    tmp, lat, delta, gauss = files
+    rf = tmp / "rf.lat"
+    rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    names = {"LAT": str(lat), "DELTA": str(delta), "GAUSS": str(gauss), "RF": str(rf)}
+    out = tmp / "rows.csv"
+    assert main([names.get(a, a) for a in _ROW_JOBS[job]] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("\n")
+    header, *lines = text.splitlines()
+    assert len(lines) > dynamics._BLOCK_ROWS
+    width = header.count(",") + 1
+    for line in lines:
+        cells = line.split(",")
+        assert len(cells) == width
+        assert line == ",".join(repr(float(c)) for c in cells)
+
+
 def test_moments_json(files):
     tmp, _, _, gauss = files
     out = tmp / "m.json"
@@ -372,6 +408,48 @@ def test_dispersion_of_an_overflowing_map_is_one_line(files, capsys):
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "avgbeam: Wronskian deviates from 1 by nan\n"
+    assert not out.exists()
+
+
+_SPAN_JOBS = {
+    "track": ["track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3"],
+    "avg-track": ["avg-track", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3"],
+    "jacobi": ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3", *_DEVIATION],
+    "offset": ["offset", "--lattice", "LAT", "--beam", "GAUSS", "--step", "1e-3"],
+    "transverse": ["transverse", "--lattice", "LAT", "--step", "1e-3", *_DEVIATION],
+    "longitudinal": ["longitudinal", "--lattice", "RF", "--step", "1e-3",
+                     "--xi0", "0,0,0.001,0", "--dxi0", "0,0,0,0"],
+    "scan-alpha": ["scan-alpha", "--lattice", "LAT", "--alphas", "0.02,0.01,0.005",
+                   "--seed", "3", "--n", "100", "--step", "1e-3"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("job", sorted(_SPAN_JOBS))
+def test_span_of_too_many_steps_is_one_line(files, capsys, job):
+    # span / step overflows to inf, which no step count can hold
+    tmp, lat, delta, gauss = files
+    rf = tmp / "rf.lat"
+    rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
+    names = {"LAT": str(lat), "DELTA": str(delta), "GAUSS": str(gauss), "RF": str(rf)}
+    out = tmp / "x.out"
+    rc = main([names.get(a, a) for a in _SPAN_JOBS[job]] + ["--span", "1e308", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("avgbeam: integration span ") and "over step 0.001" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_lattice_of_overflowing_length_is_one_line(tmp_path, capsys):
+    # each length is finite; their sum is not
+    lat, out = tmp_path / "long.lat", tmp_path / "disp.csv"
+    lat.write_text("element drift length=1e308\nelement drift length=1e308\n")
+    rc = main(["dispersion", "--lattice", str(lat), "--step", "1e307", "--delta", "1e-3",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "avgbeam: lattice total length must be finite, got inf\n"
     assert not out.exists()
 
 

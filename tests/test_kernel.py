@@ -519,6 +519,26 @@ def test_block_writer_mends_every_layout_in_every_block(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_cols", [1, 2, 5, 9])
+def test_block_writer_row_ends_between_spliced_cells(tmp_path, n_cols, n_rows):
+    # the first and last cell of every row take a layout orjson does not
+    # share, so orjson writes null on both sides of every row end; a middle
+    # cell holds a one-digit exponent
+    rng = np.random.default_rng([n_cols, n_rows])
+    table = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
+    other = np.array([3.5e-5, -9.999999999999999e-05, 1e16, -2.5e300, 6.5e-66, -5e-324])
+    table[:, 0] = rng.choice(other, n_rows)
+    table[:, -1] = rng.choice(other, n_rows)
+    if n_cols > 2:
+        table[:, n_cols // 2] *= 10.0 ** -(6.0 + np.arange(n_rows) % 4)
+    columns = [table[:, i] for i in range(n_cols)]
+    header = ",".join(f"c{i}" for i in range(n_cols))
+    _write_rows(tmp_path / "block.csv", header, columns)
+    reference_write_rows(tmp_path / "row.csv", header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
 def test_import_does_not_load_orjson():
     # orjson is imported by the first CSV write, not by importing any module
     src = os.path.dirname(os.path.dirname(dynamics.__file__))

@@ -179,6 +179,15 @@ def test_lattice_edges_follow_from_its_elements():
         Lattice.from_elements([])
 
 
+@pytest.mark.filterwarnings("error")
+def test_lattice_total_length_must_be_finite():
+    # every length is finite, their sum overflows
+    with pytest.raises(NonFiniteValue, match="^lattice total length must be finite, got inf$"):
+        Lattice.from_elements([Drift(length=1e308), Dipole(length=1e308, b0=0.1)])
+    with pytest.raises(NonFiniteValue, match="total length"):
+        parse_lattice("element drift length=1e308\nelement drift length=1e308\n")
+
+
 @pytest.mark.parametrize("elements", [
     [Drift(length=1.5), Dipole(length=2.5, b0=1.0)],
     [Dipole(length=2.0, b0=0.7)],
