@@ -114,6 +114,12 @@ def test_non_finite_span_is_rejected(circle_lattice, circle_state, cfg_fine, t_e
         integrate_lorentz(circle_lattice, circle_state, t_end, cfg_fine)
 
 
+def test_span_of_too_many_steps_names_span_and_step(circle_lattice, circle_state):
+    # span and step are finite, span / step is not
+    with pytest.raises(ValueError, match=r"^integration span 1e\+308 over step 0\.001 overflows"):
+        integrate_lorentz(circle_lattice, circle_state, 1e308, IntegratorConfig(step=1e-3))
+
+
 def test_circle_closes_after_full_turn(circle_lattice, circle_state):
     # step chosen to divide 2 pi so the grid lands exactly on the return time
     h = 2.0 * np.pi / 6283
