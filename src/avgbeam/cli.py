@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="single-particle reference trajectory")
     _add_common(p)
     p.add_argument("--beam", required=True, help="beam file (initial velocity = its mean)")
-    p.add_argument("--form", choices=("connection", "force"), default="connection",
-                   help="right-hand side form of the force law")
 
     p = sub.add_parser("avg-track", help="geodesic of the moment-averaged connection")
     _add_common(p)
@@ -170,7 +168,7 @@ def _run(args) -> int:
         defn = _load_beam(args.beam)
         cfg = IntegratorConfig(step=args.step)
         state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
-        series = integrate_lorentz(lattice, state, args.span, cfg, form=args.form)
+        series = integrate_lorentz(lattice, state, args.span, cfg)
         write_trajectory_csv(series, args.out)
 
     elif args.command == "avg-track":
@@ -246,7 +244,7 @@ def _run(args) -> int:
         from .lattice import optics_profiles
         from .observables import dispersion, principal_solutions
 
-        grid, K, inv_rho = optics_profiles(lattice, "horizontal", args.step)
+        grid, K, inv_rho = optics_profiles(lattice, args.step)
         ps = principal_solutions(grid, K)
         del grid, K  # ps holds copies of both; freed, they stay out of the job's peak memory
         result = dispersion(ps, inv_rho, args.delta)

@@ -54,11 +54,10 @@ side receives and returns as lists; a batch (a cloud, a stored series)
 on contiguous (n,) columns, one per component (a cloud's are the rows
 of its one-part state).  A float rounds as one element of a column, so
 batching does not change the bits.  The one exception is the direct
-force form a = -F v sqrt(eta(v, v)) (_rhs_force, behind
-integrate_lorentz(form="force")): it takes one orbit's floats only, as
-its shell test and math.sqrt are scalar, because it serves only as
-acceptance criterion 04's single-orbit check of the connection form.
-Each
+force form a = -F v sqrt(eta(v, v)) (_rhs_force, run through _orbit):
+it takes one orbit's floats only, as its shell test and math.sqrt are
+scalar, because no integrator uses it; it is acceptance criterion 04's
+independent single-orbit reference for the connection form.  Each
 function unpacks its components into locals once and writes its sums
 out term by term, and a value one evaluation uses twice (eta(v, v),
 F v, eta(first, v), the moment slot the Jacobi terms share) is formed
@@ -661,11 +660,13 @@ def _grid(t0: float, t_end: float, step: float):
     if span == 0.0 or not math.isfinite(span):
         raise ValueError(f"integration span must be finite and nonzero, got {span}")
     steps = abs(span) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"integration span {span!r} over step {step!r} overflows the step count")
-    n = max(int(math.ceil(steps - 1e-9)), 1)
     h = math.copysign(step, span)
-    return n, h, t0 + np.arange(n + 1) * h
+    try:  # an infinite step count, or a grid past numpy's size limit or the memory
+        n = max(int(math.ceil(steps - 1e-9)), 1)
+        return n, h, t0 + np.arange(n + 1) * h
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"integration span {span!r} over step {step!r} overflows the step "
+                         f"count: {steps:.6g} steps, more than a grid can hold") from None
 
 
 def _uniform_step(t: np.ndarray) -> float:
@@ -698,23 +699,18 @@ def _orbit(rhs, initial: TrajectoryState, t_end: float, step: float) -> Trajecto
 
 
 def integrate_lorentz(lattice: Lattice, initial: TrajectoryState, t_end: float,
-                      config: IntegratorConfig, form: str = "connection") -> TrajectorySeries:
+                      config: IntegratorConfig) -> TrajectorySeries:
     """Track the single-particle orbit through the lattice fields.
 
-    form selects how the acceleration is evaluated: "connection"
-    (default) contracts the velocity-slot connection, "force" uses the
-    direct F v sqrt(eta(v,v)) expression.  The two are the same equation
-    on the hyperboloid and agree to integrator tolerance.
+    The acceleration contracts the velocity-slot connection, which on the
+    hyperboloid agrees with the direct force form _rhs_force.
 
     Raises OffShellInitial for an off-shell launch velocity and
     StepTooLarge when the step underresolves the shortest element.
     """
-    if form not in ("connection", "force"):
-        raise ValueError(f"unknown form '{form}'")
     check_on_shell(initial.v, exc=OffShellInitial, label="initial velocity")
     _check_step(lattice.min_length(), config.step)
-    rhs = _rhs_geodesic(lattice) if form == "connection" else _rhs_force(lattice)
-    return _orbit(rhs, initial, t_end, config.step)
+    return _orbit(_rhs_geodesic(lattice), initial, t_end, config.step)
 
 
 def moment_deviations(moments: MomentSet, velocity):
@@ -891,14 +887,8 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
 # ---------------------------------------------------------------------------
 # closed-form linear channels (path-length parameterization)
 
-def _check_on_element(element: Element, start, end):
-    """OutOfLattice when the grid from start to end leaves [0, element.length]."""
-    if min(start, end) < -1e-9 or max(start, end) > element.length + 1e-9:
-        raise OutOfLattice(f"grid [{start}, {end}] leaves element of length {element.length}")
-
-
 def _hill_map(K, tau):
-    """(C, C', S, S') of u'' + K u = 0 at offsets tau for a constant K.
+    """(C, C', S) of u'' + K u = 0 at offsets tau for a constant K, whose S' is C.
 
     C and S are the cosine-like and sine-like solutions, C(0) = S'(0) = 1
     and C'(0) = S(0) = 0: cos/sin for K > 0, cosh/sinh for K < 0, the
@@ -909,31 +899,29 @@ def _hill_map(K, tau):
     """
     if isinstance(K, np.ndarray):
         finite = np.isfinite(K)
-        # four separate rows, not one (4, ...) block, each filled a row at a
+        # three separate rows, not one (3, ...) block, each filled a row at a
         # time: a boolean index on both axes of a block is slower
-        rows = tuple(np.full(np.shape(tau), math.nan) for _ in range(4))  # non-finite K: nan
+        rows = tuple(np.full(np.shape(tau), math.nan) for _ in range(3))  # non-finite K: nan
         for sign, cls in ((1.0, finite & (K > 0.0)), (-1.0, finite & (K < 0.0)), (0.0, K == 0.0)):
             if cls.any():
                 for row, value in zip(rows, _hill_class(sign, np.sqrt(np.abs(K[cls])), tau[cls])):
                     row[cls] = value
         return rows
     if not math.isfinite(K):
-        nan = np.full(np.shape(tau), math.nan)
-        return nan, nan, nan, nan
+        return tuple(np.full(np.shape(tau), math.nan) for _ in range(3))
     return _hill_class(K, math.sqrt(abs(K)), tau)
 
 
 def _hill_class(sign, w, tau):
-    """_hill_map's (C, C', S, S') for K of the sign of the float ``sign``, w = sqrt|K|
+    """_hill_map's (C, C', S) for K of the sign of the float ``sign``, w = sqrt|K|
     a float or a column along tau."""
     if sign == 0.0:
-        one = np.ones(np.shape(tau))
-        return one, np.zeros(np.shape(tau)), tau, one
+        return np.ones(np.shape(tau)), np.zeros(np.shape(tau)), tau
     if sign > 0.0:
         c, s = np.cos(w * tau), np.sin(w * tau)
-        return c, -w * s, s / w, c
+        return c, -w * s, s / w
     c, s = np.cosh(w * tau), np.sinh(w * tau)
-    return c, w * s, s / w, c
+    return c, w * s, s / w
 
 
 # Taylor coefficients of (sinh x - x)/x^3 in z = x^2 and of
@@ -962,7 +950,7 @@ def _hill_excess(K, tau):
     neither is a difference of nearly equal numbers.
     """
     if not math.isfinite(K) or K == 0.0:
-        C, Cp, S, _ = _hill_map(K, tau)
+        C, Cp, S = _hill_map(K, tau)
         return C - 1.0, Cp, S - tau
     w = math.sqrt(abs(K))
     if K > 0.0:
@@ -975,17 +963,22 @@ def _hill_excess(K, tau):
 
 
 def _hill_rows(K, tau, u0, du0):
-    """u and u' from the launch (u0, du0) through the map of constant K."""
-    C, Cp, S, Sp = _hill_map(K, tau)
-    return C * u0 + S * du0, Cp * u0 + Sp * du0
+    """u and u' from the launch (u0, du0) through the map of constant K, S' = C."""
+    C, Cp, S = _hill_map(K, tau)
+    return C * u0 + S * du0, Cp * u0 + C * du0
 
 
-def _launched(initial: JacobiState, t):
-    """(launch xi, launch dxi, a series on t with only row 0, the launch, filled)."""
-    xi, dxi = (np.asarray(a, dtype=float).reshape(4) for a in (initial.xi, initial.dxi))
-    out = JacobiSeries(t=t, xi=np.empty((len(t), 4)), dxi=np.empty((len(t), 4)))
-    out.xi[0], out.dxi[0] = xi, dxi
-    return xi.tolist(), dxi.tolist(), out
+def _channel(element: Element, initial: JacobiState, t_end: float, step: float):
+    """(launch xi, launch dxi, offsets tau of grid points 1..n, a series with only row 0,
+    the launch, filled) on a grid checked to stay on and resolve the element."""
+    n, h, t = _grid(initial.t, t_end, step)
+    start, end = initial.t, t[-1]
+    if min(start, end) < -1e-9 or max(start, end) > element.length + 1e-9:
+        raise OutOfLattice(f"grid [{start}, {end}] leaves element of length {element.length}")
+    _check_step(element.length, step)
+    out = JacobiSeries(t=t, xi=np.empty((n + 1, 4)), dxi=np.empty((n + 1, 4)))
+    out.xi[0], out.dxi[0] = np.reshape(initial.xi, 4), np.reshape(initial.dxi, 4)
+    return out.xi[0].tolist(), out.dxi[0].tolist(), np.arange(1, n + 1) * h, out
 
 
 def integrate_transverse_linear(element: Element, rho: float | None,
@@ -1008,17 +1001,13 @@ def integrate_transverse_linear(element: Element, rho: float | None,
     kh, kv = element.focusing(rho)
     if l_end < initial.t:
         raise ValueError("path length must advance forward through the element")
-    n, h, t = _grid(initial.t, l_end, config.step)
-    _check_on_element(element, initial.t, t[-1])
-    _check_step(element.length, config.step)
+    xi, dxi, tau, out = _channel(element, initial, l_end, config.step)
     amp = float(np.sqrt(initial.xi[1] ** 2 + initial.xi[3] ** 2))
     r_design = curvature_radius(element) if rho is None and element.b0 != 0.0 else rho
     if r_design is not None and amp > 0.1 * abs(r_design):
         warnings.warn(
             f"transverse amplitude {amp} exceeds a tenth of the bending radius "
             f"{r_design}; linearization is suspect", RuntimeWarning)
-    xi, dxi, out = _launched(initial, t)
-    tau = np.arange(1, n + 1) * h
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
         for i, K in enumerate((0.0, kh, 0.0, kv)):
             out.xi[1:, i], out.dxi[1:, i] = _hill_rows(K, tau, xi[i], dxi[i])
@@ -1051,11 +1040,7 @@ def integrate_longitudinal(element: Element, gamma: float, initial: JacobiState,
             f"longitudinal channel defined only for const_e and rf, got '{element.kind}'"
         )
     gamma = float(gamma)
-    n, h, t = _grid(initial.t, t_end, config.step)
-    _check_on_element(element, initial.t, t[-1])
-    _check_step(element.length, config.step)
-    xi, dxi, out = _launched(initial, t)
-    tau = np.arange(1, n + 1) * h
+    xi, dxi, tau, out = _channel(element, initial, t_end, config.step)
     u0, du0 = xi[2], dxi[2]
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
         for i in (1, 3):

@@ -523,8 +523,8 @@ def inverse_rho_profile(lattice: Lattice, step: float):
     return grid, np.array(_element_inv_rho(lattice))[owner]
 
 
-def optics_profiles(lattice: Lattice, plane: str, step: float):
-    """(grid, K, 1/rho): transverse_k_profile and inverse_rho_profile from one grid walk."""
+def optics_profiles(lattice: Lattice, step: float):
+    """Horizontal (grid, K, 1/rho): transverse_k_profile and inverse_rho_profile in one walk."""
     grid, owner = _aligned_grid(lattice, step)
-    return (grid, np.array(_element_k(lattice, plane))[owner],
+    return (grid, np.array(_element_k(lattice, "horizontal"))[owner],
             np.array(_element_inv_rho(lattice))[owner])

@@ -118,8 +118,8 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     samples it: step [t_k, t_k+1] carries K[k], and the last sample
     carries no step.  Each run of equal K is exact: its rows are the
     transfer map of that K (dynamics._hill_map, at offsets 1..n steps
-    from the run's entry, as the transverse channel evaluates it)
-    applied to the entry states (C, C') and (S, S').  The maps of all
+    from the run's entry, as the transverse channel evaluates it, its
+    S' being its C) applied to the entry states (C, C') and (S, S').  The maps of all
     runs come from one _hill_map call with K by grid point; the entry
     states are chained run to run in floats, by the products and sums
     the rows are formed with, so every row has the bits of a per-run
@@ -144,15 +144,15 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
         # grid point j > 0 ends step j - 1, whose K is its run's, at j - entry steps from the entry
         tau = (np.arange(1, len(t)) - np.repeat(ends - lengths, lengths)) * h
         # K by point, or the one K of a grid that is one run, which the float path takes faster
-        Cm, Cpm, Sm, Spm = maps = _hill_map(K[:-1] if len(ends) > 1 else float(K[0]), tau)
+        Cm, Cpm, Sm = maps = _hill_map(K[:-1] if len(ends) > 1 else float(K[0]), tau)
         # each run's entry states (C, C') and (S, S'): the previous run's last
         # points, formed as the points below form them
         c, cp, s, sp = 1.0, 0.0, 0.0, 1.0
         states = []
-        for mc, mcp, ms, msp in zip(*(m[ends - 1].tolist() for m in maps)):
+        for mc, mcp, ms in zip(*(m[ends - 1].tolist() for m in maps)):
             states.append((c, cp, s, sp))
-            c, cp, s, sp = mc * c + ms * cp, mcp * c + msp * cp, mc * s + ms * sp, mcp * s + msp * sp
-        # (u, u') = (C u0 + S u0', C' u0 + S' u0') for u = C and u = S, (u0, u0')
+            c, cp, s, sp = mc * c + ms * cp, mcp * c + mc * cp, mc * s + ms * sp, mcp * s + mc * sp
+        # (u, u') = (C u0 + S u0', C' u0 + C u0') for u = C and u = S, (u0, u0')
         # each point's run entry, formed in place with one scratch row
         c0, cp0, s0, sp0 = zip(*states)
         product = np.empty(len(t) - 1)
@@ -161,7 +161,7 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
             np.multiply(Cm, u0, out=u[1:])
             u[1:] += np.multiply(Sm, du0, out=product)
             np.multiply(Cpm, u0, out=du[1:])
-            du[1:] += np.multiply(Spm, du0, out=product)
+            du[1:] += np.multiply(Cm, du0, out=product)
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 

@@ -394,18 +394,9 @@ def _hermite_eval_d(q0, q1, d0, d1, h, theta):
     return dh00 * q0 + dh10 * h * d0 + dh01 * q1 + dh11 * h * d1
 
 
-def endpoint_deviation(a: TrajectorySeries, b: TrajectorySeries,
-                       comparison: str = "lab-time") -> float:
-    """Spatial Euclidean distance between two runs at their common end.
-
-    "lab-time" compares at the largest lab time both runs reach (the
-    operative reading of distances measured in the laboratory frame);
-    "proper-time" compares at the final common parameter value.
-    """
-    if comparison == "proper-time":
-        return _distance(a.x[-1, 1:4], b.x[-1, 1:4])
-    if comparison != "lab-time":
-        raise ValueError(f"unknown comparison '{comparison}'")
+def endpoint_deviation(a: TrajectorySeries, b: TrajectorySeries) -> float:
+    """Spatial Euclidean distance between two runs at the largest lab time both
+    reach, the operative reading of distances measured in the laboratory frame."""
     T = min(float(a.x[-1, 0]), float(b.x[-1, 0]))
     return _distance(position_at_lab_time(a, T), position_at_lab_time(b, T))
 
@@ -449,7 +440,7 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
     and its weighted mean compared against the geodesic of the averaged
     connection launched from the on-shell projection of the mean spatial
     velocity; the endpoint distance at the last lab time both runs reach
-    ("lab-time") is fitted as deviation ~ prefactor * alpha^exponent by
+    is fitted as deviation ~ prefactor * alpha^exponent by
     least squares on logs.  Both runs last the proper time s / |u_c|,
     u_c's spatial speed: where that speed is conserved (magnetic
     elements) s is the lab path length, and elsewhere (const_e, rf) it
@@ -487,14 +478,18 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
         if speed <= 0.0:
             raise ValueError("beam family must have a moving mean velocity")
         t_end = s / speed  # lab path length s only where the spatial speed is conserved
+        # the cloud's run covers the RK4 grid, exact or not; tracked clouds
+        # on one grid (step count and step) and of one size go together,
+        # and the grid depends on t_end only through those
+        try:
+            n, h, _ = _grid(0.0, t_end, config.step)
+        except ValueError:  # it names the proper time t_end, a span no caller gave
+            raise ValueError(f"lab path length {s!r} over step {config.step!r} gives no "
+                             f"grid: {t_end / config.step:.6g} proper-time steps") from None
         avg = integrate_averaged_geodesic(
             lattice, moments, TrajectoryState(t=0.0, x=x0, v=u_c), t_end, config
         )
         averaged.append(avg)
-        # the cloud's run covers the RK4 grid, exact or not; tracked clouds
-        # on one grid (step count and step) and of one size go together,
-        # and the grid depends on t_end only through those
-        n, h, _ = _grid(0.0, t_end, config.step)
         runs[k] = _flow_mean(lattice, ens, x0, n, h, speed)
         if runs[k] is None:
             groups.setdefault((n, h, len(ens.ys)), []).append(

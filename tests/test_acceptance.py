@@ -46,6 +46,7 @@ from avgbeam import (
     theorem1_scan,
     transverse_k_profile,
 )
+from avgbeam import dynamics
 from avgbeam.cli import main as cli_main
 
 SQRT2 = np.sqrt(2.0)
@@ -117,8 +118,8 @@ def test_criterion_04_force_form_equivalence(capsys):
     lat = Lattice.from_elements([Dipole(length=2.4, b0=1.0)])
     st = TrajectoryState(0.0, np.array([0.0, 0.0, 1.2, 0.0]), np.array([SQRT2, 0.0, 1.0, 0.0]))
     cfg = IntegratorConfig(step=1e-3)
-    a = integrate_lorentz(lat, st, 10.0, cfg, form="connection")
-    b = integrate_lorentz(lat, st, 10.0, cfg, form="force")
+    a = integrate_lorentz(lat, st, 10.0, cfg)
+    b = dynamics._orbit(dynamics._rhs_force(lat), st, 10.0, cfg.step)
     dist = float(np.linalg.norm(a.x[-1] - b.x[-1]))
     ok = dist <= 1e-9
     _verdict(capsys, 4, "force-form-equivalence", ok,

@@ -1,11 +1,20 @@
 """Command line front end: artifacts, exit codes, and determinism."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from avgbeam import dynamics, read_jacobi_csv, read_trajectory_csv
+import avgbeam
+from avgbeam import (
+    TrajectoryState,
+    dynamics,
+    load_lattice,
+    parse_beam_definition,
+    read_jacobi_csv,
+    read_trajectory_csv,
+)
 from avgbeam.cli import build_parser, main
 
 DIPOLE = "element dipole length=25.0 b0=0.05\n"
@@ -37,14 +46,15 @@ def test_track_writes_trajectory(files):
 
 
 def test_track_forms_agree_closely(files):
+    # track's connection form against the direct force form on the same launch
     tmp, lat, delta, _ = files
-    a, b = tmp / "conn.csv", tmp / "force.csv"
+    a = tmp / "conn.csv"
     main(["track", "--lattice", str(lat), "--beam", str(delta),
-          "--step", "1e-3", "--span", "0.5", "--out", str(a), "--form", "connection"])
-    main(["track", "--lattice", str(lat), "--beam", str(delta),
-          "--step", "1e-3", "--span", "0.5", "--out", str(b), "--form", "force"])
-    sa, sb = read_trajectory_csv(a), read_trajectory_csv(b)
-    assert np.abs(sa.x - sb.x).max() < 1e-9
+          "--step", "1e-3", "--span", "0.5", "--out", str(a)])
+    launch = TrajectoryState(0.0, np.zeros(4),
+                             parse_beam_definition(delta.read_text()).central_velocity())
+    sb = dynamics._orbit(dynamics._rhs_force(load_lattice(lat)), launch, 0.5, 1e-3)
+    assert np.abs(read_trajectory_csv(a).x - sb.x).max() < 1e-9
 
 
 def test_avg_track_delta_equals_track(files):
@@ -352,6 +362,84 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["track-span-overflow", "transverse-span-overflow"],
+                         ids=["track", "transverse"])
+def test_grid_past_numpy_size_limit_names_span_step_and_count(files, capsys, name):
+    # 1e20 / 1e-3 is a finite step count that numpy refuses before it allocates
+    tmp, lat, delta, _ = files
+    out = tmp / "x.out"
+    argv = [{"LAT": str(lat), "DELTA": str(delta)}.get(a, a) for a in _SPAN_OVERFLOW[name]]
+    assert main(argv + ["--step", "1e-3", "--span", "1e20", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "avgbeam: integration span 1e+20 over step 0.001 overflows the step count: "
+        "1e+23 steps, more than a grid can hold\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", ["1e308", "1e20"])
+def test_scan_alpha_span_error_names_the_lab_span(files, capsys, span):
+    # at gamma 10 the proper-time span s / |u_c| is not the --span given
+    tmp, lat, _, _ = files
+    out = tmp / "scan.json"
+    rc = main(["scan-alpha", "--lattice", str(lat), "--alphas", "0.02,0.01,0.005", "--seed", "3",
+               "--n", "100", "--gamma", "10", "--step", "1e-3", "--span", span, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"avgbeam: lab path length {float(span)!r} over step 0.001 gives no grid")
+    assert "integration span" not in err[0]
+    assert not out.exists()
+
+
+# every keyword parameter with a default in the public API and every optional
+# flag of the CLI, after the settable-value audits
+_DEFAULTED_PARAMETERS = [
+    "BeamDefinition(sigma)", "BeamDefinition(n)", "BeamDefinition(seed)", "BeamEnsemble(ws)",
+    "FieldSample(grad)", "JacobiSeries(decoupling_ok)", "check_on_shell(exc)",
+    "check_on_shell(label)", "field_at(xi)", "integrate_jacobi_full(mode)", "momentum_spread(p0)",
+    "validate_field_gradients(step)",
+]
+_OPTIONAL_FLAGS = [
+    "jacobi --mode", "transverse --rho", "longitudinal --gamma", "scan-alpha --step",
+    "scan-alpha --n", "scan-alpha --gamma", "validate --fd-step",
+]
+
+
+def test_option_surface_is_pinned(files, capsys):
+    defaulted = []
+    for name in avgbeam.__all__:
+        obj = getattr(avgbeam, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        defaulted += [f"{name}({p.name})" for p in inspect.signature(obj).parameters.values()
+                      if p.default is not inspect.Parameter.empty]
+    assert defaulted == _DEFAULTED_PARAMETERS
+
+    (commands,) = [a for a in build_parser()._actions if a.choices]
+    flags = [f"{command} {action.option_strings[-1]}"
+             for command, parser in commands.choices.items() for action in parser._actions
+             if action.option_strings and not action.required and action.dest != "help"]
+    assert flags == _OPTIONAL_FLAGS
+
+    # the retired options are gone, not ignored
+    tmp, lat, delta, _ = files
+    lattice, cfg = load_lattice(lat), avgbeam.IntegratorConfig(step=1e-3)
+    launch = TrajectoryState(0.0, np.zeros(4), avgbeam.project_to_hyperboloid([0.0, 10.0, 0.0]))
+    run = avgbeam.integrate_lorentz(lattice, launch, 0.1, cfg)
+    with pytest.raises(TypeError):
+        avgbeam.integrate_lorentz(lattice, launch, 0.1, cfg, form="force")
+    with pytest.raises(TypeError):
+        avgbeam.endpoint_deviation(run, run, comparison="proper-time")
+    with pytest.raises(TypeError):
+        avgbeam.optics_profiles(lattice, "horizontal", 0.25)
+    out = tmp / "track.csv"
+    with pytest.raises(SystemExit) as usage:
+        main(["track", "--lattice", str(lat), "--beam", str(delta), "--step", "1e-3",
+              "--span", "0.1", "--out", str(out), "--form", "force"])
+    assert usage.value.code == 2 and "--form" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("code, argv, needle", [
     (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "0.5"], "--gamma"),
     (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "-3"], "--gamma"),
@@ -443,11 +531,13 @@ def test_successive_calls_share_no_state(files):
     tmp, lat, delta, gauss = files
     track = ["track", "--lattice", str(lat), "--beam", str(delta), "--step", "1e-3",
              "--span", "0.5", "--out"]
-    conn, force, plain = tmp / "conn.csv", tmp / "force.csv", tmp / "plain.csv"
-    assert main(track + [str(conn), "--form", "connection"]) == 0
-    assert main(track + [str(force), "--form", "force"]) == 0
-    assert main(track + [str(plain)]) == 0
-    assert plain.read_bytes() == conn.read_bytes() != force.read_bytes()
+    # a track run with another step between two equal runs changes neither
+    first, finer, again = tmp / "first.csv", tmp / "finer.csv", tmp / "again.csv"
+    assert main(track + [str(first)]) == 0
+    assert main(["track", "--lattice", str(lat), "--beam", str(delta), "--step", "5e-4",
+                 "--span", "0.5", "--out", str(finer)]) == 0
+    assert main(track + [str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes() != finer.read_bytes()
 
     # in a uniform dipole a deviation launched with dxi0 = 0 stays constant in both
     # modes; a launch rate brings in the moment slots, where the modes differ

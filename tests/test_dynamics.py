@@ -43,7 +43,7 @@ from avgbeam import (
     write_jacobi_csv,
     write_trajectory_csv,
 )
-from avgbeam.dynamics import _hill_map
+from avgbeam.dynamics import _hill_map, _orbit, _rhs_force
 from test_kernel import reference_rk4
 
 SQRT2 = np.sqrt(2.0)
@@ -118,6 +118,10 @@ def test_span_of_too_many_steps_names_span_and_step(circle_lattice, circle_state
     # span and step are finite, span / step is not
     with pytest.raises(ValueError, match=r"^integration span 1e\+308 over step 0\.001 overflows"):
         integrate_lorentz(circle_lattice, circle_state, 1e308, IntegratorConfig(step=1e-3))
+    # span / step is finite, yet past numpy's array size limit, which it checks before allocating
+    with pytest.raises(ValueError, match=r"^integration span 1e\+20 over step 0\.001 overflows "
+                                         r"the step count: 1e\+23 steps"):
+        integrate_lorentz(circle_lattice, circle_state, 1e20, IntegratorConfig(step=1e-3))
 
 
 def test_circle_closes_after_full_turn(circle_lattice, circle_state):
@@ -155,11 +159,9 @@ def test_time_reversal(circle_lattice, circle_state, cfg_fine):
 
 
 def test_connection_and_force_forms_agree(circle_lattice, circle_state, cfg_fine):
-    a = integrate_lorentz(circle_lattice, circle_state, 2.0, cfg_fine, form="connection")
-    b = integrate_lorentz(circle_lattice, circle_state, 2.0, cfg_fine, form="force")
+    a = integrate_lorentz(circle_lattice, circle_state, 2.0, cfg_fine)
+    b = _orbit(_rhs_force(circle_lattice), circle_state, 2.0, cfg_fine.step)
     assert np.abs(a.x[-1] - b.x[-1]).max() < 1e-12
-    with pytest.raises(ValueError):
-        integrate_lorentz(circle_lattice, circle_state, 2.0, cfg_fine, form="euler")
 
 
 def test_norm_conserved_in_every_element_kind(cfg_fine):
@@ -230,7 +232,7 @@ def test_shell_norm_drift_is_bounded_by_step_and_gamma(elements, log_gamma, tilt
     launch, cfg = TrajectoryState(0.0, x0, v0), IntegratorConfig(step=step)
     try:
         runs = [integrate_lorentz(lattice, launch, span, cfg),
-                integrate_lorentz(lattice, launch, span, cfg, form="force"),
+                _orbit(_rhs_force(lattice), launch, span, step),
                 integrate_averaged_geodesic(lattice, delta_moments(v0), launch, span, cfg)]
     except OutOfLattice:  # an electric field turned the orbit back out of the line
         reject()
@@ -539,10 +541,11 @@ def test_hill_map_equals_hill_solver_on_constant_k(K):
     got = _hill_map(K, t)
     us, dus = reference_rk4(lambda k, theta, u, du: -K * u, [1.0, 0.0], [0.0, 1.0],
                             1e-3, len(t) - 1)
-    for mapped, solved in zip(got, (us[:, 0], dus[:, 0], us[:, 1], dus[:, 1])):
+    C, Cp, S = got
+    # S' is C: the solved dS is checked against the map's C row
+    for mapped, solved in zip((C, Cp, S, C), (us[:, 0], dus[:, 0], us[:, 1], dus[:, 1])):
         assert np.abs(mapped - solved).max() < 1e-11  # RK4 error, h = 1e-3
-    C, Cp, S, Sp = got
-    assert np.abs(C * Sp - Cp * S - 1.0).max() <= 1e-14
+    assert np.abs(C * C - Cp * S - 1.0).max() <= 1e-14
 
 
 _HILL_K = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),

@@ -762,7 +762,7 @@ def test_drift_run_makes_one_lookup_not_four_a_step(elements, per_step):
     ens = sample_gaussian_beam([0.0, 1.0, 0.0], [0.01] * 3, n=20, seed=3)
     runs = [
         lambda: integrate_lorentz(lattice, launch, 1.5, _CFG),
-        lambda: integrate_lorentz(lattice, launch, 1.5, _CFG, form="force"),
+        lambda: _orbit(dynamics._rhs_force(lattice), launch, 1.5, _CFG.step),
         lambda: integrate_averaged_geodesic(lattice, compute_moments(ens), launch, 1.5, _CFG),
         lambda: integrate_jacobi_full(lattice, compute_moments(ens), launch, _DEVIATION, 1.5, _CFG),
         lambda: ensemble_track(lattice, ens, launch.x, 1.5, _CFG),
@@ -820,7 +820,7 @@ def test_orbit_rhs_receives_and_returns_only_python_floats(kind, monkeypatch):
     dev = JacobiState(0.0, np.array([0.0, 1e-3, 2e-3, -1e-3]), np.array([0.0, 0.0, 1e-3, 1e-3]))
     runs = [
         lambda: integrate_lorentz(lattice, launch, 1.2, cfg),
-        lambda: integrate_lorentz(lattice, launch, 1.2, cfg, form="force"),
+        lambda: _orbit(dynamics._rhs_force(lattice), launch, 1.2, cfg.step),
         lambda: integrate_averaged_geodesic(lattice, compute_moments(ens), launch, 1.2, cfg),
         lambda: integrate_jacobi_full(lattice, compute_moments(ens), launch, dev, 1.2, cfg),
     ]
@@ -984,8 +984,8 @@ def test_integrators_never_build_dense_fields(fodo_lattice, monkeypatch):
     launch = TrajectoryState(0.0, np.array([0.0, 1e-3, 0.1, -2e-3]),
                              project_to_hyperboloid([1e-3, 1.0, -2e-3]))
     mom = _beam_moments()
-    for form in ("connection", "force"):
-        integrate_lorentz(fodo_lattice, launch, 0.6, _CFG, form=form)
+    integrate_lorentz(fodo_lattice, launch, 0.6, _CFG)
+    _orbit(dynamics._rhs_force(fodo_lattice), launch, 0.6, _CFG.step)
     ref = integrate_averaged_geodesic(fodo_lattice, mom, launch, 0.6, _CFG)
     xi_run = integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG)
     ens = sample_gaussian_beam(launch.v[1:], [0.01] * 3, n=16, seed=5)

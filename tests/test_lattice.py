@@ -493,7 +493,7 @@ def test_profiles_name_the_first_misaligned_boundary():
     lat = Lattice.from_elements([Dipole(length=0.4, b0=0.1), Drift(length=0.5),
                                  Dipole(length=0.4, b0=0.1), Drift(length=0.7)])
     with pytest.raises(MismatchedSampling) as err:
-        optics_profiles(lat, "horizontal", 0.2)
+        optics_profiles(lat, 0.2)
     assert str(err.value) == "element boundary at 0.9 is not aligned to step 0.2"
 
 
@@ -519,7 +519,7 @@ def test_profiles_give_a_boundary_sample_the_downstream_element():
         assert np.array_equal(k, [lat.elements[e].focusing()[axis] for e in owner])
     assert np.array_equal(inv, [lat.elements[e].b0 for e in owner])
     # one grid walk gives the same three arrays
-    for got, want in zip(optics_profiles(lat, "horizontal", 0.01), (grid, kh, inv)):
+    for got, want in zip(optics_profiles(lat, 0.01), (grid, kh, inv)):
         assert np.array_equal(got, want)
 
 
