@@ -118,8 +118,8 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     samples it: step [t_k, t_k+1] carries K[k], and the last sample
     carries no step.  Each run of equal K is exact: its rows are the
     transfer map of that K (dynamics._hill_map, at offsets 1..n steps
-    from the run's entry, as the transverse channel evaluates it, its
-    S' being its C) applied to the entry states (C, C') and (S, S').  The maps of all
+    from the run's entry, as the transverse channel evaluates it)
+    applied to the entry states (C, C') and (S, S').  The maps of all
     runs come from one _hill_map call with K by grid point; the entry
     states are chained run to run in floats, by the products and sums
     the rows are formed with, so every row has the bits of a per-run
@@ -152,7 +152,7 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
         for mc, mcp, ms in zip(*(m[ends - 1].tolist() for m in maps)):
             states.append((c, cp, s, sp))
             c, cp, s, sp = mc * c + ms * cp, mcp * c + mc * cp, mc * s + ms * sp, mcp * s + mc * sp
-        # (u, u') = (C u0 + S u0', C' u0 + C u0') for u = C and u = S, (u0, u0')
+        # (u, u') = (C u0 + S u0', C' u0 + C u0'), a map's S' being C, for u = C and S, (u0, u0')
         # each point's run entry, formed in place with one scratch row
         c0, cp0, s0, sp0 = zip(*states)
         product = np.empty(len(t) - 1)

@@ -361,7 +361,6 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["track-span-overflow", "transverse-span-overflow"],
                          ids=["track", "transverse"])
 def test_grid_past_numpy_size_limit_names_span_step_and_count(files, capsys, name):
@@ -386,7 +385,8 @@ def test_scan_alpha_span_error_names_the_lab_span(files, capsys, span):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"avgbeam: lab path length {float(span)!r} over step 0.001 gives no grid")
+    assert err[0].startswith(f"avgbeam: lab path length {float(span)!r} over step 0.001 gives "
+                             "no grid: ")
     assert "integration span" not in err[0]
     assert not out.exists()
 
@@ -440,6 +440,7 @@ def test_option_surface_is_pinned(files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("code, argv, needle", [
     (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "0.5"], "--gamma"),
     (2, ["longitudinal", "--lattice", "RF", *_ORBIT, *_DEVIATION, "--gamma", "-3"], "--gamma"),
