@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -279,9 +280,26 @@ def _run(args) -> int:
     return 0
 
 
+def _join_negative_values(argv):
+    """argv with a value that begins with '-' and a digit or '.' joined to the
+    flag before it (--flag=value).
+
+    argparse takes only -N and -N.N for negative numbers, so it would read
+    -1e-3 or -1,0,0,0 after a flag as an option and refuse the flag.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-[0-9.]", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "longitudinal" and not args.gamma >= 1.0:
         parser.error(f"longitudinal --gamma must be at least 1, got {args.gamma!r}")
     if args.command == "scan-alpha":

@@ -201,8 +201,6 @@ ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
 _BLOCK_ROWS = 1024  # rows per write, which bounds the bytes held at once
 _UNLOADED = object()
 _orjson = _UNLOADED  # imported by the first write, so that importing avgbeam does not pay for it
-# lower |x| bounds of the one-digit exponents e-9, e-8, e-7 and e-6
-_ONE_DIGIT = (1e-9, 1e-8, 1e-7, 1e-6)
 
 
 def _formatter():
@@ -222,12 +220,6 @@ def _repr_lines(rows):
     return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]).encode()
 
 
-def _replace(body, old, new):
-    # bytes.replace counts the matches in a pass of its own before it
-    # replaces them; split and join find them once
-    return new.join(body.split(old))
-
-
 def _block_lines(block, orjson):
     """The CSV lines of a block, byte for byte those of _repr_lines.
 
@@ -238,20 +230,20 @@ def _block_lines(block, orjson):
     one scatter; the lines start past the opening '['.
 
     repr (Gay's dtoa) and orjson (Ryu) both write the shortest digits that
-    round-trip, so only the layout differs.  One pass over |x| sorts the
-    cells by that layout:
+    round-trip, so only the layout differs, and it is mended in the bytes:
 
-    - other layouts: 1e-5 <= |x| < 1e-4, which orjson writes
-      positionally where repr switches to exponents; |x| >= 1e16, whose
-      exponent repr writes with a '+'; and 0 < |x| < 1e-59.  They are
-      written as NaN, which orjson writes as null and no finite value
-      produces, and their reprs are put back in row-major order by one
-      split and join;
+    - 1e-5 <= |x| < 1e-4, which orjson writes positionally (0.0000DDD)
+      where repr writes D.DDDe-05, is dumped as NaN, which orjson writes
+      as null and no finite value produces.  These cells are dumped
+      together by one more orjson call, turned into repr's layout by a
+      fixed chain of replacements (0.0000d -> d., e-05 after every cell,
+      .e-05 -> e-05) and put back in row-major order by one split and join;
     - one-digit exponents, 1e-9 <= |x| < 1e-5, which repr pads (e-7 ->
-      e-07): one replacement per exponent the block holds.  That is why
-      |x| < 1e-59 goes through repr: its two-digit exponents e-60 ... e-99
-      begin as e-6 ... e-9 do;
-    - all else, which orjson writes as repr does.
+      e-07), and the exponents of |x| >= 1e16, which repr signs (e16 ->
+      e+16), get a '0' or a '+' inserted by one scatter over the body,
+      placed from the cell ends (the commas); it runs only when the
+      block holds such a cell;
+    - all else, e-10 ... e-324 included, orjson writes as repr does.
 
     Every block is written by repr when orjson is not installed.  The
     block is finite (_write_rows), so no value of its own reaches null.
@@ -259,28 +251,42 @@ def _block_lines(block, orjson):
     if orjson is None:
         return _repr_lines(block)
     size = np.abs(block)
-    other = ((size >= 1e-5) & (size < 1e-4)) | (size >= 1e16) | ((size < 1e-59) & (size > 0.0))
-    short = size[(size >= 1e-9) & (size < 1e-5)]
+    positional = (size >= 1e-5) & (size < 1e-4)
+    plus = (size >= 1e16).reshape(-1)
+    edit = plus | ((size >= 1e-9) & (size < 1e-5)).reshape(-1)
     spliced = None
-    if other.any():
-        spliced = block[other]
-        block = np.where(other, np.nan, block)
+    if positional.any():
+        spliced = block[positional]
+        block = np.where(positional, np.nan, block)
     width = block.shape[1]
     body = bytearray(orjson.dumps(block.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY))
     view = np.frombuffer(body, np.uint8)
-    view[np.flatnonzero(view == 44)[width - 1::width]] = 10  # ',' -> '\n'
+    commas = np.flatnonzero(view == 44)
+    view[commas[width - 1::width]] = 10  # ',' -> '\n'
     view[-1] = 10  # ']' -> '\n'
-    # only the exponents the block holds, since each replacement scans the
-    # whole body; searchsorted puts 1e-d <= |x| < 1e-(d-1) at 10 - d
-    held = np.bincount(np.searchsorted(_ONE_DIGIT, short, side="right"), minlength=5).tolist()
-    for d in range(6, 10):
-        if held[10 - d]:
-            body = _replace(body, b"e-%d" % d, b"e-0%d" % d)
+    if edit.any():
+        edited = np.flatnonzero(edit)
+        end = np.append(commas, len(view) - 1)[edited]
+        signed = plus[edited]
+        # before the last digit of e-D, or before the exponent of e16 ... e99
+        # and of e100 ... e308, whose 'e' (101) sits one byte earlier
+        at = np.where(signed, end - 2 - (view[end - 4] == 101), end - 1)
+        at += np.arange(len(at))
+        body = bytearray(len(view) + len(at))
+        out = np.frombuffer(body, np.uint8)
+        kept = np.ones(len(out), bool)
+        kept[at] = False
+        out[kept] = view
+        out[at] = np.where(signed, 43, 48)  # '+' or '0'
     if spliced is not None:
+        fixed = orjson.dumps(spliced, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        for d in b"123456789":
+            fixed = fixed.replace(b"0.0000%c" % d, b"%c." % d)
+        fixed = (fixed.replace(b",", b"e-05,") + b"e-05").replace(b".e-05", b"e-05")
         parts = body.split(b"null")
         cells = [b""] * (2 * len(parts) - 1)
         cells[::2] = parts
-        cells[1::2] = ",".join(map(repr, spliced.tolist())).encode().split(b",")
+        cells[1::2] = fixed.split(b",")
         body = b"".join(cells)
     return memoryview(body)[1:]
 

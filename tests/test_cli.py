@@ -118,10 +118,13 @@ def test_transverse_runs_a_pure_quadrupole(tmp_path):
 
 # the linear channels' CSVs; in a b0 = 0.05 dipole the transverse dxi1 is
 # a one-digit exponent (e-6 ... e-9) on every row after the first, as on
-# the benchmark's bunch-dipole
+# the benchmark's bunch-dipole; in a focusing quad_dipole, as in the
+# benchmark's FODO cells, it passes through [1e-5, 1e-4)
 _CSV_JOBS = {
     "transverse": ["transverse", "--lattice", "DIPOLE", "--step", "2.5e-4", "--span", "1.0",
                    "--xi0", "0,3e-3,0,0", "--dxi0", "0,0,0,0"],
+    "transverse-quad": ["transverse", "--lattice", "QUAD", "--step", "2.5e-4", "--span", "1.0",
+                        "--xi0", "0,3e-3,0,0", "--dxi0", "0,0,0,0"],
     "longitudinal": ["longitudinal", "--lattice", "RF", "--step", "1e-3", "--span", "1.0",
                      "--xi0", "0,0,1e-3,0", "--dxi0", "0,0,0,0"],
     "dispersion": ["dispersion", "--lattice", "DIPOLE", "--step", "1e-3", "--delta", "1e-3"],
@@ -133,7 +136,9 @@ def test_csv_artifact_bytes_equal_without_orjson(tmp_path, monkeypatch, job):
     pytest.importorskip("orjson")
     (tmp_path / "dipole.lat").write_text("element dipole length=1.0 b0=0.05\n")
     (tmp_path / "rf.lat").write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
-    files = {"DIPOLE": str(tmp_path / "dipole.lat"), "RF": str(tmp_path / "rf.lat")}
+    (tmp_path / "quad.lat").write_text("element quad_dipole length=1.0 b0=0.02 b1=0.8\n")
+    files = {"DIPOLE": str(tmp_path / "dipole.lat"), "RF": str(tmp_path / "rf.lat"),
+             "QUAD": str(tmp_path / "quad.lat")}
     argv = [files.get(a, a) for a in _CSV_JOBS[job]]
     fast, plain = tmp_path / "orjson.csv", tmp_path / "repr.csv"
     assert main([*argv, "--out", str(fast)]) == 0
@@ -143,6 +148,9 @@ def test_csv_artifact_bytes_equal_without_orjson(tmp_path, monkeypatch, job):
     assert fast.read_bytes() == plain.read_bytes()
     if job == "transverse":
         assert all(b"e-0" in row.split(b",")[6] for row in fast.read_bytes().splitlines()[2:])
+    if job == "transverse-quad":
+        size = np.abs(read_jacobi_csv(fast).dxi[:, 1])
+        assert ((size >= 1e-5) & (size < 1e-4)).sum() > 100
 
 
 # every CSV job on a one-element line, so dispersion meets no edge; each
@@ -359,6 +367,41 @@ def test_scan_alpha_rejects_bad_beam_before_running(files, capsys, code, flags, 
     assert [line for line in err if needle in line] == [err[-1]]
     assert code == 2 or len(err) == 1
     assert not out.exists()
+
+
+# argparse takes only -N and -N.N for negative numbers; a negative value
+# with an exponent or in a list must reach the same check as its
+# --flag=value form does
+_NEGATIVE_VALUES = {
+    "xi0-list": (0, ["transverse", "--lattice", "LAT", *_ORBIT, "--dxi0", "0,0,0,0",
+                     "--xi0", "-1e-3,0,0,0"]),
+    "dxi0-list": (0, ["transverse", "--lattice", "LAT", *_ORBIT, "--xi0", "0,1e-3,0,0",
+                      "--dxi0", "-0.5,0,0,0"]),
+    "rho-exponent": (0, ["transverse", "--lattice", "LAT", *_ORBIT, *_DEVIATION, "--rho", "-2e1"]),
+    "span-exponent": (1, ["track", "--lattice", "LAT", "--beam", "DELTA", "--step", "1e-3",
+                          "--span", "-5e-1"]),
+    "delta-exponent": (1, ["dispersion", "--lattice", "LAT", "--step", "1e-3", "--delta", "-1e-3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_VALUES))
+def test_negative_value_after_flag_reaches_its_check(files, capsys, name):
+    tmp, lat, delta, _ = files
+    code, argv = _NEGATIVE_VALUES[name]
+    argv = [{"LAT": str(lat), "DELTA": str(delta)}.get(a, a) for a in argv]
+    spaced, joined = tmp / "spaced.out", tmp / "joined.out"
+    assert main([*argv, "--out", str(spaced)]) == code
+    err = capsys.readouterr().err
+    assert main([*argv[:-2], f"{argv[-2]}={argv[-1]}", "--out", str(joined)]) == code
+    assert capsys.readouterr().err == err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("avgbeam:")
+        assert not spaced.exists()
+    else:
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert read_jacobi_csv(spaced).xi[0, 0] == (-1e-3 if name == "xi0-list" else 0.0)
+    if name == "delta-exponent":
+        assert err == "avgbeam: momentum spread must be nonnegative, got -0.001\n"
 
 
 @pytest.mark.parametrize("name", ["track-span-overflow", "transverse-span-overflow"],

@@ -539,6 +539,49 @@ def test_block_writer_row_ends_between_spliced_cells(tmp_path, n_cols, n_rows):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
+def _positional_cells(rng, n):
+    # [1e-5, 1e-4), which orjson writes as 0.0000DDD, with one-digit and
+    # 17-digit mantissas among them
+    cells = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-5, 1e-4, n)
+    ends = [1e-05, -1e-05, 9.999999999999999e-05, np.nextafter(1e-5, 1.0), 3.0000000000000004e-05]
+    cells[:min(n, len(ends))] = ends[:n]
+    return cells
+
+
+_EDIT_TABLES = {
+    # every cell is edited by the replacement chain and the null splice
+    "positional": lambda rng, n: _positional_cells(rng, 4 * n).reshape(n, 4),
+    # a positional cell, a one-digit exponent and a cell whose exponent repr
+    # signs follow one another inside a row and across every row end
+    "mixed": lambda rng, n: np.stack([
+        _positional_cells(rng, n),
+        rng.uniform(-10.0, 10.0, n) * 10.0 ** -rng.integers(6, 10, n).astype(float),
+        rng.choice([1e16, -1e16, 2.5e17, -1.5e300, 1.7976931348623157e308], n),
+    ], axis=1)[np.arange(n)[:, None], (np.arange(3) + np.arange(n)[:, None]) % 3],
+    # no cell needs an edit: two- and three-digit negative exponents,
+    # positional values and zeros
+    "none": lambda rng, n: np.column_stack([rng.uniform(-1.0, 1.0, n), rng.choice(
+        [0.0, -0.0, 1e-4, -0.5, 123.25, 9999999999999998.0, 1e-10, -6.5e-66, 1e-100, 5e-324],
+        (n, 4))]),
+}
+
+
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("table", sorted(_EDIT_TABLES))
+def test_block_writer_byte_edits(tmp_path, table, n_rows):
+    values = _EDIT_TABLES[table](np.random.default_rng([n_rows, len(table)]), n_rows)
+    size = np.abs(values)
+    if table == "positional":
+        assert ((size >= 1e-5) & (size < 1e-4)).all()
+    elif table == "none":
+        assert not (((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16)).any()
+    columns = list(values.T)
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    _write_rows(tmp_path / "block.csv", header, columns)
+    reference_write_rows(tmp_path / "row.csv", header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
 def test_import_does_not_load_orjson():
     # orjson is imported by the first CSV write, not by importing any module
     src = os.path.dirname(os.path.dirname(dynamics.__file__))

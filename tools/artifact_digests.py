@@ -12,7 +12,12 @@ exit code and what it wrote to stderr (the temporary directory shown as
 ``<work>``).  The inputs depend only on (workload, seed), so the lines
 of two checkouts compare directly.  The package is imported from the
 ``src`` directory next to this script, so each checkout digests its own
-code.  Without ``--workload`` every workload runs.
+code.  Without ``--workload`` every workload runs.  ``--without-orjson``
+writes every CSV through the writer's repr path, as where orjson is not
+installed, so the two paths compare on the same inputs:
+
+    python3 tools/artifact_digests.py --seed 5 > orjson.txt
+    python3 tools/artifact_digests.py --seed 5 --without-orjson | diff orjson.txt -
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from avgbeam import dynamics  # noqa: E402
 from avgbeam.cli import main as cli_main  # noqa: E402
 
 
@@ -62,7 +68,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=sorted(workloads.SIZES))
     ap.add_argument("--seed", action="append", type=int, required=True)
+    ap.add_argument("--without-orjson", action="store_true",
+                    help="write every CSV by repr, as where orjson is not installed")
     args = ap.parse_args(argv)
+    if args.without_orjson:
+        dynamics._orjson = None
     for workload in args.workload or sorted(workloads.SIZES):
         for seed in args.seed:
             print(json.dumps({"workload": workload, "seed": seed,
