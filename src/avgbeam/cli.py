@@ -280,26 +280,15 @@ def _run(args) -> int:
     return 0
 
 
-def _join_negative_values(argv):
-    """argv with a value that begins with '-' and a digit or '.' joined to the
-    flag before it (--flag=value).
-
-    argparse takes only -N and -N.N for negative numbers, so it would read
-    -1e-3 or -1,0,0,0 after a flag as an option and refuse the flag.
-    """
-    out = []
-    for tok in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and re.match(r"-[0-9.]", tok)):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes only -N and -N.N for negative numbers and would read
+    # -1e-3 or -1,0,0,0 after a flag as an option: join it as --flag=value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = parser.parse_args(argv)
     if args.command == "longitudinal" and not args.gamma >= 1.0:
         parser.error(f"longitudinal --gamma must be at least 1, got {args.gamma!r}")
     if args.command == "scan-alpha":
