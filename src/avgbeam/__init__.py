@@ -39,10 +39,6 @@ _EXPORTS = {
         "integrate_transverse_linear",
         "mean_field_defect",
         "moment_deviations",
-        "read_ensemble_csv",
-        "read_jacobi_csv",
-        "read_trajectory_csv",
-        "write_ensemble_csv",
         "write_jacobi_csv",
         "write_trajectory_csv",
     ),
@@ -119,11 +115,7 @@ _EXPORTS = {
         "OffsetSeries",
         "PrincipalSolutions",
         "averaged_offset",
-        "born_offset",
         "dispersion",
-        "green_function",
-        "lattice_principal_solutions",
-        "momentum_spread",
         "particular_solution",
         "principal_solutions",
     ),
@@ -131,7 +123,6 @@ _EXPORTS = {
         "EnsembleTrackResult",
         "LinearizationReport",
         "ScalingReport",
-        "endpoint_deviation",
         "ensemble_track",
         "gaussian_beam_family",
         "jacobi_vs_two_geodesics",

@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial deviation xi (4 floats, m)")
     p.add_argument("--dxi0", type=_four_floats, required=True,
                    help="initial deviation rate dxi/dt (4 floats)")
-    p.add_argument("--mode", choices=("full", "linearized"), default="full",
-                   help="moment slots comoving (full) or reference-velocity (linearized)")
 
     p = sub.add_parser("transverse", help="linear transverse channel of the first element")
     _add_common(p, span_help="path length span l (m)")
@@ -139,14 +137,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _launch(args, v):
+    """The launch at the lattice start x2 = 0 with velocity v, and the config.
+
+    A span whose sign sends the first half step to x2 < 0 is refused here,
+    before the run, as the lattice lookup there would refuse it unnamed.
+    """
+    from .dynamics import IntegratorConfig, TrajectoryState
+
+    cfg = IntegratorConfig(step=args.step)
+    if args.span != 0.0 and 0.5 * math.copysign(cfg.step, args.span) * v[2] < 0.0:
+        raise ValueError(f"--span {args.span!r} leaves the lattice at its start x2 = 0: the "
+                         f"launch has v2 = {float(v[2])!r}, and the span must have its sign")
+    return TrajectoryState(t=0.0, x=np.zeros(4), v=v), cfg
+
+
 def _averaged_launch(args):
     """The beam's moments, the launch on their projected mean velocity, the config."""
-    from .dynamics import IntegratorConfig, TrajectoryState
     from .ensemble import compute_moments, project_to_hyperboloid, realize_beam
 
     moments = compute_moments(realize_beam(_load_beam(args.beam)))
-    v0 = project_to_hyperboloid(moments.first[1:4])
-    return moments, TrajectoryState(t=0.0, x=np.zeros(4), v=v0), IntegratorConfig(step=args.step)
+    return (moments, *_launch(args, project_to_hyperboloid(moments.first[1:4])))
 
 
 def _write_json(path, payload):
@@ -162,13 +173,9 @@ def _run(args) -> int:
 
         lattice = load_lattice(args.lattice)
     if args.command == "track":
-        from .dynamics import (
-            IntegratorConfig, TrajectoryState, integrate_lorentz, write_trajectory_csv,
-        )
+        from .dynamics import integrate_lorentz, write_trajectory_csv
 
-        defn = _load_beam(args.beam)
-        cfg = IntegratorConfig(step=args.step)
-        state = TrajectoryState(t=0.0, x=np.zeros(4), v=defn.central_velocity())
+        state, cfg = _launch(args, _load_beam(args.beam).central_velocity())
         series = integrate_lorentz(lattice, state, args.span, cfg)
         write_trajectory_csv(series, args.out)
 
@@ -183,10 +190,8 @@ def _run(args) -> int:
         from .dynamics import JacobiState, integrate_jacobi_full, write_jacobi_csv
 
         moments, launch, cfg = _averaged_launch(args)
-        xi_run = integrate_jacobi_full(
-            lattice, moments, launch, JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0),
-            args.span, cfg, mode=args.mode,
-        )
+        xi0 = JacobiState(t=0.0, xi=args.xi0, dxi=args.dxi0)
+        xi_run = integrate_jacobi_full(lattice, moments, launch, xi0, args.span, cfg)
         write_jacobi_csv(xi_run, args.out)
 
     elif args.command == "transverse":
@@ -237,8 +242,9 @@ def _run(args) -> int:
         reference = integrate_averaged_geodesic(lattice, moments, launch, args.span, cfg)
         along = comoving_moments_along(reference, moments)
         off = averaged_offset(lattice, reference, along)
+        # the header is the artifact format: off1/off3 repeat the averaged avg1/avg3
         _write_rows(args.out, "t,off1,off3,avg1,avg3",
-                    [off.t, off.off1, off.off3, off.avg1, off.avg3])
+                    [off.t, off.avg1, off.avg3, off.avg1, off.avg3])
 
     elif args.command == "dispersion":
         from .dynamics import _write_rows

@@ -77,15 +77,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import BeamEnsemble, MomentSet
+from .ensemble import MomentSet
 from .errors import (
-    EmptyEnsemble,
     MismatchedGrid,
     MismatchedSampling,
     NonFiniteValue,
     OffShellInitial,
     OutOfLattice,
-    ParseError,
     StepTooLarge,
     UnsupportedElement,
 )
@@ -197,7 +195,6 @@ class MomentsSeries:
 
 TRAJECTORY_HEADER = "t,x0,x1,x2,x3,v0,v1,v2,v3"
 JACOBI_HEADER = "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
-ENSEMBLE_HEADER = "y0,y1,y2,y3,w"
 _BLOCK_ROWS = 1024  # rows per write, which bounds the bytes held at once
 _UNLOADED = object()
 _orjson = _UNLOADED  # imported by the first write, so that importing avgbeam does not pay for it
@@ -294,9 +291,8 @@ def _block_lines(block, orjson):
 def _write_rows(path, header, columns):
     """CSV of float64 columns, a block of rows per write, each value as its float repr.
 
-    A non-finite value, which _read_rows would reject, raises NonFiniteValue
-    naming the first such row (from 0, in row-major order) and its column
-    before the file is opened.
+    A non-finite value raises NonFiniteValue naming the first such row
+    (from 0, in row-major order) and its column before the file is opened.
     """
     table = np.column_stack(columns)
     finite = np.isfinite(table)
@@ -311,64 +307,12 @@ def _write_rows(path, header, columns):
             fh.write(_block_lines(table[lo:lo + _BLOCK_ROWS], orjson))
 
 
-def _read_rows(path, header):
-    """(n, columns) floats below header, which must be line 1; a line that is neither
-    blank nor one finite number per column raises ParseError naming it."""
-    width = header.count(",") + 1
-    rows = []
-    with open(path) as fh:
-        got = fh.readline().strip()
-        if got != header:
-            raise ParseError(1, f"expected header '{header}', got '{got}'")
-        for ln, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != width:
-                raise ParseError(ln, f"expected {width} comma-separated values, got {len(parts)}")
-            try:
-                vals = list(map(float, parts))
-            except ValueError:
-                raise ParseError(ln, f"non-numeric value in '{raw}'") from None
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(ln, f"non-finite value in '{raw}'")
-            rows.append(vals)
-    return np.array(rows, dtype=float).reshape(-1, width)
-
-
 def write_trajectory_csv(series: TrajectorySeries, path):
     _write_rows(path, TRAJECTORY_HEADER, [series.t, *series.x.T, *series.v.T])
 
 
-def read_trajectory_csv(path) -> TrajectorySeries:
-    data = _read_rows(path, TRAJECTORY_HEADER)
-    return TrajectorySeries(t=data[:, 0], x=data[:, 1:5], v=data[:, 5:9])
-
-
 def write_jacobi_csv(series: JacobiSeries, path):
     _write_rows(path, JACOBI_HEADER, [series.t, *series.xi.T, *series.dxi.T])
-
-
-def read_jacobi_csv(path) -> JacobiSeries:
-    data = _read_rows(path, JACOBI_HEADER)
-    return JacobiSeries(t=data[:, 0], xi=data[:, 1:5], dxi=data[:, 5:9])
-
-
-def write_ensemble_csv(ensemble: BeamEnsemble, path):
-    """Write samples as CSV with full round-trip float formatting.
-
-    It sits with the other CSV formats here because dynamics imports ensemble.
-    """
-    _write_rows(path, ENSEMBLE_HEADER, [*ensemble.ys.T, ensemble.ws])
-
-
-def read_ensemble_csv(path) -> BeamEnsemble:
-    """Samples of an ensemble CSV; a bad line raises ParseError naming it."""
-    data = _read_rows(path, ENSEMBLE_HEADER)
-    if not len(data):
-        raise EmptyEnsemble("ensemble file contains no samples")
-    return BeamEnsemble(data[:, :4], data[:, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +689,7 @@ def comoving_moments_along(series: TrajectorySeries, moments: MomentSet) -> Mome
 
 
 def _along_run(lattice: Lattice, curve: TrajectorySeries, moments_along: MomentsSeries):
-    """Step, lookup arguments, field entries, v and first along a run, as columns.
+    """Step, field entries, v and first along a run, as columns.
 
     The moment series must share the curve's grid (MismatchedGrid
     otherwise), and the grid must be uniform (ValueError otherwise).
@@ -753,8 +697,7 @@ def _along_run(lattice: Lattice, curve: TrajectorySeries, moments_along: Moments
     _check_common_grid(curve, moments_along)
     h = _uniform_step(curve.t)
     x = _series_columns(curve.x)
-    lookup = (lattice, x[2], _lookup_xi(x))
-    return (h, lookup, field_entries(*lookup), _series_columns(curve.v),
+    return (h, field_entries(lattice, x[2], _lookup_xi(x)), _series_columns(curve.v),
             _series_columns(moments_along.first))
 
 
@@ -794,7 +737,7 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
     The moment series must be built along the curve (see _along_run for
     the grid checks); its third slot is contracted around the curve's v.
     """
-    h, _, F, v, V = _along_run(lattice, curve, moments_along)
+    h, F, v, V = _along_run(lattice, curve, moments_along)
     gam = _gamma(F, V, _comoving_third(v, moments_along.D3, V, V), V, V)
     dV = _series_columns(_series_derivative(moments_along.first, h))
     d = [dV[c] + gam[c] for c in range(4)]
@@ -806,8 +749,7 @@ def mean_field_defect(lattice: Lattice, moments_along: MomentsSeries,
 
 def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
                           launch: TrajectoryState, initial: JacobiState,
-                          t_end: float, config: IntegratorConfig,
-                          mode: str = "full") -> JacobiSeries:
+                          t_end: float, config: IntegratorConfig) -> JacobiSeries:
     """Transport a deviation vector along the averaged geodesic from launch.
 
     Integrates the linearized geodesic deviation system
@@ -821,14 +763,10 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     arithmetic as that run and both sharing one field lookup per stage.
     The grid runs from initial.t to t_end; launch.t must equal initial.t.
 
-    mode "full" keeps the moment slots comoving (first = Xdot + D1);
-    mode "linearized" substitutes the reference velocity for the first
-    moment, the standard small-spread reduction.  The kernel's observer
-    records the deviation rows and the worst coupling
-    |eta(Xdot, dxi)| / |dxi| behind the decoupling flag.
+    The moment slots are comoving, first = Xdot + D1, as on the
+    reference.  The kernel's observer records the deviation rows and the
+    worst coupling |eta(Xdot, dxi)| / |dxi| behind the decoupling flag.
     """
-    if mode not in ("full", "linearized"):
-        raise ValueError(f"unknown jacobi mode '{mode}'")
     _check_step(lattice.min_length(), config.step)
     check_on_shell(launch.v, exc=OffShellInitial, label="launch velocity")
     if launch.t != initial.t:
@@ -838,31 +776,30 @@ def integrate_jacobi_full(lattice: Lattice, moments: MomentSet,
     n, h, t = _grid(initial.t, t_end, config.step)
 
     D1, D3 = _frozen_slots(moments, launch.v)
-    slot_D1, slot_D3 = (None, None) if mode == "linearized" else (D1, D3)
 
     def accel(x, v):
         V, xi, dxi = v[:4], x[4:], v[4:]
         lookup = _lookup_xi(x)
         F = field_entries(lattice, x[2], lookup)
         dF = _directional(gradient_entries(lattice, x[2], lookup), xi)
-        if slot_D1 is None:
+        if D1 is None:
             first = V
         else:
             V0, V1, V2, V3 = V
-            e0, e1, e2, e3 = slot_D1
+            e0, e1, e2, e3 = D1
             first = [V0 + e0, V1 + e1, V2 + e2, V3 + e3]
         # eta(Xdot, Xdot), eta(Xdot, dxi), F Xdot, eta(first, Xdot) and the
         # moment slot of (Xdot, Xdot) enter several terms below; each is formed once
         s, w = _mdot(V, V), _mdot(V, dxi)
         FV, fV = _matvec(F, V), _mdot(first, V)
-        slot = _moment(first, _third(V, slot_D3, V, V, s * s), s)
+        slot = _moment(first, _third(V, D3, V, V, s * s), s)
         d0, d1, d2, d3 = _gamma_of(_matvec(F, dxi), fV, FV, _mdot(first, dxi),
-                                   _matvec(F, _moment(first, _third(V, slot_D3, dxi, V, w * s), w)))
+                                   _matvec(F, _moment(first, _third(V, D3, dxi, V, w * s), w)))
         dFV = _matvec(dF, V)
         q0, q1, q2, q3 = _gamma_of(dFV, fV, dFV, fV, _matvec(dF, slot))
-        if slot_D1 is None:
-            r0, r1, r2, r3 = _geodesic_accel(F, V, D1, D3)
-        else:  # in mode "full" with a spread beam the reference's slots are the deviation's
+        if D1 is None:
+            r0, r1, r2, r3 = _geodesic_accel(F, V, None, None)
+        else:  # with a spread beam the reference's slots are the deviation's
             g0, g1, g2, g3 = _gamma_of(FV, fV, FV, fV, _matvec(F, slot))
             r0, r1, r2, r3 = -g0, -g1, -g2, -g3
         # -(2 Gamma(dxi, Xdot) + xi^l d_l Gamma(Xdot, Xdot))

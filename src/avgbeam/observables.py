@@ -2,18 +2,19 @@
 
 The linear channels of the deviation dynamics all reduce to Hill
 equations u'' + K(t) u = 0; this module builds their principal
-solutions, the associated Green function and particular solutions, the
-dispersion response to a momentum error, and the transverse offset
-integrals driven by the ensemble moments along a reference run.  The
-offsets take the moments in the integrators' comoving form: first along
-the run and the rank-3 slot contracted in closed form around the
-reference velocity (dynamics._comoving_third), never a tensor series.
+solutions and the particular solution of a driven equation through
+their Green integral, the dispersion response to a momentum error, and
+the ensemble-averaged transverse offset integrals driven by the moments
+along a reference run.  The offset takes the moments in the
+integrators' comoving form: first along the run and the rank-3 slot
+contracted in closed form around the reference velocity
+(dynamics._comoving_third), never a tensor series.
 
 On a lattice K is constant inside each hard-edged element, so the
 principal solutions chain the closed-form transfer maps of each run of
 equal K and are exact at element edges; principal_solutions takes any
-such piecewise-constant K sampled on a grid, and
-lattice_principal_solutions the lattice's own profile.
+such piecewise-constant K sampled on a grid, such as the lattice's own
+profile (lattice.transverse_k_profile or lattice.optics_profiles).
 """
 
 from __future__ import annotations
@@ -23,27 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    JacobiSeries,
     MomentsSeries,
     TrajectorySeries,
     _along_run,
-    _check_common_grid,
     _comoving_third,
-    _directional,
     _hill_map,
     _matvec,
     _mdot,
     _moment,
-    _series_columns,
     _uniform_step,
 )
-from .errors import (
-    MismatchedGrid,
-    OutOfSpan,
-    ResidualTooLarge,
-    WronskianDrift,
-)
-from .lattice import Lattice, gradient_entries, transverse_k_profile
+from .errors import MismatchedGrid, ResidualTooLarge, WronskianDrift
+from .lattice import Lattice
 
 
 @dataclass
@@ -86,22 +78,19 @@ class DispersionResult:
 
 @dataclass
 class OffsetSeries:
-    """Transverse offset integrals along a reference grid.
+    """Ensemble-averaged transverse offset integrals along a reference grid.
 
-    off1/off3 carry the per-deviation offsets, avg1/avg3 the
-    ensemble-averaged observable; temporal and longitudinal components
-    vanish in the regime considered.
+    avg1/avg3 are the x1 and x3 components; temporal and longitudinal
+    components vanish in the regime considered.
     """
 
     t: np.ndarray
-    off1: np.ndarray
-    off3: np.ndarray
     avg1: np.ndarray
     avg3: np.ndarray
 
     def __post_init__(self):
         n = len(self.t)
-        for name in ("off1", "off3", "avg1", "avg3"):
+        for name in ("avg1", "avg3"):
             if len(getattr(self, name)) != n:
                 raise MismatchedGrid(f"{name} length does not match the grid")
 
@@ -165,29 +154,6 @@ def principal_solutions(t: np.ndarray, K: np.ndarray) -> PrincipalSolutions:
     return PrincipalSolutions(t=t.copy(), C=C, Cp=Cp, S=S, Sp=Sp, K=K.copy())
 
 
-def lattice_principal_solutions(lattice: Lattice, plane: str, step: float) -> PrincipalSolutions:
-    """principal_solutions on the plane's transverse_k_profile, exact at element edges.
-
-    Raises MismatchedSampling for a step that misses an element boundary
-    and ValueError for an unknown plane or a non-finite K.
-    """
-    return principal_solutions(*transverse_k_profile(lattice, plane, step))
-
-
-def _interp_checked(ps: PrincipalSolutions, value: float):
-    lo, hi = ps.t[0], ps.t[-1]
-    if value < lo - 1e-12 or value > hi + 1e-12:
-        raise OutOfSpan(f"parameter {value} outside principal-solution span [{lo}, {hi}]")
-    return (float(np.interp(value, ps.t, ps.C)), float(np.interp(value, ps.t, ps.S)))
-
-
-def green_function(ps: PrincipalSolutions, t: float, t_tilde: float) -> float:
-    """Green kernel S(t)C(t~) - C(t)S(t~); linear between grid points."""
-    c_t, s_t = _interp_checked(ps, t)
-    c_tt, s_tt = _interp_checked(ps, t_tilde)
-    return s_t * c_tt - c_t * s_tt
-
-
 def particular_solution(ps: PrincipalSolutions, p: np.ndarray) -> np.ndarray:
     """Particular response P(t) = int_0^t p(s) G(t,s) ds on the grid.
 
@@ -233,14 +199,6 @@ def dispersion(ps: PrincipalSolutions, inv_rho: np.ndarray,
     return DispersionResult(D=D, delta=delta, offset=delta * D)
 
 
-def momentum_spread(xi_run: JacobiSeries, p0: float = 1.0) -> float:
-    """delta = dp/p0 with dp the peak spatial deviation over the run."""
-    if not p0 > 0.0:
-        raise ValueError("reference momentum must be positive")
-    r = np.sqrt(xi_run.xi[:, 1] ** 2 + xi_run.xi[:, 2] ** 2 + xi_run.xi[:, 3] ** 2)
-    return float(np.max(r)) / p0
-
-
 # ---------------------------------------------------------------------------
 # collective offset integrals
 
@@ -255,40 +213,8 @@ def averaged_offset(lattice: Lattice, reference: TrajectorySeries,
     idealization.  Depends only on the reference, the field along it,
     and the first and third moments.
     """
-    h, _, F, V, first = _along_run(lattice, reference, moments_along)
+    h, F, V, first = _along_run(lattice, reference, moments_along)
     # F^i_m (<y^m> eta(V,V) - <yyy>^m_(VV))
     integ = _matvec(F, _moment(first, _comoving_third(V, moments_along.D3, V, V), _mdot(V, V)))
-    avg1 = _cumtrapz(integ[1], h)
-    avg3 = _cumtrapz(integ[3], h)
-    return OffsetSeries(t=reference.t.copy(), off1=avg1.copy(), off3=avg3.copy(),
-                        avg1=avg1, avg3=avg3)
-
-
-def born_offset(lattice: Lattice, reference: TrajectorySeries,
-                moments_along: MomentsSeries, xi_run: JacobiSeries) -> OffsetSeries:
-    """First-order (Born) offset for one deviation solution.
-
-    Adds to the averaged integrand the deviation-velocity cross term
-    with epsilon = <y> - dX/dt and the field-gradient term xi^l d_l of
-    the averaged integrand; both are linear in (xi, dxi), so averaging
-    over a sign-symmetric family of deviation runs recovers
-    averaged_offset.
-    """
-    _check_common_grid(reference, xi_run, "deviation run")
-    h, lookup, F, V, first = _along_run(lattice, reference, moments_along)
-    slot = _moment(first, _comoving_third(V, moments_along.D3, V, V), _mdot(V, V))
-    xi = _series_columns(xi_run.xi)
-    dxi = _series_columns(xi_run.dxi)
-    eps = [first[c] - V[c] for c in range(4)]
-    base = _matvec(F, slot)
-    # 2 dxi^j X'^k * (1/2)(F_j eps_k + F_k eps_j)
-    F_dxi, F_V = _matvec(F, dxi), _matvec(F, V)
-    e_V, e_dxi = _mdot(eps, V), _mdot(eps, dxi)
-    grad = _matvec(_directional(gradient_entries(*lookup), xi), slot)
-    integ = [base[c] + (F_dxi[c] * e_V + F_V[c] * e_dxi) + grad[c] for c in range(4)]
-    off1 = _cumtrapz(integ[1], h)
-    off3 = _cumtrapz(integ[3], h)
-    avg1 = _cumtrapz(base[1], h)
-    avg3 = _cumtrapz(base[3], h)
-    return OffsetSeries(t=reference.t.copy(), off1=off1, off3=off3,
-                        avg1=avg1, avg3=avg3)
+    return OffsetSeries(t=reference.t.copy(), avg1=_cumtrapz(integ[1], h),
+                        avg3=_cumtrapz(integ[3], h))

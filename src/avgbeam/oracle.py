@@ -127,16 +127,6 @@ class ScalingReport:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingReport":
-        data = json.loads(text)
-        return cls(
-            alphas=data["alphas"],
-            deviations=data["deviations"],
-            fitted_exponent=data["fitted_exponent"],
-            fitted_prefactor=data["fitted_prefactor"],
-        )
-
 
 @dataclass
 class LinearizationReport:
@@ -394,18 +384,6 @@ def _hermite_eval_d(q0, q1, d0, d1, h, theta):
     return dh00 * q0 + dh10 * h * d0 + dh01 * q1 + dh11 * h * d1
 
 
-def endpoint_deviation(a: TrajectorySeries, b: TrajectorySeries) -> float:
-    """Spatial Euclidean distance between two runs at the largest lab time both
-    reach, the operative reading of distances measured in the laboratory frame."""
-    T = min(float(a.x[-1, 0]), float(b.x[-1, 0]))
-    return _distance(position_at_lab_time(a, T), position_at_lab_time(b, T))
-
-
-def _distance(p, q) -> float:
-    d = p - q
-    return float(np.sqrt(np.sum(d * d)))
-
-
 # ---------------------------------------------------------------------------
 # alpha-scaling scan
 
@@ -499,11 +477,13 @@ def theorem1_scan(lattice: Lattice, beam_family, alphas, s: float,
         ks, clouds, t_ends, lab_ends = zip(*members)
         for k, mean in zip(ks, _track_means(lattice, clouds, x0, t_ends[0], config, lab_ends)):
             runs[k] = float(mean.x0[-1]), mean.position_at
-    # endpoint_deviation's lab-time comparison, on the flow or the reduced rows
+    # the spatial distance at the largest lab time both runs reach, the
+    # laboratory frame's reading, on the flow or the reduced rows
     deviations = []
     for avg, (lab_end, position_at) in zip(averaged, runs):
         T = min(float(avg.x[-1, 0]), lab_end)
-        deviations.append(_distance(position_at_lab_time(avg, T), position_at(T)))
+        d = position_at_lab_time(avg, T) - position_at(T)
+        deviations.append(float(np.sqrt(np.sum(d * d))))
 
     dev = np.asarray(deviations)
     if np.any(~np.isfinite(dev)) or np.any(dev <= 0.0):
@@ -542,7 +522,7 @@ def jacobi_vs_two_geodesics(lattice: Lattice, moments, launch: TrajectoryState,
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    jac = integrate_jacobi_full(lattice, moments, launch, xi0, t_end, config, mode="full")
+    jac = integrate_jacobi_full(lattice, moments, launch, xi0, t_end, config)
     x0 = np.asarray(launch.x, dtype=float)
     v0 = np.asarray(launch.v, dtype=float)
     xi, dxi = np.asarray(xi0.xi, dtype=float), np.asarray(xi0.dxi, dtype=float)
@@ -579,7 +559,8 @@ def validate_field_gradients(lattice: Lattice, probes, step: float = 1e-5) -> fl
     direction is perturbed by +-step and the centered difference of the
     field is compared entrywise against the analytic gradient.  The
     error is normalized by max(1, largest gradient entry).  step must
-    be finite and positive.
+    be finite and positive, and a step at which a difference or a
+    gradient is not finite raises ValueError naming the probe.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"finite-difference step must be finite and positive, got {step}")
@@ -588,13 +569,18 @@ def validate_field_gradients(lattice: Lattice, probes, step: float = 1e-5) -> fl
     for probe in probes:
         x = np.asarray(probe, dtype=float)
         xi = np.array([0.0, x[1], 0.0, x[3]])
-        G = field_gradient(lattice, float(x[2]), xi)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error is refused below
+            G = field_gradient(lattice, float(x[2]), xi)
+            errors = []
+            for l in range(4):
+                d = np.zeros(4)
+                d[l] = step
+                fp = field_mixed(lattice, float(x[2]), xi + d)
+                fm = field_mixed(lattice, float(x[2]), xi - d)
+                errors.append(np.abs((fp - fm) / (2.0 * step) - G[l]))
+        if not np.isfinite(errors).all():
+            raise ValueError(f"finite-difference step {step!r} gives a non-finite field "
+                             f"difference or gradient at probe {x.tolist()}")
         gmax = max(gmax, float(np.max(np.abs(G))))
-        for l in range(4):
-            d = np.zeros(4)
-            d[l] = step
-            fp = field_mixed(lattice, float(x[2]), xi + d)
-            fm = field_mixed(lattice, float(x[2]), xi - d)
-            fd = (fp - fm) / (2.0 * step)
-            worst = max(worst, float(np.max(np.abs(fd - G[l]))))
+        worst = max(worst, *(float(np.max(e)) for e in errors))
     return worst / max(1.0, gmax)

@@ -12,14 +12,17 @@ from avgbeam import (
     dynamics,
     load_lattice,
     parse_beam_definition,
-    read_jacobi_csv,
-    read_trajectory_csv,
 )
 from avgbeam.cli import build_parser, main
 
 DIPOLE = "element dipole length=25.0 b0=0.05\n"
 DELTA_BEAM = "distribution=delta\nmean=0,10,0\n"
 GAUSS_BEAM = "distribution=gaussian\nmean=0,10,0\nsigma=0.01,0.01,0.01\nn=200\nseed=7\n"
+
+
+def _rows(path):
+    """The float rows of a CSV artifact below its header."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 @pytest.fixture
@@ -39,9 +42,9 @@ def test_track_writes_trajectory(files):
     rc = main(["track", "--lattice", str(lat), "--beam", str(delta),
                "--step", "1e-3", "--span", "0.5", "--out", str(out)])
     assert rc == 0
-    ser = read_trajectory_csv(out)
-    assert ser.t[0] == 0.0 and ser.t[-1] >= 0.5
-    assert abs(ser.v[0, 2] - 10.0) < 1e-12
+    rows = _rows(out)
+    assert rows[0, 0] == 0.0 and rows[-1, 0] >= 0.5
+    assert abs(rows[0, 7] - 10.0) < 1e-12  # v2
     assert out.read_text().splitlines()[0] == "t,x0,x1,x2,x3,v0,v1,v2,v3"
 
 
@@ -54,7 +57,7 @@ def test_track_forms_agree_closely(files):
     launch = TrajectoryState(0.0, np.zeros(4),
                              parse_beam_definition(delta.read_text()).central_velocity())
     sb = dynamics._orbit(dynamics._rhs_force(load_lattice(lat)), launch, 0.5, 1e-3)
-    assert np.abs(read_trajectory_csv(a).x - sb.x).max() < 1e-9
+    assert np.abs(_rows(a)[:, 1:5] - sb.x).max() < 1e-9
 
 
 def test_avg_track_delta_equals_track(files):
@@ -74,8 +77,7 @@ def test_jacobi_artifact(files):
                "--step", "1e-3", "--span", "0.4", "--out", str(out),
                "--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"])
     assert rc == 0
-    run = read_jacobi_csv(out)
-    assert run.xi[0, 1] == 1e-3
+    assert _rows(out)[0, 2] == 1e-3  # xi1
     assert out.read_text().splitlines()[0] == "t,xi0,xi1,xi2,xi3,dxi0,dxi1,dxi2,dxi3"
 
 
@@ -86,10 +88,10 @@ def test_transverse_and_longitudinal(files, tmp_path):
                "--span", "6.0", "--out", str(out),
                "--xi0", "0,1e-3,0,0", "--dxi0", "0,0,0,0"])
     assert rc == 0
-    run = read_jacobi_csv(out)
+    rows = _rows(out)
+    t, xi1 = rows[:, 0], rows[:, 2]
     # rho = 20 m dipole: horizontal harmonic at 1/rho
-    want = 1e-3 * np.cos(run.t / 20.0)
-    assert np.abs(run.xi[:, 1] - want).max() < 1e-9
+    assert np.abs(xi1 - 1e-3 * np.cos(t / 20.0)).max() < 1e-9
 
     rf = tmp_path / "rf.lat"
     rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
@@ -98,8 +100,9 @@ def test_transverse_and_longitudinal(files, tmp_path):
                "--span", "1.0", "--out", str(out2),
                "--xi0", "0,0,1e-4,0", "--dxi0", "0,0,0,0", "--gamma", "1.0"])
     assert rc == 0
-    run2 = read_jacobi_csv(out2)
-    assert np.abs(run2.xi[:, 2] - 1e-4 * np.cosh(np.sqrt(2.0) * run2.t)).max() < 1e-9
+    rows = _rows(out2)
+    t, xi2 = rows[:, 0], rows[:, 3]
+    assert np.abs(xi2 - 1e-4 * np.cosh(np.sqrt(2.0) * t)).max() < 1e-9
 
 
 def test_transverse_runs_a_pure_quadrupole(tmp_path):
@@ -110,10 +113,10 @@ def test_transverse_runs_a_pure_quadrupole(tmp_path):
     rc = main(["transverse", "--lattice", str(lat), "--step", "1e-3", "--span", "1.0",
                "--out", str(out), "--xi0", "0,1e-3,0,1e-3", "--dxi0", "0,0,0,0"])
     assert rc == 0
-    run = read_jacobi_csv(out)
+    t, _, xi1, _, xi3 = _rows(out)[:, :5].T
     w = np.sqrt(0.8)
-    assert np.abs(run.xi[:, 1] - 1e-3 * np.cosh(w * run.t)).max() < 1e-15
-    assert np.abs(run.xi[:, 3] - 1e-3 * np.cos(w * run.t)).max() < 1e-15
+    assert np.abs(xi1 - 1e-3 * np.cosh(w * t)).max() < 1e-15
+    assert np.abs(xi3 - 1e-3 * np.cos(w * t)).max() < 1e-15
 
 
 # the linear channels' CSVs; in a b0 = 0.05 dipole the transverse dxi1 is
@@ -149,7 +152,7 @@ def test_csv_artifact_bytes_equal_without_orjson(tmp_path, monkeypatch, job):
     if job == "transverse":
         assert all(b"e-0" in row.split(b",")[6] for row in fast.read_bytes().splitlines()[2:])
     if job == "transverse-quad":
-        size = np.abs(read_jacobi_csv(fast).dxi[:, 1])
+        size = np.abs(_rows(fast)[:, 6])  # dxi1
         assert ((size >= 1e-5) & (size < 1e-4)).sum() > 100
 
 
@@ -207,6 +210,9 @@ def test_offset_csv(files):
                "--step", "1e-3", "--span", "0.4", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[0] == "t,off1,off3,avg1,avg3"
+    # off1/off3 repeat the averaged offsets avg1/avg3
+    rows = _rows(out)
+    assert np.array_equal(rows[:, 1:3], rows[:, 3:5]) and np.any(rows[:, 3:5])
 
 
 def test_dispersion_csv(files):
@@ -399,9 +405,40 @@ def test_negative_value_after_flag_reaches_its_check(files, capsys, name):
         assert not spaced.exists()
     else:
         assert spaced.read_bytes() == joined.read_bytes()
-        assert read_jacobi_csv(spaced).xi[0, 0] == (-1e-3 if name == "xi0-list" else 0.0)
+        assert _rows(spaced)[0, 1] == (-1e-3 if name == "xi0-list" else 0.0)  # xi0
     if name == "delta-exponent":
         assert err == "avgbeam: momentum spread must be nonnegative, got -0.001\n"
+
+
+_ORBIT_JOBS = {
+    "track": ["track"], "avg-track": ["avg-track"], "offset": ["offset"],
+    "jacobi": ["jacobi", *_DEVIATION],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("job", sorted(_ORBIT_JOBS))
+def test_span_must_follow_the_launch_direction(tmp_path, capsys, job):
+    # every orbit job launches at x2 = 0: a negative span runs a beam moving
+    # to -x2 into the lattice and is refused, by name, for one moving to +x2
+    lat = tmp_path / "line.lat"
+    lat.write_text("element dipole length=1.0 b0=0.1\nelement drift length=2.0\n")
+    argv = [*_ORBIT_JOBS[job], "--lattice", str(lat), "--step", "0.01", "--span", "-0.5"]
+    backward, forward = tmp_path / "backward.beam", tmp_path / "forward.beam"
+    backward.write_text("distribution=delta\nmean=0.0,-1.0,0.0\n")
+    forward.write_text("distribution=delta\nmean=0.0,1.0,0.0\n")
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--beam", str(backward), "--out", str(out)]) == 0
+    assert len(_rows(out)) == 51
+    if job == "track":
+        x2 = _rows(out)[:, 3]
+        assert x2[0] == 0.0 and 0.49 < x2[-1] < 0.5 and np.all(np.diff(x2) > 0.0)
+    out.unlink()
+    assert main([*argv, "--beam", str(forward), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "avgbeam: --span -0.5 leaves the lattice at its start x2 = 0: "
+        "the launch has v2 = 1.0, and the span must have its sign\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["track-span-overflow", "transverse-span-overflow"],
@@ -439,12 +476,11 @@ def test_scan_alpha_span_error_names_the_lab_span(files, capsys, span):
 _DEFAULTED_PARAMETERS = [
     "BeamDefinition(sigma)", "BeamDefinition(n)", "BeamDefinition(seed)", "BeamEnsemble(ws)",
     "FieldSample(grad)", "JacobiSeries(decoupling_ok)", "check_on_shell(exc)",
-    "check_on_shell(label)", "field_at(xi)", "integrate_jacobi_full(mode)", "momentum_spread(p0)",
-    "validate_field_gradients(step)",
+    "check_on_shell(label)", "field_at(xi)", "validate_field_gradients(step)",
 ]
 _OPTIONAL_FLAGS = [
-    "jacobi --mode", "transverse --rho", "longitudinal --gamma", "scan-alpha --step",
-    "scan-alpha --n", "scan-alpha --gamma", "validate --fd-step",
+    "transverse --rho", "longitudinal --gamma", "scan-alpha --step", "scan-alpha --n",
+    "scan-alpha --gamma", "validate --fd-step",
 ]
 
 
@@ -468,11 +504,12 @@ def test_option_surface_is_pinned(files, capsys):
     tmp, lat, delta, _ = files
     lattice, cfg = load_lattice(lat), avgbeam.IntegratorConfig(step=1e-3)
     launch = TrajectoryState(0.0, np.zeros(4), avgbeam.project_to_hyperboloid([0.0, 10.0, 0.0]))
-    run = avgbeam.integrate_lorentz(lattice, launch, 0.1, cfg)
     with pytest.raises(TypeError):
         avgbeam.integrate_lorentz(lattice, launch, 0.1, cfg, form="force")
+    moments, deviation = avgbeam.delta_moments(launch.v), avgbeam.JacobiState(
+        0.0, np.zeros(4), np.zeros(4))
     with pytest.raises(TypeError):
-        avgbeam.endpoint_deviation(run, run, comparison="proper-time")
+        avgbeam.integrate_jacobi_full(lattice, moments, launch, deviation, 0.1, cfg, mode="full")
     with pytest.raises(TypeError):
         avgbeam.optics_profiles(lattice, "horizontal", 0.25)
     out = tmp / "track.csv"
@@ -506,16 +543,24 @@ def test_option_surface_is_pinned(files, capsys):
          "--frame", "arc"], "--frame"),
     (1, ["longitudinal", "--lattice", "RF", "--step", "0.1", "--span", "30", *_DEVIATION],
      "leaves element of length 20.0"),
+    (2, ["jacobi", "--lattice", "LAT", "--beam", "GAUSS", *_ORBIT, *_DEVIATION,
+         "--mode", "linearized"], "--mode"),
+    # a step of 1e308 overflows the rf phase: a NaN difference, which max would drop
+    (1, ["validate", "--lattice", "MIXED", "--fd-step", "1e308"],
+     "finite-difference step 1e+308 gives a non-finite field difference or gradient at probe"),
 ], ids=["longitudinal-gamma-below-one", "longitudinal-gamma-negative", "xi0-three-values",
         "alphas-empty", "delta-negative", "step-misses-inner-edge", "edged-dispersion-residual",
         "jacobi-rho-removed", "scan-comparison", "jacobi-frame-removed",
-        "longitudinal-past-element"])
+        "longitudinal-past-element", "jacobi-mode-removed", "validate-fd-step-overflow"])
 def test_bad_input_is_rejected_by_name(files, capsys, code, argv, needle):
     tmp, lat, _, gauss = files
-    rf, edged = tmp / "rf.lat", tmp / "edged.lat"
+    rf, edged, mixed = tmp / "rf.lat", tmp / "edged.lat", tmp / "mixed.lat"
     rf.write_text("element rf length=20.0 e2_0=1.0 w_rf=3.0\n")
     edged.write_text("element dipole length=0.3 b0=0.1\nelement drift length=0.7\n")
-    names = {"LAT": str(lat), "GAUSS": str(gauss), "RF": str(rf), "EDGED": str(edged)}
+    mixed.write_text("element quad_dipole length=0.5 b0=0.02 b1=0.8\nelement drift length=0.5\n"
+                     "element rf length=2.0 e2_0=1.0 w_rf=3.0\n")
+    names = {"LAT": str(lat), "GAUSS": str(gauss), "RF": str(rf), "EDGED": str(edged),
+             "MIXED": str(mixed)}
     out = tmp / "x.out"
     try:
         rc = main([names.get(a, a) for a in argv] + ["--out", str(out)])
@@ -583,15 +628,13 @@ def test_successive_calls_share_no_state(files):
     assert main(track + [str(again)]) == 0
     assert again.read_bytes() == first.read_bytes() != finer.read_bytes()
 
-    # in a uniform dipole a deviation launched with dxi0 = 0 stays constant in both
-    # modes; a launch rate brings in the moment slots, where the modes differ
-    jacobi = ["jacobi", "--lattice", str(lat), "--beam", str(gauss), *_ORBIT,
-              "--xi0", "0,1e-3,0,0", "--dxi0", "0,1e-3,0,0", "--out"]
-    full, linearized, again = tmp / "full.csv", tmp / "linearized.csv", tmp / "again.csv"
-    assert main(jacobi + [str(full)]) == 0
-    assert main(jacobi + [str(linearized), "--mode", "linearized"]) == 0
-    assert main(jacobi + [str(again)]) == 0
-    assert again.read_bytes() == full.read_bytes() != linearized.read_bytes()
+    # so does a jacobi run with another launch rate
+    jacobi = ["jacobi", "--lattice", str(lat), "--beam", str(gauss), *_ORBIT, "--xi0", "0,1e-3,0,0"]
+    first, other, again = tmp / "first.csv", tmp / "other.csv", tmp / "again.csv"
+    assert main(jacobi + ["--dxi0", "0,1e-3,0,0", "--out", str(first)]) == 0
+    assert main(jacobi + ["--dxi0", "0,0,0,1e-3", "--out", str(other)]) == 0
+    assert main(jacobi + ["--dxi0", "0,1e-3,0,0", "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes() != other.read_bytes()
     assert build_parser() is not build_parser()
 
 

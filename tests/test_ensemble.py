@@ -24,12 +24,11 @@ from avgbeam import (
     energy_stats,
     parse_beam_definition,
     project_to_hyperboloid,
-    read_ensemble_csv,
     realize_beam,
     sample_gaussian_beam,
     velocity_monomials3,
-    write_ensemble_csv,
 )
+from avgbeam import dynamics
 from avgbeam import ensemble as ensemble_module
 
 SQRT2 = np.sqrt(2.0)
@@ -181,10 +180,10 @@ def test_sampler_rejects_bad_count():
 def test_ensemble_csv_round_trip(tmp_path):
     ens = sample_gaussian_beam([0.2, 4.0, -0.1], [0.02] * 3, n=37, seed=8)
     p = tmp_path / "beam.csv"
-    write_ensemble_csv(ens, p)
-    back = read_ensemble_csv(p)
-    assert np.array_equal(back.ys, ens.ys)
-    assert np.array_equal(back.ws, ens.ws)
+    dynamics._write_rows(p, "y0,y1,y2,y3,w", [*ens.ys.T, ens.ws])
+    back = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back[:, :4], ens.ys)
+    assert np.array_equal(back[:, 4], ens.ws)
     assert p.read_text().splitlines()[0] == "y0,y1,y2,y3,w"
 
 
@@ -299,34 +298,6 @@ def test_ensemble_rejects_non_finite_weights(bad):
     ws[2] = bad
     with pytest.raises(NonFiniteValue, match="sample 2 weight must be finite"):
         BeamEnsemble(np.tile(TWO_SAMPLES[0], (6, 1)), ws=ws)
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
-def test_ensemble_file_names_the_line_of_a_non_finite_value(tmp_path, value):
-    p = tmp_path / "beam.csv"
-    rows = [",".join(repr(float(c)) for c in TWO_SAMPLES[0]) + ",1.0"] * 3
-    rows[1] = rows[1].rsplit(",", 1)[0] + "," + value  # the weight of line 3
-    p.write_text("y0,y1,y2,y3,w\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ParseError) as err:
-        read_ensemble_csv(p)
-    assert err.value.line == 3
-
-
-_ROW = ",".join(repr(float(c)) for c in TWO_SAMPLES[0]) + ",1.0"
-
-
-@pytest.mark.parametrize("text, error, line", [
-    ("y0,y1,y2,y3\n" + _ROW + "\n", ParseError, 1),
-    ("y0,y1,y2,y3,w\n" + _ROW + "\n" + _ROW + ",1.0\n", ParseError, 3),
-    ("y0,y1,y2,y3,w\n" + _ROW.replace("1.0", "one", 1) + "\n", ParseError, 2),
-    ("y0,y1,y2,y3,w\n\n", EmptyEnsemble, None),
-], ids=["header", "columns", "non-numeric", "no-samples"])
-def test_ensemble_file_errors(tmp_path, text, error, line):
-    p = tmp_path / "beam.csv"
-    p.write_text(text)
-    with pytest.raises(error) as err:
-        read_ensemble_csv(p)
-    assert getattr(err.value, "line", None) == line
 
 
 def test_moment_set_rejects_non_finite_moments():

@@ -47,7 +47,6 @@ from avgbeam import (
     TrajectoryState,
     averaged_connection,
     averaged_offset,
-    born_offset,
     comoving_moments_along,
     compute_moments,
     contract_geodesic,
@@ -67,7 +66,6 @@ from avgbeam import (
     sample_gaussian_beam,
     transverse_k_profile,
     velocity_monomials3,
-    write_ensemble_csv,
 )
 from avgbeam import dynamics, lattice as lattice_module
 from avgbeam.dynamics import (
@@ -315,18 +313,17 @@ def lorentz_rhs(lattice):
     return geodesic_rhs(lattice)
 
 
-def jacobi_rhs(lattice, D1, D3, slots):
-    """The stacked (2, 4) reference-plus-deviation system; slots feed the deviation."""
-    slot_D1, slot_D3 = slots
+def jacobi_rhs(lattice, D1, D3):
+    """The stacked (2, 4) reference-plus-deviation system, both on the slots D1, D3."""
 
     def rhs(k, theta, x, v):
         X, V, xi, dxi = x[:1], v[:1], x[1:], v[1:]
         fxi = d_field_xi(X)
         F = field_mixed(lattice, X[..., 2], fxi)
         dF = d_along(field_gradient(lattice, X[..., 2], fxi), xi)
-        first = V if slot_D1 is None else V + slot_D1
-        dev = -(2.0 * d_gamma(F, first, d_comoving_third(V, slot_D3, dxi, V), dxi, V)
-                + d_gamma(dF, first, d_comoving_third(V, slot_D3, V, V), V, V))
+        first = V if D1 is None else V + D1
+        dev = -(2.0 * d_gamma(F, first, d_comoving_third(V, D3, dxi, V), dxi, V)
+                + d_gamma(dF, first, d_comoving_third(V, D3, V, V), V, V))
         return np.concatenate([d_geodesic_accel(F, V, D1, D3), dev])
 
     return rhs
@@ -466,8 +463,8 @@ def assert_block_writer_bytes_equal_row_writer(out, n_cols, n_rows, pool, seed):
     header = ",".join(f"c{i}" for i in range(n_cols))
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
-        # a value _read_rows would reject: the first in row-major order is
-        # named and no file is written
+        # a non-finite value: the first in row-major order is named and no
+        # file is written
         row, col = bad[0]
         with pytest.raises(NonFiniteValue, match=f"^column c{col} is .* at row {row}; no CSV"):
             _write_rows(out / "block.csv", header, columns)
@@ -600,7 +597,7 @@ def test_import_does_not_load_orjson():
 def test_ensemble_writer_bytes_equal_row_writer(tmp_path):
     ens = sample_gaussian_beam([0.2, 4.0, -0.1], [0.02] * 3, n=_BLOCK_ROWS + 3, seed=8)
     ens = BeamEnsemble(ens.ys, ws=np.random.default_rng(8).uniform(0.0, 2.0, len(ens)))
-    write_ensemble_csv(ens, tmp_path / "block.csv")
+    _write_rows(tmp_path / "block.csv", "y0,y1,y2,y3,w", [*ens.ys.T, ens.ws])
     reference_write_rows(tmp_path / "row.csv", "y0,y1,y2,y3,w", [*ens.ys.T, ens.ws])
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
@@ -668,13 +665,13 @@ def _assert_coasts_as_plain(accel, x, v, h, n):
         assert np.array_equal(a, b)
 
 
-def _jacobi_accel(lattice, moments, launch, deviation, h, mode):
+def _jacobi_accel(lattice, moments, launch, deviation, h):
     """The accel, launch x and launch v integrate_jacobi_full hands the kernel."""
     grabbed = []
     with mock.patch.object(dynamics, "_rk4", lambda accel, x, v, h, n, observe:
                            grabbed.append((accel, x, v))):
         integrate_jacobi_full(lattice, moments, launch, deviation, launch.t + h,
-                              IntegratorConfig(step=abs(h)), mode=mode)
+                              IntegratorConfig(step=abs(h)))
     return grabbed[0]
 
 
@@ -715,8 +712,8 @@ def _coast_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_coast_case(), rhs_kind=st.sampled_from(["point", "force", "averaged", "jacobi"]),
        form=st.sampled_from(["float", "four-column", "one-part"]),
-       mode=st.sampled_from(["full", "linearized"]), scale=st.sampled_from([1.0, 1.0, 1.0, 2.5]))
-def test_coasting_equals_plain_stepping_bit_for_bit(case, rhs_kind, form, mode, scale):
+       beam=st.sampled_from(["spread", "point"]), scale=st.sampled_from([1.0, 1.0, 1.0, 2.5]))
+def test_coasting_equals_plain_stepping_bit_for_bit(case, rhs_kind, form, beam, scale):
     # every observed state, zero signs included, and the step and message of
     # an OutOfLattice equal those of the same right-hand side without its
     # drift test; clouds straddle element edges, a negative h never coasts.
@@ -727,7 +724,8 @@ def test_coasting_equals_plain_stepping_bit_for_bit(case, rhs_kind, form, mode, 
         (x, v), dxi = states[0], [1e-3, -0.0, 2e-3, 0.0]
         launch = TrajectoryState(0.0, np.array(x), np.array(v))
         deviation = JacobiState(0.0, np.array([0.0, 1e-3, -1e-3, 0.0]), np.array(dxi))
-        accel, x, v = _jacobi_accel(lattice, _COAST_BEAM, launch, deviation, h, mode)
+        moments = _COAST_BEAM if beam == "spread" else delta_moments(launch.v)
+        accel, x, v = _jacobi_accel(lattice, moments, launch, deviation, h)
         _assert_coasts_as_plain(accel, x, v, h, n)
         return
     states = [(x, [scale * c for c in v]) for x, v in states]
@@ -953,14 +951,16 @@ def test_averaged_equals_dense_reference(edged):
     assert np.array_equal(ser.x, xs[:, 0]) and np.array_equal(ser.v, vs[:, 0])
 
 
-@pytest.mark.parametrize("mode", ["full", "linearized"], ids=["inertial", "linearized"])
-def test_jacobi_equals_dense_reference(edged, mode):
+# inertial: a spread beam's comoving slots; linearized: a point beam, whose
+# slots are the reference velocity's own (first = Xdot), the deviation
+# system's other branch
+@pytest.mark.parametrize("point", [False, True], ids=["inertial", "linearized"])
+def test_jacobi_equals_dense_reference(edged, point):
     lattice, launch = edged
-    mom = _beam_moments()
-    jac = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG, mode=mode)
-    D1, D3 = d_slots(mom, launch.v)
-    slots = (None, None) if mode == "linearized" else (D1, D3)
-    xs, vs = reference_rk4(jacobi_rhs(lattice, D1, D3, slots),
+    mom = delta_moments(launch.v) if point else _beam_moments()
+    jac = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG)
+    D1, D3 = (None, None) if point else d_slots(mom, launch.v)
+    xs, vs = reference_rk4(jacobi_rhs(lattice, D1, D3),
                            np.stack([launch.x, _DEVIATION.xi]),
                            np.stack([launch.v, _DEVIATION.dxi]), 0.01, 100)
     assert np.array_equal(jac.xi, xs[:, 1]) and np.array_equal(jac.dxi, vs[:, 1])
@@ -981,25 +981,15 @@ def test_offsets_and_defect_equal_dense_reference(edged):
     mom = _beam_moments()
     ref = integrate_averaged_geodesic(lattice, mom, launch, 1.0, _CFG)
     along = comoving_moments_along(ref, mom)
-    xi_run = integrate_jacobi_full(lattice, mom, launch, _DEVIATION, 1.0, _CFG)
     h = float(ref.t[1] - ref.t[0])
     V, first = ref.v, along.first
     _, D3 = d_slots(mom, launch.v)
     fxi = d_field_xi(ref.x)
     F = field_mixed(lattice, ref.x[:, 2], fxi)
-    dF = d_along(field_gradient(lattice, ref.x[:, 2], fxi), xi_run.xi)
-    th = d_comoving_third(V, D3, V, V)
-    base = d_moment_slot(F, first, th, V, V)
-    eps = first - V
-    cross = (d_matvec(F, xi_run.dxi) * d_mdot(eps, V)[:, None]
-             + d_matvec(F, V) * d_mdot(eps, xi_run.dxi)[:, None])
-    integ = base + cross + d_moment_slot(dF, first, th, V, V)
+    base = d_moment_slot(F, first, d_comoving_third(V, D3, V, V), V, V)
 
     avg = averaged_offset(lattice, ref, along)
-    born = born_offset(lattice, ref, along, xi_run)
-    for got, want in ((avg.avg1, base[:, 1]), (avg.avg3, base[:, 3]), (born.avg1, base[:, 1]),
-                      (born.avg3, base[:, 3]), (born.off1, integ[:, 1]),
-                      (born.off3, integ[:, 3])):
+    for got, want in ((avg.avg1, base[:, 1]), (avg.avg3, base[:, 3])):
         assert np.array_equal(got, _cumtrapz(want, h))
 
     F_curve = field_mixed(lattice, ref.x[:, 2], fxi)
@@ -1030,12 +1020,11 @@ def test_integrators_never_build_dense_fields(fodo_lattice, monkeypatch):
     integrate_lorentz(fodo_lattice, launch, 0.6, _CFG)
     _orbit(dynamics._rhs_force(fodo_lattice), launch, 0.6, _CFG.step)
     ref = integrate_averaged_geodesic(fodo_lattice, mom, launch, 0.6, _CFG)
-    xi_run = integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG)
+    integrate_jacobi_full(fodo_lattice, mom, launch, _DEVIATION, 0.6, _CFG)
     ens = sample_gaussian_beam(launch.v[1:], [0.01] * 3, n=16, seed=5)
     ensemble_track(fodo_lattice, ens, launch.x, 0.6, _CFG)
     along = comoving_moments_along(ref, mom)
     averaged_offset(fodo_lattice, ref, along)
-    born_offset(fodo_lattice, ref, along, xi_run)
     mean_field_defect(fodo_lattice, along, ref)
     assert calls == []
 

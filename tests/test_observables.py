@@ -17,15 +17,12 @@ from avgbeam import (
     Dipole,
     Drift,
     IntegratorConfig,
-    JacobiSeries,
-    JacobiState,
     Lattice,
     MismatchedGrid,
     MismatchedSampling,
     MomentsSeries,
     NormalQuadDipole,
     OffsetSeries,
-    OutOfSpan,
     PrincipalSolutions,
     RFCavity,
     ResidualTooLarge,
@@ -34,19 +31,14 @@ from avgbeam import (
     TrajectoryState,
     WronskianDrift,
     averaged_offset,
-    born_offset,
     comoving_moments_along,
     compute_moments,
     delta_moments,
     dispersion,
     gaussian_beam_family,
-    green_function,
     integrate_averaged_geodesic,
-    integrate_jacobi_full,
     inverse_rho_profile,
-    lattice_principal_solutions,
     mean_field_defect,
-    momentum_spread,
     particular_solution,
     principal_solutions,
     project_to_hyperboloid,
@@ -171,7 +163,7 @@ def _transfer(K, L):
 
 def _agrees_with_matrix_products(lattice, plane, step, ks):
     """Compare (C, S; C', S') at every element end with the product of the elements' matrices."""
-    ps = lattice_principal_solutions(lattice, plane, step)
+    ps = principal_solutions(*transverse_k_profile(lattice, plane, step))
     M = np.eye(2)
     for K, element, end in zip(ks, lattice.elements, lattice.boundaries):
         M = _transfer(K, element.length) @ M
@@ -231,7 +223,7 @@ def test_lattice_principal_solutions_read_k_per_element():
 
 def test_lattice_principal_solutions_one_dipole_is_cos_sin():
     lattice = Lattice.from_elements([Dipole(length=6.4, b0=1.0)])
-    ps = lattice_principal_solutions(lattice, "horizontal", 1e-2)
+    ps = principal_solutions(*transverse_k_profile(lattice, "horizontal", 1e-2))
     # RK4 on the same grid errs by 4e-10
     assert np.abs(ps.C - np.cos(ps.t)).max() <= 1e-13
     assert np.abs(ps.S - np.sin(ps.t)).max() <= 1e-13
@@ -244,33 +236,19 @@ def test_lattice_principal_solutions_wronskian_on_ring():
             NormalQuadDipole(length=0.5, b0=0.02, b1=-0.8), Drift(length=0.5)]
     ring = Lattice.from_elements(cell * 32)
     for plane in ("horizontal", "vertical"):
-        assert lattice_principal_solutions(ring, plane, 4e-3).wronskian_drift() <= 1e-13
+        ps = principal_solutions(*transverse_k_profile(ring, plane, 4e-3))
+        assert ps.wronskian_drift() <= 1e-13
 
 
 def test_lattice_principal_solutions_rejections():
     overflow = Lattice.from_elements([Dipole(length=1.0, b0=1e200)])  # K = b0^2 = inf
-    with pytest.raises(ValueError) as from_maps:
-        lattice_principal_solutions(overflow, "horizontal", 1e-2)
-    with pytest.raises(ValueError) as from_profile:
+    with pytest.raises(ValueError):
         principal_solutions(*transverse_k_profile(overflow, "horizontal", 1e-2))
-    assert str(from_maps.value) == str(from_profile.value)
     edged = Lattice.from_elements([Dipole(length=0.3, b0=0.1), Drift(length=0.7)])
     with pytest.raises(MismatchedSampling):
-        lattice_principal_solutions(edged, "horizontal", 0.2)
+        transverse_k_profile(edged, "horizontal", 0.2)
     with pytest.raises(ValueError, match="plane"):
-        lattice_principal_solutions(edged, "diagonal", 0.1)
-
-
-def test_green_function_is_shift_invariant_sine():
-    t = _grid(np.pi, 2000)
-    ps = principal_solutions(t, np.ones_like(t))
-    # off-grid arguments go through linear interpolation, accurate to h^2
-    for a, b in ((1.0, 0.25), (2.0, 1.5), (3.0, 3.0)):
-        assert abs(green_function(ps, a, b) - np.sin(a - b)) < 1e-6
-    # on grid nodes only the integrator error remains
-    assert abs(green_function(ps, t[1400], t[300]) - np.sin(t[1400] - t[300])) < 1e-9
-    with pytest.raises(OutOfSpan):
-        green_function(ps, 4.0, 0.0)
+        transverse_k_profile(edged, "diagonal", 0.1)
 
 
 def test_particular_solution_unit_drive():
@@ -319,36 +297,22 @@ def test_dispersion_constant_dipole():
             dispersion(ps, inv, delta=delta)
 
 
-def test_momentum_spread_frozen():
-    from avgbeam import JacobiSeries
-
-    t = np.array([0.0, 1.0])
-    xi = np.array([[0.0, 0.3, 0.0, 0.4], [0.0, 0.6, 0.0, 0.8]])
-    run = JacobiSeries(t=t, xi=xi, dxi=np.zeros_like(xi))
-    assert momentum_spread(run) == 1.0
-    assert momentum_spread(run, p0=2.0) == 0.5
-
-
 def test_offset_series_requires_shared_grid():
     t = np.linspace(0.0, 1.0, 11)
     z = np.zeros(11)
     with pytest.raises(MismatchedGrid):
-        OffsetSeries(t, z, z, z[:-1], z)
+        OffsetSeries(t, z, z[:-1])
 
 
 def test_series_consumers_share_one_grid_check(circle_lattice, circle_state, cfg_fine):
     mom = delta_moments(circle_state.v)
     ref = integrate_averaged_geodesic(circle_lattice, mom, circle_state, 0.1, cfg_fine)
     along = comoving_moments_along(ref, mom)
-    xi_run = integrate_jacobi_full(circle_lattice, mom, circle_state,
-                                   JacobiState(0.0, np.zeros(4), np.zeros(4)), 0.1, cfg_fine)
 
     def consumers(t_ref, t_series):
         r = TrajectorySeries(t_ref, ref.x, ref.v)
         a = MomentsSeries(t_series, along.first, along.D3)
-        d = JacobiSeries(t_series, xi_run.xi, xi_run.dxi)
         return (lambda: averaged_offset(circle_lattice, r, a),
-                lambda: born_offset(circle_lattice, r, a, d),
                 lambda: mean_field_defect(circle_lattice, a, r))
 
     for run in consumers(ref.t, ref.t + 1e-3):
@@ -426,30 +390,6 @@ def test_offset_integrand_matches_exact_slot_contraction(monkeypatch, gamma):
     err = max(abs(Fraction(float(got[k])) - exact[k][c]) / scale
               for c, got in zip((1, 3), integrands) for k in rows)
     assert len(rows) >= 11 and err < 1e-5
-
-
-def test_born_offset_with_zero_deviation_matches_averaged():
-    lat, mom, ref, along = _dipole_reference(0.02, span=10.0 / SPEED)
-    zero = integrate_jacobi_full(lat, mom, ref.state(0),
-                                 JacobiState(0.0, np.zeros(4), np.zeros(4)), ref.final.t,
-                                 IntegratorConfig(step=1e-3))
-    born = born_offset(lat, ref, along, zero)
-    avg = averaged_offset(lat, ref, along)
-    assert np.array_equal(born.avg1, avg.avg1)
-    assert np.abs(born.off1 - avg.avg1).max() < 1e-12
-
-
-def test_born_offset_antisymmetric_pair_averages_out():
-    lat, mom, ref, along = _dipole_reference(0.02, span=10.0 / SPEED)
-    cfg = IntegratorConfig(step=1e-3)
-    xi0 = np.array([0.0, 1e-3, 0.0, 5e-4])
-    dxi0 = np.array([0.0, 2e-4, -1e-4, 3e-4])
-    launch, t_end = ref.state(0), ref.final.t
-    up = integrate_jacobi_full(lat, mom, launch, JacobiState(0.0, xi0, dxi0), t_end, cfg)
-    dn = integrate_jacobi_full(lat, mom, launch, JacobiState(0.0, -xi0, -dxi0), t_end, cfg)
-    avg = averaged_offset(lat, ref, along)
-    both = 0.5 * (born_offset(lat, ref, along, up).off1 + born_offset(lat, ref, along, dn).off1)
-    assert np.abs(both - avg.avg1).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 101])
